@@ -15,7 +15,7 @@ except ImportError:
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fermatlab import FermatModulus, OpCounter, fermat_value, pow_mod, reduce_mod_fermat, square_mod
+from fermatlab import FermatModulus, OpCounter, a_mod_fermat, fermat_value, pepin_test, reduce_mod_fermat, square_mod
 
 print("The tower of moduli grows doubly exponentially:")
 for n in range(6):
@@ -26,24 +26,28 @@ print("Folding reduction, step by step, for 257 mod F_2 = 17:")
 print("  257 = 16*16 + 1, so hi = 16 and lo = 1")
 print("  lo - hi = -15, negative, so flip and fix up: 17 - 15 = 2")
 m = FermatModulus(2)
-print(f"  reduce_mod_fermat(257, F_2) = {reduce_mod_fermat(257, m).value}")
-assert reduce_mod_fermat(257, m).value == 257 % 17
+print(f"  reduce_mod_fermat(257, F_2) = {reduce_mod_fermat(257, m)}")
+assert reduce_mod_fermat(257, m) == 257 % 17
 
 print()
 print("The modulus itself folds to zero, and giant inputs just fold repeatedly:")
-print(f"  F_2 mod F_2          = {reduce_mod_fermat(17, m).value}")
+print(f"  F_2 mod F_2          = {reduce_mod_fermat(17, m)}")
 big = 17**9 + 5
-print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m).value}  (check: {big % 17})")
+print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m)}  (check: {big % 17})")
+
+print()
+print("Every test squares with one kernel, square_mod, a multiply followed by the fold:")
+m4 = FermatModulus(4)
+r = 3
+for _ in range(10):
+    r = square_mod(r, m4)
+print(f"  3^(2^10) mod F_4 = {r} after ten squarings  (check: {pow(3, 1 << 10, m4.value)})")
 
 print()
 print("Squarings are counted, because both primality tests below are priced in them:")
 counter = OpCounter()
-r = reduce_mod_fermat(3, FermatModulus(4))
-pow_mod(r, 1 << 10, counter)
-print(f"  3^(2^10) mod F_4 costs {counter.squarings} squarings, {counter.multiplications} multiplications")
-
+pepin_test(4, counter)
+print(f"  the base-3 criterion on F_4 costs {counter.squarings} squarings")
 counter = OpCounter()
-r = reduce_mod_fermat(6, FermatModulus(4))
-for _ in range(5):
-    r = square_mod(r, counter)
-print(f"  five explicit squarings were counted as {counter.squarings}")
+a_mod_fermat(6, 4, counter)
+print(f"  the 6th recurrence term mod F_4 costs {counter.squarings} squarings")

@@ -7,19 +7,7 @@ compared honestly.  An exact layer for the ring of integers with sqrt(2)
 verifies the identities that justify the scan.
 """
 
-from .arith import (
-    FermatModulus,
-    FermatResidue,
-    ModulusMismatchError,
-    Natural,
-    OpCounter,
-    add_mod,
-    fermat_value,
-    mul_mod,
-    pow_mod,
-    reduce_mod_fermat,
-    square_mod,
-)
+from .arith import FermatModulus, Natural, OpCounter, fermat_value, reduce_mod_fermat, square_mod
 from .budget import DEFAULT_MAX_BITS, ENV_MAX_BITS, BudgetExceededError, max_bits
 from .primality import (
     FactorWitness,
@@ -35,15 +23,7 @@ from .primality import (
     trial_factor_search,
     verify_two_order,
 )
-from .sequences import (
-    ASequenceCursor,
-    OverlapReport,
-    a_exact,
-    a_mod_fermat,
-    a_next_mod,
-    overlap_check,
-    s_value,
-)
+from .sequences import OverlapReport, a_exact, a_mod_fermat, overlap_check, residues, s_value
 from .zsqrt2 import (
     U,
     UNITS,
@@ -52,7 +32,6 @@ from .zsqrt2 import (
     ZSqrt2,
     congruent_mod,
     frobenius_check,
-    mul,
     pow_mod_p,
     reduce_mod,
     trace_pow2,
@@ -61,14 +40,11 @@ from .zsqrt2 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASequenceCursor",
     "BudgetExceededError",
     "DEFAULT_MAX_BITS",
     "ENV_MAX_BITS",
     "FactorWitness",
     "FermatModulus",
-    "FermatResidue",
-    "ModulusMismatchError",
     "Natural",
     "NotApplicableError",
     "OpCounter",
@@ -84,23 +60,19 @@ __all__ = [
     "ZSqrt2",
     "a_exact",
     "a_mod_fermat",
-    "a_next_mod",
-    "add_mod",
     "congruent_mod",
     "cross_check",
     "fermat_value",
     "frobenius_check",
     "h_min",
     "max_bits",
-    "mul",
-    "mul_mod",
     "overlap_check",
     "paper_scan",
     "pepin_test",
-    "pow_mod",
     "pow_mod_p",
     "reduce_mod",
     "reduce_mod_fermat",
+    "residues",
     "s_value",
     "square_mod",
     "trace_pow2",

@@ -1,10 +1,10 @@
 """Arbitrary-precision arithmetic specialized for moduli of the form 2**b + 1.
 
-Values are plain Python ints (exact, canonical, unbounded).  Reduction never
-divides: it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the
-whole point of working with this modulus shape.  Multiplications and
-squarings can be counted through an explicit :class:`OpCounter`, one per test
-run; residues themselves are immutable and safe to share.
+Residues are plain Python ints in [0, 2**b + 1).  Reduction never divides:
+it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
+point of working with this modulus shape.  :func:`square_mod` is the one
+modular squaring every test goes through; the walks that call it count
+their squarings in an :class:`OpCounter`.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ from .budget import check_pow2_bits
 Natural = int
 
 
-class ModulusMismatchError(ValueError):
-    """Two residues from different moduli were combined."""
-
-
 @dataclass
 class OpCounter:
-    """Tally of counted operations; monotone within a single run."""
+    """Squarings spent by the walks it is passed to; monotone within a run."""
 
     squarings: int = 0
-    multiplications: int = 0
 
 
 class FermatModulus:
@@ -42,53 +37,13 @@ class FermatModulus:
         self.value = (1 << self.b) + 1
         self._mask = (1 << self.b) - 1
 
-    def __repr__(self) -> str:
-        return f"FermatModulus(n={self.n})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FermatModulus) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("FermatModulus", self.n))
-
-    def residue(self, x: int) -> "FermatResidue":
-        return reduce_mod_fermat(x, self)
-
-
-class FermatResidue:
-    """A canonical residue in [0, modulus.value)."""
-
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus: FermatModulus, value: int) -> None:
-        if not 0 <= value < modulus.value:
-            raise ValueError(f"{value} is not canonical for {modulus!r}")
-        self.modulus = modulus
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"FermatResidue({self.value} mod F_{self.modulus.n})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FermatResidue):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
 
 def fermat_value(n: int) -> Natural:
     """The n-th term of the 3, 5, 17, 257, ... tower: 2**(2**n) + 1."""
     return FermatModulus(n).value
 
 
-def reduce_mod_fermat(x: Natural, m: FermatModulus) -> FermatResidue:
+def reduce_mod_fermat(x: Natural, m: FermatModulus) -> int:
     """Canonical residue of x, by folding only.
 
     Splits x = hi * 2**b + lo and replaces it with lo - hi until the value is
@@ -108,48 +63,9 @@ def reduce_mod_fermat(x: Natural, m: FermatModulus) -> FermatResidue:
             negative = not negative
     if negative and x:
         x = value - x
-    return FermatResidue(m, x)
+    return x
 
 
-def add_mod(a: FermatResidue, b: FermatResidue) -> FermatResidue:
-    """Canonical residue of a + b (uncounted helper)."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(f"{a!r} and {b!r} have different moduli")
-    s = a.value + b.value
-    if s >= a.modulus.value:
-        s -= a.modulus.value
-    return FermatResidue(a.modulus, s)
-
-
-def mul_mod(a: FermatResidue, b: FermatResidue, counter: OpCounter | None = None) -> FermatResidue:
-    """Canonical residue of a * b; counts one multiplication."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatchError(f"{a!r} and {b!r} have different moduli")
-    if counter is not None:
-        counter.multiplications += 1
-    return reduce_mod_fermat(a.value * b.value, a.modulus)
-
-
-def square_mod(a: FermatResidue, counter: OpCounter | None = None) -> FermatResidue:
-    """Canonical residue of a * a; counts one squaring."""
-    if counter is not None:
-        counter.squarings += 1
-    return reduce_mod_fermat(a.value * a.value, a.modulus)
-
-
-def pow_mod(base: FermatResidue, exponent: Natural, counter: OpCounter | None = None) -> FermatResidue:
-    """Left-to-right square-and-multiply.
-
-    An exponent 2**M costs exactly M counted squarings and no general
-    multiplications, which keeps the bookkeeping of the tests honest.
-    """
-    if exponent < 0:
-        raise ValueError(f"expected a nonnegative exponent, got {exponent}")
-    if exponent == 0:
-        return reduce_mod_fermat(1, base.modulus)
-    result = base
-    for i in range(exponent.bit_length() - 2, -1, -1):
-        result = square_mod(result, counter)
-        if (exponent >> i) & 1:
-            result = mul_mod(result, base, counter)
-    return result
+def square_mod(x: int, m: FermatModulus) -> int:
+    """Canonical residue of x * x: the single modular squaring kernel."""
+    return reduce_mod_fermat(x * x, m)

@@ -5,6 +5,7 @@ bench.  Machine-readable output (``--format json`` or ``csv``) goes to
 stdout and never mixes with diagnostics, which go to stderr.  Exit codes:
 0 success, 1 usage or domain error, 2 budget exceeded, 3 the two procedures
 disagreed somewhere (the headline finding a cross-check run watches for).
+Any other exception is a bug and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import __version__
@@ -22,7 +22,6 @@ from .budget import BudgetExceededError, max_bits
 from .primality import (
     NotApplicableError,
     TestReport,
-    Verdict,
     cross_check,
     paper_scan,
     pepin_test,
@@ -105,15 +104,11 @@ def _cmd_paper_test(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     scan = paper_scan(args.n, full_window=args.full_range)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if scan.found_q is not None:
-        verdict = Verdict.divisor_witness(scan.found_q)
-    else:
-        verdict = Verdict.composite_certified()
     record = ReportRecord(
         command="paper-test",
         n=args.n,
         bits=FermatModulus(args.n).b,
-        verdict_paper=verdict.label,
+        verdict_paper=scan.verdict.label,
         found_q=scan.found_q,
         window_lo=scan.window[0],
         window_hi=scan.window[1],
@@ -134,16 +129,9 @@ def _checked_range(args: argparse.Namespace) -> range:
     return range(args.from_n, args.to_n + 1)
 
 
-def _run_reports(ns: range, jobs: int) -> list[TestReport]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cross_check, ns))
-    return [cross_check(n) for n in ns]
-
-
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     ns = _checked_range(args)
-    reports = _run_reports(ns, args.jobs)
+    reports = [cross_check(n) for n in ns]
     records = [_cross_check_record(report, "cross-check") for report in reports]
     _emit(records, args.format)
     agreed = sum(1 for report in reports if report.consistent)
@@ -207,6 +195,8 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    if args.k_limit < 1:
+        raise _UsageError(f"need a positive --k-limit, got {args.k_limit}")
     start = time.perf_counter()
     witness = trial_factor_search(args.n, args.k_limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -278,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross-check", help="run both tests per n and compare verdicts")
     p.add_argument("--from", dest="from_n", type=int, required=True, metavar="A")
     p.add_argument("--to", dest="to_n", type=int, required=True, metavar="B")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (output order is fixed)")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_cross_check)
 
@@ -304,20 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
+        try:
+            max_bits()  # reject an invalid FERMATLAB_MAX_BITS once, as a usage error
+        except ValueError as err:
+            raise _UsageError(str(err)) from None
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as err:
+    except (_UsageError, NotApplicableError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except NotApplicableError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,15 +22,8 @@ import hashlib
 import time
 from dataclasses import dataclass
 
-from .arith import (
-    FermatModulus,
-    Natural,
-    OpCounter,
-    fermat_value,
-    pow_mod,
-    reduce_mod_fermat,
-)
-from .sequences import ASequenceCursor
+from .arith import FermatModulus, Natural, OpCounter, fermat_value, square_mod
+from .sequences import residues
 
 TRACE_HASH_ALGORITHM = "sha256"
 
@@ -44,7 +37,6 @@ class VerdictKind(enum.Enum):
     COMPOSITE_BY_PEPIN = "CompositeByPepin"
     COMPOSITE_CERTIFIED = "CompositeCertified"
     DIVISOR_WITNESS_FOUND = "DivisorWitnessFound"
-    NOT_APPLICABLE = "NotApplicable"
 
 
 @dataclass(frozen=True)
@@ -58,29 +50,6 @@ class Verdict:
 
     kind: VerdictKind
     q: int | None = None
-    reason: str | None = None
-
-    @classmethod
-    def prime_by_pepin(cls) -> "Verdict":
-        return cls(VerdictKind.PRIME_BY_PEPIN)
-
-    @classmethod
-    def composite_by_pepin(cls) -> "Verdict":
-        return cls(VerdictKind.COMPOSITE_BY_PEPIN)
-
-    @classmethod
-    def composite_certified(cls) -> "Verdict":
-        return cls(VerdictKind.COMPOSITE_CERTIFIED)
-
-    @classmethod
-    def divisor_witness(cls, q: int) -> "Verdict":
-        if q < 1:
-            raise ValueError(f"witness index must be positive, got {q}")
-        return cls(VerdictKind.DIVISOR_WITNESS_FOUND, q=q)
-
-    @classmethod
-    def not_applicable(cls, reason: str) -> "Verdict":
-        return cls(VerdictKind.NOT_APPLICABLE, reason=reason)
 
     @property
     def label(self) -> str:
@@ -104,6 +73,13 @@ class ScanResult:
     residue_trace_hash: str
     squarings: int
     anomalies: tuple[int, ...] = ()
+
+    @property
+    def verdict(self) -> Verdict:
+        """The paper's verdict: a witness when a zero was found, else certified composite."""
+        if self.found_q is None:
+            return Verdict(VerdictKind.COMPOSITE_CERTIFIED)
+        return Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=self.found_q)
 
 
 @dataclass(frozen=True)
@@ -135,17 +111,21 @@ class TestReport:
 def pepin_test(n: int, counter: OpCounter | None = None) -> Verdict:
     """Classical criterion: prime iff 3**((F_n - 1)/2) = -1 (mod F_n).
 
-    Costs exactly 2**n - 1 counted squarings (the exponent is a power of
-    two, so square-and-multiply never multiplies).
+    The exponent (F_n - 1)/2 is 2**(2**n - 1), so the power is exactly
+    2**n - 1 squarings of 3 and no other multiplication.
     """
     if n < 1:
         raise NotApplicableError(f"the base-3 criterion applies from index 1, got n={n}")
     m = FermatModulus(n)
-    base = reduce_mod_fermat(3, m)
-    result = pow_mod(base, (m.value - 1) >> 1, counter)
-    if result.value == m.value - 1:
-        return Verdict.prime_by_pepin()
-    return Verdict.composite_by_pepin()
+    squarings = (1 << n) - 1
+    x = 3
+    for _ in range(squarings):
+        x = square_mod(x, m)
+    if counter is not None:
+        counter.squarings += squarings
+    if x == m.value - 1:
+        return Verdict(VerdictKind.PRIME_BY_PEPIN)
+    return Verdict(VerdictKind.COMPOSITE_BY_PEPIN)
 
 
 def _residue_width_bytes(m: FermatModulus) -> int:
@@ -171,33 +151,27 @@ def paper_scan(n: int, full_window: bool = False, counter: OpCounter | None = No
         q_lo, q_hi = 1, (1 << n) + 1
     else:
         q_lo, q_hi = n, 1 << n
-    if counter is None:
-        counter = OpCounter()
-    squarings_before = counter.squarings
-
     width = _residue_width_bytes(m)
     trace = hashlib.new(TRACE_HASH_ALGORITHM)
-    cursor = ASequenceCursor(m, counter)
-    trace.update(cursor.residue.value.to_bytes(width, "little"))
-
     found_q: int | None = None
     anomalies: list[int] = []
-    if cursor.residue.value == 0 and q_lo <= 1:
-        found_q = 1
-    while found_q is None and cursor.q < q_hi - 1:
-        residue = cursor.advance()
-        trace.update(residue.value.to_bytes(width, "little"))
-        if residue.value == 0:
-            if cursor.q >= q_lo:
-                found_q = cursor.q
-            else:
-                anomalies.append(cursor.q)
+    for q, r in residues(m):
+        trace.update(r.to_bytes(width, "little"))
+        if r == 0:
+            if q >= q_lo:
+                found_q = q
+                break
+            anomalies.append(q)
+        if q >= q_hi - 1:
+            break
+    if counter is not None:
+        counter.squarings += q - 1
     return ScanResult(
         n=n,
         window=(q_lo, q_hi),
         found_q=found_q,
         residue_trace_hash=f"{TRACE_HASH_ALGORITHM}:{trace.hexdigest()}",
-        squarings=counter.squarings - squarings_before,
+        squarings=q - 1,
         anomalies=tuple(anomalies),
     )
 
@@ -212,20 +186,16 @@ def h_min(n: int) -> int | None:
     if n < 2:
         raise NotApplicableError(f"the minimum-index machinery needs n >= 2, got n={n}")
     limit = (1 << n) + 1
-    cursor = ASequenceCursor(FermatModulus(n))
-    while True:
-        if cursor.residue.value == 2:
-            return cursor.q
-        if cursor.q >= limit:
+    for q, r in residues(FermatModulus(n)):
+        if r == 2:
+            return q
+        if q >= limit:
             return None
-        cursor.advance()
 
 
 def verify_two_order(n: int) -> bool:
     """Check 2**(2**(n+1)) = 1 (mod F_n); holds for every n by construction."""
-    m = FermatModulus(n)
-    two = reduce_mod_fermat(2, m)
-    return pow_mod(two, 1 << (n + 1)).value == 1
+    return pow(2, 1 << (n + 1), fermat_value(n)) == 1
 
 
 def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
@@ -235,7 +205,7 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
     2**(2**n) to -1); a hit is verified by exact division.
     """
     if n < 2:
-        raise ValueError(f"factor search needs n >= 2, got {n}")
+        raise NotApplicableError(f"factor search needs n >= 2, got {n}")
     if k_max < 1:
         raise ValueError(f"need a positive search bound, got {k_max}")
     value = fermat_value(n)
@@ -246,7 +216,8 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
             return None
         if pow(2, exponent, candidate) == candidate - 1:
             cofactor, remainder = divmod(value, candidate)
-            assert remainder == 0
+            if remainder:
+                raise ArithmeticError(f"screened candidate {candidate} does not divide F_{n}")
             return FactorWitness(k=k, factor=candidate, cofactor=cofactor)
     return None
 
@@ -267,16 +238,10 @@ def cross_check(n: int) -> TestReport:
     scan = paper_scan(n)
     t2 = time.perf_counter()
 
-    if scan.found_q is not None:
-        paper = Verdict.divisor_witness(scan.found_q)
-    else:
-        paper = Verdict.composite_certified()
-    consistent = (
-        (pepin.kind is VerdictKind.PRIME_BY_PEPIN)
-        == (paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND)
-    ) and (
-        (pepin.kind is VerdictKind.COMPOSITE_BY_PEPIN)
-        == (paper.kind is VerdictKind.COMPOSITE_CERTIFIED)
+    paper = scan.verdict
+    # Each procedure has exactly two outcomes, so one equivalence covers both directions.
+    consistent = (pepin.kind is VerdictKind.PRIME_BY_PEPIN) == (
+        paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND
     )
     return TestReport(
         n=n,

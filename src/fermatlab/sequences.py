@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
-from .arith import FermatModulus, FermatResidue, Natural, OpCounter, reduce_mod_fermat, square_mod
+from .arith import FermatModulus, Natural, OpCounter, reduce_mod_fermat, square_mod
 from .budget import check_pow2_bits
 
 
@@ -19,46 +21,33 @@ def a_exact(q: int) -> Natural:
     return x
 
 
-def a_next_mod(r: FermatResidue, counter: OpCounter | None = None) -> FermatResidue:
-    """One recurrence step on residues: square, then subtract 2 with wraparound."""
-    s = square_mod(r, counter)
-    value = s.value - 2
-    if value < 0:
-        value += s.modulus.value
-    return FermatResidue(s.modulus, value)
+def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
+    """Yield (q, q-th term mod m) for q = 1, 2, ...; each step past q = 1 is one squaring."""
+    q, r = 1, reduce_mod_fermat(6, m)
+    while True:
+        yield q, r
+        r = square_mod(r, m) - 2
+        if r < 0:
+            r += m.value
+        q += 1
 
 
-def a_mod_fermat(q: int, n: int, counter: OpCounter | None = None) -> FermatResidue:
+def a_mod_fermat(q: int, n: int, counter: OpCounter | None = None) -> int:
     """The q-th term mod 2**(2**n) + 1, via q - 1 squaring steps from 6."""
     if q < 1:
         raise ValueError(f"the sequence starts at index 1, got {q}")
-    r = reduce_mod_fermat(6, FermatModulus(n))
-    for _ in range(q - 1):
-        r = a_next_mod(r, counter)
+    _, r = next(islice(residues(FermatModulus(n)), q - 1, None))
+    if counter is not None:
+        counter.squarings += q - 1
     return r
 
 
 def s_value(q: int) -> Natural:
     """Half of the exact q-th term (every term is even)."""
     x = a_exact(q)
-    assert x & 1 == 0
+    if x & 1:
+        raise ArithmeticError(f"term {q} is odd, but every term of the recurrence is even")
     return x >> 1
-
-
-class ASequenceCursor:
-    """Sequential walk of the residues for one modulus; starts at index 1."""
-
-    __slots__ = ("q", "residue", "_counter")
-
-    def __init__(self, modulus: FermatModulus, counter: OpCounter | None = None) -> None:
-        self.q = 1
-        self.residue = reduce_mod_fermat(6, modulus)
-        self._counter = counter
-
-    def advance(self) -> FermatResidue:
-        self.residue = a_next_mod(self.residue, self._counter)
-        self.q += 1
-        return self.residue
 
 
 @dataclass

@@ -80,10 +80,6 @@ U = UNITS.u
 V = UNITS.v
 
 
-def mul(x: ZSqrt2, y: ZSqrt2) -> ZSqrt2:
-    return x * y
-
-
 def reduce_mod(x: ZSqrt2, p: int) -> ZSqrt2:
     """Componentwise reduction into [0, p)."""
     if p < 2:
@@ -120,14 +116,15 @@ def trace_pow2(k: int) -> int:
     """u**(2**k) + v**(2**k) as a plain integer.
 
     Only u**(2**k) is computed; the conjugate contributes the same rational
-    part and cancels the sqrt(2) part, which is asserted rather than assumed.
+    part and cancels the sqrt(2) part, which is checked rather than assumed.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative exponent, got {k}")
     check_pow2_bits(k, f"unit power 2**{k}")
     w = U ** (1 << k)
     total = w + w.conjugate()
-    assert total.b == 0, "conjugate pair must cancel the sqrt(2) component"
+    if total.b:
+        raise ArithmeticError(f"u**(2**{k}) and its conjugate left a sqrt(2) component {total.b}")
     return total.a
 
 

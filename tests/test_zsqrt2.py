@@ -14,7 +14,6 @@ from fermatlab.zsqrt2 import (
     ZSqrt2,
     congruent_mod,
     frobenius_check,
-    mul,
     pow_mod_p,
     reduce_mod,
     trace_pow2,
@@ -36,10 +35,10 @@ def test_unit_pair_rejects_non_units():
 
 
 def test_mul_examples():
-    assert mul(U, V) == ONE
+    assert U * V == ONE
     x = ZSqrt2(5, -7)
-    assert mul(x, ONE) == x
-    assert mul(U, U) == ZSqrt2(17, 12)
+    assert x * ONE == x
+    assert U * U == ZSqrt2(17, 12)
 
 
 def test_pow_examples():
