@@ -66,10 +66,11 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _cross_check_record(report: TestReport, command: str) -> ReportRecord:
+    m = FermatModulus(report.n)
     return ReportRecord(
         command=command,
         n=report.n,
-        bits=FermatModulus(report.n).b,
+        bits=m.b,
         verdict_pepin=report.pepin.label,
         verdict_paper=report.paper.label,
         found_q=report.scan.found_q,
@@ -78,6 +79,7 @@ def _cross_check_record(report: TestReport, command: str) -> ReportRecord:
         squarings_pepin=report.squarings_pepin,
         squarings_scan=report.squarings_scan,
         consistent=report.consistent,
+        backend=m.backend,
         elapsed_ms=report.elapsed_ms_pepin + report.elapsed_ms_scan,
         trace_hash=report.scan.residue_trace_hash,
     )
@@ -88,12 +90,14 @@ def _cmd_pepin(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     verdict = pepin_test(args.n, counter)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    m = FermatModulus(args.n)
     record = ReportRecord(
         command="pepin",
         n=args.n,
-        bits=FermatModulus(args.n).b,
+        bits=m.b,
         verdict_pepin=verdict.label,
         squarings_pepin=counter.squarings,
+        backend=m.backend,
         elapsed_ms=elapsed_ms,
     )
     _emit([record], args.format)
@@ -104,15 +108,17 @@ def _cmd_paper_test(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     scan = paper_scan(args.n, full_window=args.full_range)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    m = FermatModulus(args.n)
     record = ReportRecord(
         command="paper-test",
         n=args.n,
-        bits=FermatModulus(args.n).b,
+        bits=m.b,
         verdict_paper=scan.verdict.label,
         found_q=scan.found_q,
         window_lo=scan.window[0],
         window_hi=scan.window[1],
         squarings_scan=scan.squarings,
+        backend=m.backend,
         elapsed_ms=elapsed_ms,
         trace_hash=scan.residue_trace_hash,
     )
@@ -222,11 +228,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ns = _checked_range(args)
     reports = [cross_check(n) for n in ns]
     if args.format == "table":
-        headers = ["n", "bits", "squarings_pepin", "pepin_ms", "squarings_scan", "scan_ms", "consistent"]
+        headers = ["n", "bits", "backend", "squarings_pepin", "pepin_ms", "squarings_scan", "scan_ms", "consistent"]
         rows = [
             [
                 report.n,
                 FermatModulus(report.n).b,
+                FermatModulus(report.n).backend,
                 report.squarings_pepin,
                 report.elapsed_ms_pepin,
                 report.squarings_scan,

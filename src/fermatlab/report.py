@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 FIELDS = (
     "schema_version",
@@ -29,6 +29,7 @@ FIELDS = (
     "factor",
     "cofactor",
     "consistent",
+    "backend",
     "elapsed_ms",
     "trace_hash",
 )
@@ -49,6 +50,7 @@ class ReportRecord:
     factor: int | None = None
     cofactor: int | None = None
     consistent: bool | None = None
+    backend: str | None = None
     elapsed_ms: float | None = None
     trace_hash: str | None = None
     schema_version: str = SCHEMA_VERSION

@@ -115,17 +115,18 @@ def pow_mod_p(x: ZSqrt2, k: int, p: int) -> ZSqrt2:
 def trace_pow2(k: int) -> int:
     """u**(2**k) + v**(2**k) as a plain integer.
 
-    Only u**(2**k) is computed; the conjugate contributes the same rational
-    part and cancels the sqrt(2) part, which is checked rather than assumed.
+    Both powers are computed, and v**(2**k) must be the conjugate of
+    u**(2**k), so the sqrt(2) parts cancel by a check rather than by
+    construction.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative exponent, got {k}")
     check_pow2_bits(k, f"unit power 2**{k}")
     w = U ** (1 << k)
-    total = w + w.conjugate()
-    if total.b:
-        raise ArithmeticError(f"u**(2**{k}) and its conjugate left a sqrt(2) component {total.b}")
-    return total.a
+    v = V ** (1 << k)
+    if v != w.conjugate():
+        raise ArithmeticError(f"v**(2**{k}) is not the conjugate of u**(2**{k})")
+    return (w + v).a
 
 
 def frobenius_check(p: int) -> bool:

@@ -1,10 +1,13 @@
 import random
+from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fermatlab import arith
 from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat, square_mod
 from fermatlab.budget import BudgetExceededError
+from fermatlab.sequences import a_mod_fermat, residues
 
 
 def square_chain(x, k, m):
@@ -151,3 +154,73 @@ def test_pow_matches_builtin(n):
         b = rng.randrange(m.value)
         k = rng.randrange(16)
         assert square_chain(b, k, m) == pow(b, 1 << k, m.value)
+
+
+# ------------------------------------------------------------ GMP kernel
+
+
+@pytest.fixture
+def gmp():
+    lib = arith._load_gmp()
+    if lib is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP kernel to test")
+    return lib
+
+
+def plain_walk(n, steps):
+    """The first residues of the recurrence mod F_n by a plain % loop."""
+    value, x, out = fermat_value(n), 6, []
+    for _ in range(steps):
+        out.append(x)
+        x = (x * x - 2) % value
+    return out
+
+
+_EDGES = [0, 1, 2, 3, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1]
+_EDGES += [1 << b for b in (31, 63, 65, 127, 4096, 8192, 1 << 16)]
+_EDGES += [(1 << b) - 1 for b in (8192, 1 << 16, (1 << 16) + 1)]
+
+
+@pytest.mark.parametrize("x", _EDGES, ids=[f"bits{x.bit_length()}_pop{bin(x).count('1')}" for x in _EDGES])
+def test_gmp_square_edges(gmp, x):
+    assert arith._gmp_square(x) == x * x
+
+
+@settings(deadline=None)
+@given(bits=st.integers(min_value=0, max_value=(1 << 16) + 1), seed=st.integers(min_value=0))
+def test_gmp_square_matches_int(bits, seed):
+    if arith._load_gmp() is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here")
+    x = random.Random(seed).getrandbits(bits)
+    assert arith._gmp_square(x) == x * x
+
+
+def test_gmp_is_chosen_per_modulus(gmp):
+    assert [FermatModulus(n).backend for n in (2, arith.GMP_MIN_N - 1)] == ["int", "int"]
+    assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", "gmp"]
+
+
+def test_gmp_corrupted_export_raises(gmp, monkeypatch):
+    export = gmp.__gmpz_export
+
+    def corrupted(out, *args):
+        result = export(out, *args)
+        out[0] = bytes([out.raw[0] ^ 1])
+        return result
+
+    monkeypatch.setattr(gmp, "__gmpz_export", corrupted)
+    x = random.Random(5).getrandbits(9000)
+    with pytest.raises(ArithmeticError, match="GMP"):
+        arith._gmp_square(x)
+    with pytest.raises(ArithmeticError, match="GMP"):
+        a_mod_fermat(3, arith.GMP_MIN_N)
+
+
+def test_missing_library_falls_back_to_int(monkeypatch):
+    monkeypatch.setattr(arith, "GMP_SONAME", "libfermatlab-missing.so.0")
+    monkeypatch.setattr(arith, "_load_gmp", arith._load_gmp.__wrapped__)  # the loader, unmemoised
+    assert arith._load_gmp() is None
+    m = FermatModulus(arith.GMP_MIN_N)
+    assert m.backend == "int"
+    assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
+

@@ -226,6 +226,32 @@ def test_json_round_trip(capsys):
         assert record.to_json() == line
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["pepin", "3"], ["paper-test", "3"], ["cross-check", "--from", "2", "--to", "3"], ["bench", "--from", "2", "--to", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_walk_records_carry_the_backend(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    for record in json_records(out):
+        assert record["schema_version"] == "2"
+        assert record["backend"] == "int"  # n < GMP_MIN_N squares with x * x everywhere
+
+
+def test_factor_record_has_no_backend(capsys):
+    code, out, _ = run(capsys, "factor", "5", "--k-limit", "10", "--format", "json")
+    assert code == 0 and json_records(out)[0]["backend"] is None
+
+
+def test_bench_table_has_a_backend_column(capsys):
+    code, out, _ = run(capsys, "bench", "--from", "2", "--to", "3")
+    assert code == 0
+    header, _, first, second = out.splitlines()
+    assert header.split()[:3] == ["n", "bits", "backend"]
+    assert first.split()[2] == second.split()[2] == "int"
+
+
 def test_from_json_rejects_unknown_fields():
     with pytest.raises(ValueError):
         ReportRecord.from_json('{"command": "pepin", "n": 2, "bits": 4, "bogus": 1}')
@@ -276,3 +302,20 @@ def test_module_entry_point_subprocess():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["verdict_pepin"] == "PrimeByPepin"
+
+
+def test_small_runs_do_not_import_ctypes():
+    # ctypes loads only when a modulus first needs GMP, which an n <= 11 sweep never does.
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import fermatlab, fermatlab.cli\n"
+        "after_import = 'ctypes' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = fermatlab.cli.main(['cross-check', '--from', '2', '--to', '11', '--format', 'json'])\n"
+        "print(code, after_import, 'ctypes' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["0", "False", "False"]

@@ -1,4 +1,4 @@
-"""Golden values for both procedures, n = 2..12.
+"""Golden values for both procedures, n = 2..14, and for one walk at n = 16.
 
 The literals pin the verdicts, the witness index, both squaring counts and
 the scan's residue trace hash, so any change to the arithmetic engine that
@@ -6,11 +6,20 @@ alters a single residue or a single counted step fails here.  They were
 produced by an independent plain ``%`` loop and agree with the benchmark's
 own golden file; they are copied rather than loaded so the unit tests do not
 depend on the benchmark directory.
+
+Every case runs on both squaring kernels: "int" hides the GMP library so
+every modulus squares with ``x * x``, and "gmp" sends every modulus, small
+ones included, through GMP.
 """
+
+import hashlib
 
 import pytest
 
+from fermatlab import arith
+from fermatlab.arith import FermatModulus
 from fermatlab.primality import cross_check
+from fermatlab.sequences import a_mod_fermat
 
 GOLDEN = [
     # n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
@@ -36,17 +45,40 @@ GOLDEN = [
      "sha256:67ff502f5176e00b6c33b0169e82420d756de8b69a562e69b4f97a4b63cb9133"),
     (12, "CompositeByPepin", "CompositeCertified", None, 4095, 4094,
      "sha256:fb751e717d30fd393cae7b99c08bbbc88d170b467117d3ed003f30ebd745c715"),
+    (13, "CompositeByPepin", "CompositeCertified", None, 8191, 8190,
+     "sha256:724d86c3270dbb2aaf1183e5ef635e92da894c1bfb049537b53b8bb892db03aa"),
+    (14, "CompositeByPepin", "CompositeCertified", None, 16383, 16382,
+     "sha256:f1a4acba6384085b4c1d2faf957540de776cf1c00cea43fbe3e946caa0f30784"),
 ]
+
+# n, q, sha256 of the q-th residue as (2**n // 8 + 1) little-endian bytes
+WALK = (16, 1025, "c1054078ce03677dc2ab70a4b1a5b7f83815bc7a8786cfeedfaf9346ba4d5ff3")
+
+
+def force_backend(backend, monkeypatch):
+    """Make every modulus built from here on square with ``backend``."""
+    if backend == "int":
+        monkeypatch.setattr(arith, "_load_gmp", lambda: None)
+    elif arith._load_gmp() is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP kernel to pin")
+    else:
+        monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+
+
+# The int cases are the reference and carry the plain ids n2..n14.
+CASES = [("int", *row) for row in GOLDEN] + [("gmp", *row) for row in GOLDEN]
 
 
 @pytest.mark.parametrize(
-    "n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash",
-    GOLDEN,
-    ids=[f"n{row[0]}" for row in GOLDEN],
+    "backend, n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash",
+    CASES,
+    ids=[f"n{case[1]}" if case[0] == "int" else f"{case[0]}-n{case[1]}" for case in CASES],
 )
 def test_cross_check_matches_golden(
-    n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
+    monkeypatch, backend, n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
 ):
+    force_backend(backend, monkeypatch)
+    assert FermatModulus(n).backend == backend
     report = cross_check(n)
     assert report.pepin.label == verdict_pepin
     assert report.paper.label == verdict_paper
@@ -55,3 +87,12 @@ def test_cross_check_matches_golden(
     assert report.squarings_scan == squarings_scan
     assert report.scan.residue_trace_hash == trace_hash
     assert report.consistent
+
+
+@pytest.mark.parametrize("backend", ["int", "gmp"])
+def test_walk_matches_golden(monkeypatch, backend):
+    force_backend(backend, monkeypatch)
+    n, q, digest = WALK
+    assert FermatModulus(n).backend == backend
+    residue = a_mod_fermat(q, n)
+    assert hashlib.sha256(residue.to_bytes((1 << n) // 8 + 1, "little")).hexdigest() == digest

@@ -135,6 +135,15 @@ def test_trace_sqrt2_component_cancels():
         assert trace_pow2(k) == 2 * w.a
 
 
+@pytest.mark.parametrize("wrong_v", [U, ONE, V * V], ids=["u", "one", "v_squared"])
+def test_trace_rejects_a_wrong_conjugate(monkeypatch, wrong_v):
+    import fermatlab.zsqrt2 as zsqrt2
+
+    monkeypatch.setattr(zsqrt2, "V", wrong_v)
+    with pytest.raises(ArithmeticError, match="conjugate"):
+        trace_pow2(3)
+
+
 def test_trace_budget():
     with pytest.raises(BudgetExceededError):
         trace_pow2(17)
