@@ -15,7 +15,18 @@ except ImportError:
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fermatlab import FermatModulus, OpCounter, a_mod_fermat, fermat_value, pepin_test, reduce_mod_fermat, square_mod
+from itertools import islice
+
+from fermatlab import (
+    FermatModulus,
+    OpCounter,
+    a_mod_fermat,
+    fermat_value,
+    pepin_test,
+    reduce_mod_fermat,
+    square_chain,
+    square_mod,
+)
 
 print("The tower of moduli grows doubly exponentially:")
 for n in range(6):
@@ -36,11 +47,11 @@ big = 17**9 + 5
 print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m)}  (check: {big % 17})")
 
 print()
-print("Every test squares with one kernel, square_mod, a multiply followed by the fold:")
+print("Every test squares with one kernel, square_chain: x, x^2 - c, ... mod F_n, each step")
+print("a multiply followed by the fold; square_mod is one step of it:")
 m4 = FermatModulus(4)
-r = 3
-for _ in range(10):
-    r = square_mod(r, m4)
+print(f"  3^2 mod F_4 = {square_mod(3, m4)}")
+r = next(islice(square_chain(3, 0, m4), 10, None))
 print(f"  3^(2^10) mod F_4 = {r} after ten squarings  (check: {pow(3, 1 << 10, m4.value)})")
 
 print()

@@ -7,7 +7,7 @@ compared honestly.  An exact layer for the ring of integers with sqrt(2)
 verifies the identities that justify the scan.
 """
 
-from .arith import FermatModulus, Natural, OpCounter, fermat_value, reduce_mod_fermat, square_mod
+from .arith import FermatModulus, Natural, OpCounter, fermat_value, reduce_mod_fermat, square_chain, square_mod
 from .budget import DEFAULT_MAX_BITS, ENV_MAX_BITS, BudgetExceededError, max_bits
 from .primality import (
     FactorWitness,
@@ -74,6 +74,7 @@ __all__ = [
     "reduce_mod_fermat",
     "residues",
     "s_value",
+    "square_chain",
     "square_mod",
     "trace_pow2",
     "trial_factor_search",

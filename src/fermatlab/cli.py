@@ -81,6 +81,8 @@ def _cross_check_record(report: TestReport, command: str) -> ReportRecord:
         consistent=report.consistent,
         backend=m.backend,
         elapsed_ms=report.elapsed_ms_pepin + report.elapsed_ms_scan,
+        elapsed_ms_pepin=report.elapsed_ms_pepin,
+        elapsed_ms_scan=report.elapsed_ms_scan,
         trace_hash=report.scan.residue_trace_hash,
     )
 
@@ -226,25 +228,22 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     ns = _checked_range(args)
-    reports = [cross_check(n) for n in ns]
+    records = [_cross_check_record(cross_check(n), "bench") for n in ns]
     if args.format == "table":
-        headers = ["n", "bits", "backend", "squarings_pepin", "pepin_ms", "squarings_scan", "scan_ms", "consistent"]
-        rows = [
-            [
-                report.n,
-                FermatModulus(report.n).b,
-                FermatModulus(report.n).backend,
-                report.squarings_pepin,
-                report.elapsed_ms_pepin,
-                report.squarings_scan,
-                report.elapsed_ms_scan,
-                report.consistent,
-            ]
-            for report in reports
-        ]
-        sys.stdout.write(render_table(headers, rows))
+        columns = {  # table header: record field
+            "n": "n",
+            "bits": "bits",
+            "backend": "backend",
+            "squarings_pepin": "squarings_pepin",
+            "pepin_ms": "elapsed_ms_pepin",
+            "squarings_scan": "squarings_scan",
+            "scan_ms": "elapsed_ms_scan",
+            "consistent": "consistent",
+        }
+        rows = [[getattr(record, field) for field in columns.values()] for record in records]
+        sys.stdout.write(render_table(list(columns), rows))
     else:
-        _emit([_cross_check_record(report, "bench") for report in reports], args.format)
+        _emit(records, args.format)
     return EXIT_OK
 
 

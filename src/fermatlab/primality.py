@@ -21,8 +21,9 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass
+from itertools import islice
 
-from .arith import FermatModulus, Natural, OpCounter, fermat_value, square_mod
+from .arith import FermatModulus, Natural, OpCounter, fermat_value, square_chain
 from .sequences import residues
 
 TRACE_HASH_ALGORITHM = "sha256"
@@ -118,9 +119,7 @@ def pepin_test(n: int, counter: OpCounter | None = None) -> Verdict:
         raise NotApplicableError(f"the base-3 criterion applies from index 1, got n={n}")
     m = FermatModulus(n)
     squarings = (1 << n) - 1
-    x = 3
-    for _ in range(squarings):
-        x = square_mod(x, m)
+    x = next(islice(square_chain(3, 0, m), squarings, None))
     if counter is not None:
         counter.squarings += squarings
     if x == m.value - 1:

@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 FIELDS = (
     "schema_version",
@@ -31,6 +31,8 @@ FIELDS = (
     "consistent",
     "backend",
     "elapsed_ms",
+    "elapsed_ms_pepin",
+    "elapsed_ms_scan",
     "trace_hash",
 )
 
@@ -52,6 +54,8 @@ class ReportRecord:
     consistent: bool | None = None
     backend: str | None = None
     elapsed_ms: float | None = None
+    elapsed_ms_pepin: float | None = None
+    elapsed_ms_scan: float | None = None
     trace_hash: str | None = None
     schema_version: str = SCHEMA_VERSION
 

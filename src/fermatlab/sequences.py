@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
-from .arith import FermatModulus, Natural, OpCounter, reduce_mod_fermat, square_mod
+from .arith import FermatModulus, Natural, OpCounter, reduce_mod_fermat, square_chain
 from .budget import check_pow2_bits
 
 
@@ -23,13 +23,7 @@ def a_exact(q: int) -> Natural:
 
 def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
     """Yield (q, q-th term mod m) for q = 1, 2, ...; each step past q = 1 is one squaring."""
-    q, r = 1, reduce_mod_fermat(6, m)
-    while True:
-        yield q, r
-        r = square_mod(r, m) - 2
-        if r < 0:
-            r += m.value
-        q += 1
+    return enumerate(square_chain(reduce_mod_fermat(6, m), 2, m), 1)
 
 
 def a_mod_fermat(q: int, n: int, counter: OpCounter | None = None) -> int:

@@ -1,20 +1,24 @@
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatlab import arith
-from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat, square_mod
+from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat, square_chain, square_mod
 from fermatlab.budget import BudgetExceededError
+from fermatlab.primality import paper_scan, pepin_test
 from fermatlab.sequences import a_mod_fermat, residues
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-def square_chain(x, k, m):
-    """x**(2**k) mod m, as k calls of the squaring kernel."""
-    for _ in range(k):
-        x = square_mod(x, m)
-    return x
+
+def power_of_two(x, k, m):
+    """x**(2**k) mod m, as item k of the squaring chain."""
+    return next(islice(square_chain(x, 0, m), k, None))
 
 
 def test_fermat_value_fixtures():
@@ -122,9 +126,9 @@ def test_square_equals_self_multiplication(n, x):
 
 def test_pow_examples():
     m = FermatModulus(2)
-    assert square_chain(3, 3, m) == 16  # 3**8 = 6561, one short of a full cycle
-    assert square_chain(3, 4, m) == 1
-    assert square_chain(3, 0, m) == 3
+    assert power_of_two(3, 3, m) == 16  # 3**8 = 6561, one short of a full cycle
+    assert power_of_two(3, 4, m) == 1
+    assert power_of_two(3, 0, m) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -143,7 +147,7 @@ def test_pow_addition_law(n):
 def test_pow_of_two_exponent_costs_only_squarings(m_exp):
     # The Pepin exponent is a power of two: m_exp kernel squarings and nothing else.
     m = FermatModulus(4)
-    assert square_chain(3, m_exp, m) == pow(3, 1 << m_exp, m.value)
+    assert power_of_two(3, m_exp, m) == pow(3, 1 << m_exp, m.value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -153,37 +157,61 @@ def test_pow_matches_builtin(n):
     for _ in range(100):
         b = rng.randrange(m.value)
         k = rng.randrange(16)
-        assert square_chain(b, k, m) == pow(b, 1 << k, m.value)
+        assert power_of_two(b, k, m) == pow(b, 1 << k, m.value)
 
 
-# ------------------------------------------------------------ GMP kernel
+# ------------------------------------------------------------ GMP chain
 
 
 @pytest.fixture
 def gmp():
     lib = arith._load_gmp()
     if lib is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP kernel to test")
+        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP chain to test")
     return lib
+
+
+def plain_chain(x, c, value, steps):
+    """The first items of x, x*x - c, ... mod value by a plain % loop."""
+    out = []
+    for _ in range(steps):
+        out.append(x)
+        x = (x * x - c) % value
+    return out
 
 
 def plain_walk(n, steps):
     """The first residues of the recurrence mod F_n by a plain % loop."""
-    value, x, out = fermat_value(n), 6, []
-    for _ in range(steps):
-        out.append(x)
-        x = (x * x - 2) % value
-    return out
+    return plain_chain(6, 2, fermat_value(n), steps)
 
 
+def gmp_residue(x, patch):
+    """The smallest modulus F_n > x (n <= 16) with chains forced through GMP, and x mod F_n."""
+    patch.setattr(arith, "GMP_MIN_N", 0)
+    n = 0
+    while n < 16 and 1 << (1 << n) < x:
+        n += 1
+    m = FermatModulus(n)
+    assert m.backend == "gmp"
+    return m, x % m.value
+
+
+def assert_gmp_steps_match_int(x, patch):
+    m, r = gmp_residue(x, patch)
+    assert square_mod(r, m) == r * r % m.value
+    assert list(islice(square_chain(r, 2, m), 4)) == plain_chain(r, 2, m.value, 4)
+
+
+# Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
+# which squares to 1 and makes the - 2 wrap, as 0 and 1 do.
 _EDGES = [0, 1, 2, 3, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1]
 _EDGES += [1 << b for b in (31, 63, 65, 127, 4096, 8192, 1 << 16)]
 _EDGES += [(1 << b) - 1 for b in (8192, 1 << 16, (1 << 16) + 1)]
 
 
 @pytest.mark.parametrize("x", _EDGES, ids=[f"bits{x.bit_length()}_pop{bin(x).count('1')}" for x in _EDGES])
-def test_gmp_square_edges(gmp, x):
-    assert arith._gmp_square(x) == x * x
+def test_gmp_square_edges(gmp, monkeypatch, x):
+    assert_gmp_steps_match_int(x, monkeypatch)
 
 
 @settings(deadline=None)
@@ -191,8 +219,8 @@ def test_gmp_square_edges(gmp, x):
 def test_gmp_square_matches_int(bits, seed):
     if arith._load_gmp() is None:
         pytest.skip(f"{arith.GMP_SONAME} does not load here")
-    x = random.Random(seed).getrandbits(bits)
-    assert arith._gmp_square(x) == x * x
+    with pytest.MonkeyPatch.context() as patch:
+        assert_gmp_steps_match_int(random.Random(seed).getrandbits(bits), patch)
 
 
 def test_gmp_is_chosen_per_modulus(gmp):
@@ -200,20 +228,119 @@ def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", "gmp"]
 
 
-def test_gmp_corrupted_export_raises(gmp, monkeypatch):
-    export = gmp.__gmpz_export
+def corrupt_import(gmp):
+    real = gmp.__gmpz_import
+
+    def corrupted(z, count, order, size, endian, nails, data):
+        return real(z, count, order, size, endian, nails, bytes([data[0] ^ 1]) + data[1:])
+
+    return "__gmpz_import", corrupted
+
+
+def corrupt_product(gmp):
+    real, add = gmp.__gmpz_mul, gmp.__gmpz_add
+
+    def corrupted(product, x, y):
+        real(product, x, y)
+        add(product, product, x)
+
+    return "__gmpz_mul", corrupted
+
+
+def corrupt_fold(gmp):
+    # lo + hi for lo - hi: harmless while hi = 0, which holds for every step
+    # of the recurrence below q = n - 1, so the walks below go further.
+    return "__gmpz_sub", gmp.__gmpz_add
+
+
+def corrupt_compare(gmp):
+    # Always borrow: x*x = k*F + y still holds exactly, but y >= F is not canonical.
+    return "__gmpz_cmp", lambda a, b: -1
+
+
+def corrupt_export(gmp):
+    real = gmp.__gmpz_export
 
     def corrupted(out, *args):
-        result = export(out, *args)
+        result = real(out, *args)
         out[0] = bytes([out.raw[0] ^ 1])
         return result
 
-    monkeypatch.setattr(gmp, "__gmpz_export", corrupted)
-    x = random.Random(5).getrandbits(9000)
+    return "__gmpz_export", corrupted
+
+
+MUTATIONS = [corrupt_import, corrupt_product, corrupt_fold, corrupt_compare, corrupt_export]
+WALKS = {
+    "a_mod_fermat": lambda n: a_mod_fermat(n + 2, n),
+    "pepin_test": pepin_test,
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda mutation: mutation.__name__.split("_")[1])
+def test_gmp_corruption_raises(gmp, monkeypatch, mutation, walk):
+    monkeypatch.setattr(gmp, *mutation(gmp))
     with pytest.raises(ArithmeticError, match="GMP"):
-        arith._gmp_square(x)
+        WALKS[walk](arith.GMP_MIN_N)
+
+
+def test_gmp_corrupted_import_raises_before_the_first_item(gmp, monkeypatch):
+    monkeypatch.setattr(gmp, *corrupt_import(gmp))
+    with pytest.raises(ArithmeticError, match="imported"):
+        next(square_chain(6, 2, FermatModulus(arith.GMP_MIN_N)))
+
+
+def test_gmp_corrupted_export_raises(gmp, monkeypatch):
+    monkeypatch.setattr(gmp, *corrupt_export(gmp))
+    x = random.Random(5).getrandbits(1 << arith.GMP_MIN_N)
     with pytest.raises(ArithmeticError, match="GMP"):
-        a_mod_fermat(3, arith.GMP_MIN_N)
+        square_mod(x, FermatModulus(arith.GMP_MIN_N))
+
+
+def test_gmp_check_survives_optimized_python(gmp):
+    # python -O strips assert statements; the per-step check must not be one.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fermatlab import arith\n"
+        "from fermatlab.sequences import a_mod_fermat\n"
+        "lib = arith._load_gmp()\n"
+        "export = lib.__gmpz_export\n"
+        "def corrupted(out, *args):\n"
+        "    result = export(out, *args)\n"
+        "    out[0] = bytes([out.raw[0] ^ 1])\n"
+        "    return result\n"
+        "lib.__gmpz_export = corrupted\n"
+        "try:\n"
+        "    a_mod_fermat(arith.GMP_MIN_N + 2, arith.GMP_MIN_N)\n"
+        "except ArithmeticError:\n"
+        "    print('caught', __debug__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["caught", "False"]
+
+
+def test_abandoned_chains_free_their_integers(gmp, monkeypatch):
+    calls = {"__gmpz_init": 0, "__gmpz_clear": 0}
+    for name in calls:
+        real = getattr(gmp, name)
+
+        def counted(z, real=real, name=name):
+            calls[name] += 1
+            return real(z)
+
+        monkeypatch.setattr(gmp, name, counted)
+
+    a_mod_fermat(40, 13)  # stops 39 steps into an endless chain
+    assert calls["__gmpz_init"] == calls["__gmpz_clear"] > 0
+    monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+    assert paper_scan(4).found_q == 11  # exits at q = 11 of a window reaching 15
+    monkeypatch.setattr(gmp, *corrupt_export(gmp))
+    with pytest.raises(ArithmeticError):
+        a_mod_fermat(8, 6)
+    assert calls["__gmpz_init"] == calls["__gmpz_clear"] > 8
 
 
 def test_missing_library_falls_back_to_int(monkeypatch):
@@ -223,4 +350,3 @@ def test_missing_library_falls_back_to_int(monkeypatch):
     m = FermatModulus(arith.GMP_MIN_N)
     assert m.backend == "int"
     assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
-

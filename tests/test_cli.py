@@ -226,17 +226,32 @@ def test_json_round_trip(capsys):
         assert record.to_json() == line
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["pepin", "3"], ["paper-test", "3"], ["cross-check", "--from", "2", "--to", "3"], ["bench", "--from", "2", "--to", "3"]],
-    ids=lambda argv: argv[0],
-)
+WALK_COMMANDS = [
+    ["pepin", "3"],
+    ["paper-test", "3"],
+    ["cross-check", "--from", "2", "--to", "3"],
+    ["bench", "--from", "2", "--to", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", WALK_COMMANDS, ids=lambda argv: argv[0])
 def test_walk_records_carry_the_backend(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     for record in json_records(out):
-        assert record["schema_version"] == "2"
+        assert record["schema_version"] == "3"
         assert record["backend"] == "int"  # n < GMP_MIN_N squares with x * x everywhere
+
+
+@pytest.mark.parametrize("argv", WALK_COMMANDS, ids=lambda argv: argv[0])
+def test_two_test_records_split_their_timing(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    for record in json_records(out):
+        if argv[0] in ("cross-check", "bench"):
+            assert record["elapsed_ms"] == record["elapsed_ms_pepin"] + record["elapsed_ms_scan"]
+        else:
+            assert record["elapsed_ms_pepin"] is record["elapsed_ms_scan"] is None
 
 
 def test_factor_record_has_no_backend(capsys):
@@ -305,17 +320,25 @@ def test_module_entry_point_subprocess():
 
 
 def test_small_runs_do_not_import_ctypes():
-    # ctypes loads only when a modulus first needs GMP, which an n <= 11 sweep never does.
+    # ctypes loads only when a chain first needs GMP: an n <= 11 sweep never
+    # does, and neither do the n = 13 commands that square nothing mod F_13.
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import fermatlab, fermatlab.cli\n"
-        "after_import = 'ctypes' in sys.modules\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = fermatlab.cli.main(['cross-check', '--from', '2', '--to', '11', '--format', 'json'])\n"
-        "print(code, after_import, 'ctypes' in sys.modules)\n"
+        "print('import', 'ctypes' in sys.modules)\n"
+        "for argv in (['cross-check', '--from', '2', '--to', '11', '--format', 'json'],\n"
+        "             ['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = fermatlab.cli.main(argv)\n"
+        "    print(argv[0], code, 'ctypes' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["0", "False", "False"]
+    assert done.stdout.splitlines() == [
+        "import False",
+        "cross-check 0 False",
+        "factor 0 False",
+        "verify-identities 0 False",
+    ]

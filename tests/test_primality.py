@@ -47,18 +47,17 @@ def test_pepin_squaring_count(n):
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
-def test_counters_match_kernel_calls(monkeypatch, n):
-    calls = []
-    kernel = primality.square_mod
-    monkeypatch.setattr(primality, "square_mod", lambda x, m: calls.append(x) or kernel(x, m))
+def test_counters_match_kernel_calls(monkeypatch, counted_chain, n):
+    chain, steps = counted_chain
+    monkeypatch.setattr(primality, "square_chain", chain)
     counter = OpCounter()
     pepin_test(n, counter)
-    assert len(calls) == counter.squarings == (1 << n) - 1
-    # The scan steps through the recurrence module's own reference to the kernel.
-    scan_calls = []
-    monkeypatch.setattr("fermatlab.sequences.square_mod", lambda x, m: scan_calls.append(x) or kernel(x, m))
+    assert len(steps) == counter.squarings == (1 << n) - 1
+    # The scan steps through the recurrence module's own reference to the chain.
+    steps.clear()
+    monkeypatch.setattr("fermatlab.sequences.square_chain", chain)
     result = paper_scan(n, counter=counter)
-    assert len(scan_calls) == result.squarings
+    assert len(steps) == result.squarings
     assert counter.squarings == (1 << n) - 1 + result.squarings
 
 

@@ -71,16 +71,15 @@ def test_cursor_walks_the_residue_stream():
     assert list(islice(residues(FermatModulus(3)), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
 
 
-def test_a_next_mod_counts_one_squaring(monkeypatch):
-    # Each recurrence step is one kernel call, and the walk counts exactly those.
-    calls = []
-    kernel = sequences.square_mod
-    monkeypatch.setattr(sequences, "square_mod", lambda x, m: calls.append(x) or kernel(x, m))
+def test_a_next_mod_counts_one_squaring(monkeypatch, counted_chain):
+    # Each recurrence step is one chain step, and the walk counts exactly those.
+    chain, steps = counted_chain
+    monkeypatch.setattr(sequences, "square_chain", chain)
     for q in (1, 2, 5, 9):
-        calls.clear()
+        steps.clear()
         counter = OpCounter()
         a_mod_fermat(q, 4, counter)
-        assert len(calls) == counter.squarings == q - 1
+        assert len(steps) == counter.squarings == q - 1
 
 
 def test_s_value_rejects_an_odd_term(monkeypatch):
