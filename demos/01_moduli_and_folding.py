@@ -15,12 +15,11 @@ except ImportError:
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from itertools import islice
-
 from fermatlab import (
     FermatModulus,
     OpCounter,
     a_mod_fermat,
+    chain_item,
     fermat_value,
     pepin_test,
     reduce_mod_fermat,
@@ -47,11 +46,13 @@ big = 17**9 + 5
 print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m)}  (check: {big % 17})")
 
 print()
-print("Every test squares with one kernel, square_chain: x, x^2 - c, ... mod F_n, each step")
-print("a multiply followed by the fold; square_mod is one step of it:")
+print("Every test squares with one chain, x, x^2 - c, ... mod F_n, each step a multiply")
+print("followed by the fold; square_chain yields every item, chain_item returns item k,")
+print("and square_mod is item 1:")
 m4 = FermatModulus(4)
 print(f"  3^2 mod F_4 = {square_mod(3, m4)}")
-r = next(islice(square_chain(3, 0, m4), 10, None))
+print(f"  3^(2^k) mod F_4 for k = 0..5: {list(zip(range(6), square_chain(3, 0, m4)))}")
+r = chain_item(3, 0, 10, m4)
 print(f"  3^(2^10) mod F_4 = {r} after ten squarings  (check: {pow(3, 1 << 10, m4.value)})")
 
 print()

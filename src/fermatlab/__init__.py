@@ -7,7 +7,16 @@ compared honestly.  An exact layer for the ring of integers with sqrt(2)
 verifies the identities that justify the scan.
 """
 
-from .arith import FermatModulus, Natural, OpCounter, fermat_value, reduce_mod_fermat, square_chain, square_mod
+from .arith import (
+    FermatModulus,
+    Natural,
+    OpCounter,
+    chain_item,
+    fermat_value,
+    reduce_mod_fermat,
+    square_chain,
+    square_mod,
+)
 from .budget import DEFAULT_MAX_BITS, ENV_MAX_BITS, BudgetExceededError, max_bits
 from .primality import (
     FactorWitness,
@@ -60,6 +69,7 @@ __all__ = [
     "ZSqrt2",
     "a_exact",
     "a_mod_fermat",
+    "chain_item",
     "congruent_mod",
     "cross_check",
     "fermat_value",

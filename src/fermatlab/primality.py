@@ -21,9 +21,8 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass
-from itertools import islice
 
-from .arith import FermatModulus, Natural, OpCounter, fermat_value, square_chain
+from .arith import FermatModulus, Natural, OpCounter, chain_item, fermat_value
 from .sequences import residues
 
 TRACE_HASH_ALGORITHM = "sha256"
@@ -119,7 +118,7 @@ def pepin_test(n: int, counter: OpCounter | None = None) -> Verdict:
         raise NotApplicableError(f"the base-3 criterion applies from index 1, got n={n}")
     m = FermatModulus(n)
     squarings = (1 << n) - 1
-    x = next(islice(square_chain(3, 0, m), squarings, None))
+    x = chain_item(3, 0, squarings, m)
     if counter is not None:
         counter.squarings += squarings
     if x == m.value - 1:

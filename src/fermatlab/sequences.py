@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator
 
-from .arith import FermatModulus, Natural, OpCounter, reduce_mod_fermat, square_chain
+from .arith import FermatModulus, Natural, OpCounter, chain_item, reduce_mod_fermat, square_chain
 from .budget import check_pow2_bits
 
 
@@ -30,7 +29,8 @@ def a_mod_fermat(q: int, n: int, counter: OpCounter | None = None) -> int:
     """The q-th term mod 2**(2**n) + 1, via q - 1 squaring steps from 6."""
     if q < 1:
         raise ValueError(f"the sequence starts at index 1, got {q}")
-    _, r = next(islice(residues(FermatModulus(n)), q - 1, None))
+    m = FermatModulus(n)
+    r = chain_item(reduce_mod_fermat(6, m), 2, q - 1, m)
     if counter is not None:
         counter.squarings += q - 1
     return r

@@ -9,15 +9,21 @@ from fermatlab import arith
 
 
 @pytest.fixture
-def counted_chain():
-    """A stand-in for square_chain, and the list it appends one entry to per squaring step."""
+def counted_steps(monkeypatch):
+    """The list every chain appends one entry to per squaring step, whether read item by item or at item k."""
     steps = []
+    start = arith._start
 
-    def chain(x, c, m):
-        items = arith.square_chain(x, c, m)
-        yield next(items)
-        for r in items:  # item k costs step k, taken only when item k is asked for
-            steps.append(r)
-            yield r
+    def counted(x, c, m):
+        items, export = start(x, c, m)
 
-    return chain, steps
+        def each():
+            yield next(items)
+            for item in items:  # item k costs step k, taken only when item k is asked for
+                steps.append(item)
+                yield item
+
+        return each(), export
+
+    monkeypatch.setattr(arith, "_start", counted)
+    return steps

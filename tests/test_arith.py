@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatlab import arith
-from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat, square_chain, square_mod
+from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, square_chain, square_mod
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import paper_scan, pepin_test
 from fermatlab.sequences import a_mod_fermat, residues
@@ -186,9 +186,9 @@ def plain_walk(n, steps):
 
 
 def gmp_residue(x, patch):
-    """The smallest modulus F_n > x (n <= 16) with chains forced through GMP, and x mod F_n."""
+    """The smallest modulus F_n > x (6 <= n <= 16) with chains forced through GMP, and x mod F_n."""
     patch.setattr(arith, "GMP_MIN_N", 0)
-    n = 0
+    n = 6  # the smallest n whose b is a whole number of 64-bit limbs
     while n < 16 and 1 << (1 << n) < x:
         n += 1
     m = FermatModulus(n)
@@ -196,16 +196,27 @@ def gmp_residue(x, patch):
     return m, x % m.value
 
 
+ITEMS = (0, 1, 2, 7)
+
+
 def assert_gmp_steps_match_int(x, patch):
+    """One square, eight chain items and chain_item at ITEMS, c = 0 and 2, on both backends, against a plain % loop."""
     m, r = gmp_residue(x, patch)
-    assert square_mod(r, m) == r * r % m.value
-    assert list(islice(square_chain(r, 2, m), 4)) == plain_chain(r, 2, m.value, 4)
+    plain = {c: plain_chain(r, c, m.value, max(ITEMS) + 1) for c in (0, 2)}
+    for backend, min_n in (("gmp", 0), ("int", 99)):
+        patch.setattr(arith, "GMP_MIN_N", min_n)
+        assert m.backend == backend
+        assert square_mod(r, m) == plain[0][1]
+        for c, items in plain.items():
+            assert list(islice(square_chain(r, c, m), len(items))) == items
+            assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
 
 
 # Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
-# which squares to 1 and makes the - 2 wrap, as 0 and 1 do.
+# which sets the top limb, squares to 1 and makes the - 2 wrap, as 0 and 1
+# do; 2**32 squares to 2**64 = F_6 - 1, the fold's carry into the top limb.
 _EDGES = [0, 1, 2, 3, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1]
-_EDGES += [1 << b for b in (31, 63, 65, 127, 4096, 8192, 1 << 16)]
+_EDGES += [1 << b for b in (31, 32, 63, 65, 127, 4096, 8192, 1 << 16)]
 _EDGES += [(1 << b) - 1 for b in (8192, 1 << 16, (1 << 16) + 1)]
 
 
@@ -223,77 +234,152 @@ def test_gmp_square_matches_int(bits, seed):
         assert_gmp_steps_match_int(random.Random(seed).getrandbits(bits), patch)
 
 
+def test_chain_item_rejects_a_negative_index():
+    with pytest.raises(ValueError):
+        chain_item(3, 0, -1, FermatModulus(4))
+
+
 def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (2, arith.GMP_MIN_N - 1)] == ["int", "int"]
     assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", "gmp"]
 
 
+def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
+    monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+    assert [FermatModulus(n).backend for n in (2, 5, 6)] == ["int", "int", "gmp"]
+    monkeypatch.setattr(arith, "_LIMB_BITS", 32)  # as if GMP had been built with 32-bit limbs
+    assert arith._load_gmp.__wrapped__() is None
+
+
 def corrupt_import(gmp):
-    real = gmp.__gmpz_import
+    real = arith._to_limbs
 
-    def corrupted(z, count, order, size, endian, nails, data):
-        return real(z, count, order, size, endian, nails, bytes([data[0] ^ 1]) + data[1:])
+    def corrupted(x, count):
+        limbs = real(x, count)
+        limbs[0] ^= 1
+        return limbs
 
-    return "__gmpz_import", corrupted
+    return arith, "_to_limbs", corrupted
 
 
 def corrupt_product(gmp):
-    real, add = gmp.__gmpz_mul, gmp.__gmpz_add
+    real, add_1 = gmp.__gmpn_sqr, gmp.__gmpn_add_1
 
-    def corrupted(product, x, y):
-        real(product, x, y)
-        add(product, product, x)
+    def corrupted(rp, up, n):
+        real(rp, up, n)
+        add_1(rp, rp, 2 * n, 1)
 
-    return "__gmpz_mul", corrupted
+    return gmp, "__gmpn_sqr", corrupted
 
 
 def corrupt_fold(gmp):
     # lo + hi for lo - hi: harmless while hi = 0, which holds for every step
     # of the recurrence below q = n - 1, so the walks below go further.
-    return "__gmpz_sub", gmp.__gmpz_add
+    add_n = gmp["__gmpn_add_n"]  # a fresh function object, typed like sub_n
+    add_n.argtypes, add_n.restype = gmp.__gmpn_sub_n.argtypes, gmp.__gmpn_sub_n.restype
+    return gmp, "__gmpn_sub_n", add_n
+
+
+def always_borrow(gmp, name):
+    real = getattr(gmp, name)
+
+    def corrupted(*args):
+        real(*args)
+        return 1
+
+    return gmp, name, corrupted
 
 
 def corrupt_compare(gmp):
-    # Always borrow: x*x = k*F + y still holds exactly, but y >= F is not canonical.
-    return "__gmpz_cmp", lambda a, b: -1
+    # lo - hi is right, but the +1 of F is added and k lowered when they should not be.
+    return always_borrow(gmp, "__gmpn_sub_n")
+
+
+def corrupt_wrap(gmp):
+    # x - c is right, but F is added as if x < c.
+    return always_borrow(gmp, "__gmpn_sub_1")
+
+
+def corrupt_remainder(gmp):
+    # Right for the import check, off by one for every remainder after it.
+    real, calls = gmp.__gmpn_mod_1, []
+
+    def corrupted(up, n, d):
+        calls.append(n)
+        return real(up, n, d) + (len(calls) > 1)
+
+    return gmp, "__gmpn_mod_1", corrupted
 
 
 def corrupt_export(gmp):
-    real = gmp.__gmpz_export
-
-    def corrupted(out, *args):
-        result = real(out, *args)
-        out[0] = bytes([out.raw[0] ^ 1])
-        return result
-
-    return "__gmpz_export", corrupted
+    real = arith._from_limbs
+    return arith, "_from_limbs", lambda limbs: real(limbs) ^ 1
 
 
-MUTATIONS = [corrupt_import, corrupt_product, corrupt_fold, corrupt_compare, corrupt_export]
+MUTATIONS = [
+    corrupt_import,
+    corrupt_product,
+    corrupt_fold,
+    corrupt_compare,
+    corrupt_wrap,
+    corrupt_remainder,
+    corrupt_export,
+]
 WALKS = {
     "a_mod_fermat": lambda n: a_mod_fermat(n + 2, n),
     "pepin_test": pepin_test,
+    "paper_scan": paper_scan,
 }
+# Pépin squares with c = 0, so it never subtracts and has no wrap to corrupt.
+CORRUPTED_WALKS = [
+    pytest.param(mutation, walk, id=f"{mutation.__name__.split('_')[1]}-{walk}")
+    for mutation in MUTATIONS
+    for walk in WALKS
+    if (mutation, walk) != (corrupt_wrap, "pepin_test")
+]
 
 
-@pytest.mark.parametrize("walk", WALKS)
-@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda mutation: mutation.__name__.split("_")[1])
+@pytest.mark.parametrize("mutation, walk", CORRUPTED_WALKS)
 def test_gmp_corruption_raises(gmp, monkeypatch, mutation, walk):
-    monkeypatch.setattr(gmp, *mutation(gmp))
+    monkeypatch.setattr(*mutation(gmp))
     with pytest.raises(ArithmeticError, match="GMP"):
         WALKS[walk](arith.GMP_MIN_N)
 
 
+def corrupt_carry(gmp):
+    # A forced borrow completed with its carry: y + F for y and k - 1 for k
+    # satisfy the mod-p relation, and only the range check sees y > F - 1.
+    sub_n, add_1 = gmp.__gmpn_sub_n, gmp.__gmpn_add_1
+    forced = []
+
+    def borrow(*args):
+        forced.append(not sub_n(*args))
+        return 1
+
+    def carry(*args):
+        return add_1(*args) | (forced.pop() if forced else 0)
+
+    return [(gmp, "__gmpn_sub_n", borrow), (gmp, "__gmpn_add_1", carry)]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_gmp_range_check_catches_a_residue_off_by_f(gmp, monkeypatch, walk):
+    for patch in corrupt_carry(gmp):
+        monkeypatch.setattr(*patch)
+    with pytest.raises(ArithmeticError, match="above"):
+        WALKS[walk](arith.GMP_MIN_N)
+
+
 def test_gmp_corrupted_import_raises_before_the_first_item(gmp, monkeypatch):
-    monkeypatch.setattr(gmp, *corrupt_import(gmp))
+    monkeypatch.setattr(*corrupt_import(gmp))
     with pytest.raises(ArithmeticError, match="imported"):
         next(square_chain(6, 2, FermatModulus(arith.GMP_MIN_N)))
 
 
 def test_gmp_corrupted_export_raises(gmp, monkeypatch):
-    monkeypatch.setattr(gmp, *corrupt_export(gmp))
+    monkeypatch.setattr(*corrupt_export(gmp))
     x = random.Random(5).getrandbits(1 << arith.GMP_MIN_N)
-    with pytest.raises(ArithmeticError, match="GMP"):
+    with pytest.raises(ArithmeticError, match="exported"):
         square_mod(x, FermatModulus(arith.GMP_MIN_N))
 
 
@@ -305,12 +391,11 @@ def test_gmp_check_survives_optimized_python(gmp):
         "from fermatlab import arith\n"
         "from fermatlab.sequences import a_mod_fermat\n"
         "lib = arith._load_gmp()\n"
-        "export = lib.__gmpz_export\n"
-        "def corrupted(out, *args):\n"
-        "    result = export(out, *args)\n"
-        "    out[0] = bytes([out.raw[0] ^ 1])\n"
-        "    return result\n"
-        "lib.__gmpz_export = corrupted\n"
+        "sqr, add_1 = lib.__gmpn_sqr, lib.__gmpn_add_1\n"
+        "def corrupted(rp, up, n):\n"
+        "    sqr(rp, up, n)\n"
+        "    add_1(rp, rp, 2 * n, 1)\n"
+        "lib.__gmpn_sqr = corrupted\n"
         "try:\n"
         "    a_mod_fermat(arith.GMP_MIN_N + 2, arith.GMP_MIN_N)\n"
         "except ArithmeticError:\n"
@@ -322,25 +407,29 @@ def test_gmp_check_survives_optimized_python(gmp):
     assert done.stdout.split() == ["caught", "False"]
 
 
-def test_abandoned_chains_free_their_integers(gmp, monkeypatch):
-    calls = {"__gmpz_init": 0, "__gmpz_clear": 0}
-    for name in calls:
-        real = getattr(gmp, name)
+class RecordedLibrary:
+    """The GMP library, recording the name of every entry point read from it."""
 
-        def counted(z, real=real, name=name):
-            calls[name] += 1
-            return real(z)
+    def __init__(self, lib):
+        self.lib, self.names = lib, set()
 
-        monkeypatch.setattr(gmp, name, counted)
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.lib, name)
 
+
+def test_walks_reach_no_mpz_function(gmp, monkeypatch):
+    # Python owns every limb buffer, so a walk that stops early or raises has nothing to free.
+    recorded = RecordedLibrary(gmp)
+    monkeypatch.setattr(arith, "_load_gmp", lambda: recorded)
     a_mod_fermat(40, 13)  # stops 39 steps into an endless chain
-    assert calls["__gmpz_init"] == calls["__gmpz_clear"] > 0
     monkeypatch.setattr(arith, "GMP_MIN_N", 0)
-    assert paper_scan(4).found_q == 11  # exits at q = 11 of a window reaching 15
-    monkeypatch.setattr(gmp, *corrupt_export(gmp))
+    assert len(list(islice(square_chain(6, 2, FermatModulus(6)), 5))) == 5  # abandoned at item 4
+    monkeypatch.setattr(*corrupt_export(gmp))
     with pytest.raises(ArithmeticError):
         a_mod_fermat(8, 6)
-    assert calls["__gmpz_init"] == calls["__gmpz_clear"] > 8
+    assert "__gmpn_sqr" in recorded.names
+    assert all(name.startswith("__gmpn_") for name in recorded.names)
 
 
 def test_missing_library_falls_back_to_int(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 import fermatlab.primality as primality
+from fermatlab import arith
 from fermatlab.arith import OpCounter, fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
@@ -47,18 +48,29 @@ def test_pepin_squaring_count(n):
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
-def test_counters_match_kernel_calls(monkeypatch, counted_chain, n):
-    chain, steps = counted_chain
-    monkeypatch.setattr(primality, "square_chain", chain)
+def test_counters_match_kernel_calls(counted_steps, n):
+    steps = counted_steps
     counter = OpCounter()
     pepin_test(n, counter)
     assert len(steps) == counter.squarings == (1 << n) - 1
-    # The scan steps through the recurrence module's own reference to the chain.
     steps.clear()
-    monkeypatch.setattr("fermatlab.sequences.square_chain", chain)
     result = paper_scan(n, counter=counter)
     assert len(steps) == result.squarings
     assert counter.squarings == (1 << n) - 1 + result.squarings
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_gmp_walks_count_the_same_squarings(monkeypatch, counted_steps, n):
+    if arith._load_gmp() is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here")
+    monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+    steps, counter = counted_steps, OpCounter()
+    assert pepin_test(n, counter).kind is VerdictKind.COMPOSITE_BY_PEPIN
+    assert len(steps) == counter.squarings == (1 << n) - 1
+    steps.clear()
+    counter = OpCounter()
+    assert a_mod_fermat(9, n, counter) == a_exact(9) % fermat_value(n)
+    assert len(steps) == counter.squarings == 8
 
 
 # ---------------------------------------------------------------- paper_scan

@@ -71,10 +71,9 @@ def test_cursor_walks_the_residue_stream():
     assert list(islice(residues(FermatModulus(3)), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
 
 
-def test_a_next_mod_counts_one_squaring(monkeypatch, counted_chain):
+def test_a_next_mod_counts_one_squaring(counted_steps):
     # Each recurrence step is one chain step, and the walk counts exactly those.
-    chain, steps = counted_chain
-    monkeypatch.setattr(sequences, "square_chain", chain)
+    steps = counted_steps
     for q in (1, 2, 5, 9):
         steps.clear()
         counter = OpCounter()
