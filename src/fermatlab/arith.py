@@ -12,9 +12,11 @@ The chain's arithmetic is chosen per modulus when a chain starts.  Below
 ``GMP_MIN_N`` it is CPython's ``x * x`` and :func:`reduce_mod_fermat`, which
 is also the reference.  From ``GMP_MIN_N`` up the residue lives in 64-bit
 limbs for the whole chain and GMP's ``mpn`` functions, reached through
-``ctypes`` when ``libgmp.so.10`` loads, square and fold it; every step is
-checked modulo a prime, and only an item that is read becomes an int.
-When the library does not load, every modulus uses ``x * x``.
+``ctypes`` when ``libgmp.so.10`` loads, square and fold it; from
+``FFT_MIN_N`` up, where a factor of the modulus is known, GMP's negacyclic
+FFT squares it mod 2**b + 1 directly.  Every step is checked modulo a
+prime, and only an item that is read becomes an int.  When the library does
+not load, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,31 @@ Natural = int
 # process: 157-175 vs 77-99 ms); 37-58 vs 10-12 us at n = 13; and 934-1297
 # vs 98-157 us at n = 16 (2-CPU Xeon, CPython 3.11.7, GMP 6.2.1).
 GMP_MIN_N = 12
+# The smallest n whose GMP chains square with __gmpn_mul_fft, which returns
+# x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n is
+# known.  Time per call of mpn_sqr vs mpn_mul_fft (k = 5 / 6), min of 7:
+# 17.3-19.9 vs 17.8-23.7 us at n = 14 (no win); 45.6-53.4 vs 33.7-38.6 us
+# at n = 15; 114-122 vs 78-80 us at n = 16 (2-CPU Xeon, CPython 3.11.7,
+# GMP 6.2.1).
+FFT_MIN_N = 15
 GMP_SONAME = "libgmp.so.10"
-# A ~30-bit prime: every GMP step must satisfy x*x = k*F + y + c - w*F modulo it.
+# The FFT entry points are undocumented and ctypes checks no ABI, so they are
+# used only with the GMP versions they were tested on.
+_FFT_GMP_VERSIONS = frozenset({"6.2.1"})
+# A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
+# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n >= FFT_MIN_N
+# that has one: an FFT step gives no k, but with q | F it must satisfy
+# x*x = y + c modulo q.  n = 14, 20, 22 and 24 have none, so they keep mpn_sqr.
+_FACTORS = {
+    15: 1214251009,
+    16: 825753601,
+    17: 31065037602817,
+    18: 13631489,
+    19: 70525124609,
+    21: 4485296422913,
+    23: 167772161,
+}
 # GMP chains need 64-bit limbs and b a whole number of them, so n >= 6.
 _LIMB_BITS = 64
 
@@ -66,11 +90,14 @@ class FermatModulus:
 
     @property
     def backend(self) -> str:
-        """The arithmetic of chains mod this modulus: "int" or "gmp".
+        """The arithmetic of chains mod this modulus: "int", "gmp" or "gmp-fft".
 
-        Reading it may load the GMP library, as starting a chain does.
+        "gmp-fft" squares with GMP's FFT and "gmp" with ``mpn_sqr``.  Reading
+        it may load the GMP library and make the FFT plan, as starting a
+        chain does.
         """
-        return "int" if _gmp_for(self) is None else "gmp"
+        gmp = _gmp_for(self)
+        return "int" if gmp is None else "gmp" if gmp[1] is None else "gmp-fft"
 
 
 def fermat_value(n: int) -> Natural:
@@ -136,15 +163,15 @@ def _start(x: int, c: int, m: FermatModulus):
     """The chain from x on m's backend: its items, and the export that reads one as an int.
 
     The int chain yields the residues themselves and has no export (None);
-    the GMP chain yields each item's check value x mod p, and its export
+    the GMP chain yields each item's check value x mod d, and its export
     converts the limbs of the item it last yielded.
     """
     if not 0 <= x < m.value:
         raise ValueError(f"expected a canonical residue mod F_{m.n}, got a {x.bit_length()}-bit integer")
     if not 0 <= c < min(m.value, 1 << 32):  # the GMP chain subtracts c as one limb
         raise ValueError(f"expected a small nonnegative constant below F_{m.n}, got {c}")
-    lib = _gmp_for(m)
-    return (_int_chain(x, c, m), None) if lib is None else _gmp_chain(x, c, m, lib)
+    gmp = _gmp_for(m)
+    return (_int_chain(x, c, m), None) if gmp is None else _gmp_chain(x, c, m, *gmp)
 
 
 def _int_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
@@ -157,8 +184,11 @@ def _int_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
 
 
 def _gmp_for(m: FermatModulus):
-    """The GMP library when chains mod m run in it, else None."""
-    return _load_gmp() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
+    """The GMP library and the FFT plan (None for mpn_sqr) when chains mod m run in GMP, else None."""
+    lib = _load_gmp() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
+    if lib is None:
+        return None
+    return lib, _fft_plan(m.n) if m.n >= FFT_MIN_N else None
 
 
 @cache
@@ -167,7 +197,8 @@ def _load_gmp():
 
     Loaded by soname, so no subprocess runs to find it; ctypes is imported
     here and only here, when a chain first needs the library.  A GMP built
-    with limbs other than 64 bits is not used.
+    with limbs other than 64 bits is not used.  The FFT entry points are
+    typed only on a tested GMP version.
     """
     import ctypes
 
@@ -177,17 +208,67 @@ def _load_gmp():
         return None
     if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != _LIMB_BITS:
         return None
-    ptr, size, limb = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
-    for name, argtypes, restype in (
+    ptr, size, limb, order = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64, ctypes.c_int
+    entry_points = [
         ("__gmpn_sqr", [ptr, ptr, size], None),
         ("__gmpn_mod_1", [ptr, size, limb], limb),
         ("__gmpn_sub_n", [ptr, ptr, ptr, size], limb),
         ("__gmpn_add_1", [ptr, ptr, size, limb], limb),
         ("__gmpn_sub_1", [ptr, ptr, size, limb], limb),
-    ):
+    ]
+    if _gmp_version(lib) in _FFT_GMP_VERSIONS:
+        entry_points += [
+            ("__gmpn_mul_fft", [ptr, size, ptr, size, ptr, size, order], limb),
+            ("__gmpn_fft_best_k", [size, order], order),
+            ("__gmpn_fft_next_size", [size, order], size),
+        ]
+    for name, argtypes, restype in entry_points:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib
+
+
+def _gmp_version(lib) -> str:
+    import ctypes  # already loaded by _load_gmp; this is a lookup
+
+    return ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
+
+
+@cache
+def _fft_plan(n: int):
+    """The FFT order k and the check factor q of GMP chains mod F_n, or None to square with mpn_sqr.
+
+    Made once per n, when the first chain mod F_n starts.  A listed factor
+    must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is raised.
+    The plan needs a tested GMP version, a k that GMP's FFT takes at exactly
+    L = b / 64 limbs, and a self-test at that L against the reference fold:
+    a random x, and 2**(b/2), whose square F - 1 is the kernel's carry.
+    """
+    q = _FACTORS.get(n)
+    if q is None:
+        return None
+    if pow(2, 1 << n, q) != q - 1:
+        raise ArithmeticError(f"{q} is listed as a factor of F_{n} but does not divide it")
+    lib = _load_gmp()
+    if _gmp_version(lib) not in _FFT_GMP_VERSIONS:
+        return None
+    import ctypes  # already loaded by _load_gmp; this is a lookup
+    import random
+
+    m = FermatModulus(n)
+    size = m.b // _LIMB_BITS
+    k = lib.__gmpn_fft_best_k(size, 1)
+    if lib.__gmpn_fft_next_size(size, k) != size:
+        return None
+    square = (ctypes.c_uint64 * (size + 1))()
+    for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2):
+        r = _to_limbs(x, size)
+        square[size] = lib.__gmpn_mul_fft(
+            ctypes.addressof(square), size, ctypes.addressof(r), size, ctypes.addressof(r), size, k
+        )
+        if _from_limbs(square) != reduce_mod_fermat(x * x, m):
+            return None
+    return k, q
 
 
 def _to_limbs(x: int, count: int):
@@ -202,61 +283,72 @@ def _from_limbs(limbs) -> int:
     return int.from_bytes(limbs, "little")
 
 
-def _gmp_chain(x: int, c: int, m: FermatModulus, lib):
-    """The chain on raw GMP limbs: x mod p per item, and the export of the current item.
+def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
+    """The chain on raw GMP limbs: x mod d per item, and the export of the current item.
 
     The residue is L + 1 limbs, L = b / 64; the top limb is 1 only for
-    x = 2**b.  A step squares the L low limbs into 2L with ``mpn_sqr``,
-    folds x*x = hi * 2**b + lo to lo - hi, adding F on a borrow, and
-    subtracts c, adding F on a wrap.  x = 2**b squares to 1 with
-    k = 2**b - 1, so it needs no (L + 1)-limb square.  With x*x = k*F + r,
-    ``mpn_mod_1`` gives k mod p and y mod p, and every step checks that the
-    top limb is canonical and that x*x = k*F + y + c - w*F (mod p), w = 1 on
-    a wrap, with x mod p carried from the step before.  The export checks
-    y <= F - 1 and y mod p again.  ctypes checks no ABI, so a wrong import,
-    square, fold, wrap or export raises ArithmeticError.
+    x = 2**b.  A step squares it, then subtracts c, adding F on a wrap.
+    x = 2**b squares to 1 with k = 2**b - 1, so it needs no (L + 1)-limb
+    square.  Without a plan, ``mpn_sqr`` squares the L low limbs into 2L
+    and x*x = hi * 2**b + lo is folded to lo - hi, adding F on a borrow,
+    with x*x = k*F + r and k mod d from ``mpn_mod_1``; d is the prime p.
+    With a plan (k, q), ``mpn_mul_fft`` returns x*x mod F, with its carry as
+    the top limb, and d is q: F = 0 mod q, so k is not needed.  Every step
+    checks that the top limb is canonical and that
+    x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d carried
+    from the step before.  The import and the export (y <= F - 1) are
+    checked mod d too.  ctypes checks no ABI, so a wrong import, square,
+    fold, wrap or export raises ArithmeticError.
     """
     import ctypes  # already loaded by _load_gmp; this is a lookup
 
-    size, p, largest = m.b // _LIMB_BITS, _CHECK_PRIME, m.value - 1
-    f_p, largest_k_p = m.value % p, (largest - 1) % p
-    sqr, mod_1, sub_n = lib.__gmpn_sqr, lib.__gmpn_mod_1, lib.__gmpn_sub_n
-    add_1, sub_1 = lib.__gmpn_add_1, lib.__gmpn_sub_1
+    fft_k, d = plan or (0, _CHECK_PRIME)
+    size, largest = m.b // _LIMB_BITS, m.value - 1
+    f_d, largest_k_d = m.value % d, (largest - 1) % d
+    mod_1, add_1, sub_1 = lib.__gmpn_mod_1, lib.__gmpn_add_1, lib.__gmpn_sub_1
+    if fft_k:
+        mul_fft, memmove = lib.__gmpn_mul_fft, ctypes.memmove
+    else:
+        sqr, sub_n = lib.__gmpn_sqr, lib.__gmpn_sub_n
     r = _to_limbs(x, size + 1)
-    x_p = x % p
-    if mod_1(ctypes.addressof(r), size + 1, p) != x_p:
-        raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {p} check)")
+    x_d = x % d
+    if mod_1(ctypes.addressof(r), size + 1, d) != x_d:
+        raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
 
-    def items(x_p: int) -> Iterator[int]:
+    def items(x_d: int) -> Iterator[int]:
         # Python owns both buffers: r lives as long as export, sq as long as this generator.
-        sq = (ctypes.c_uint64 * (2 * size))()
+        sq = (ctypes.c_uint64 * (size + 1 if fft_k else 2 * size))()
         r_at, sq_at = ctypes.addressof(r), ctypes.addressof(sq)
         hi_at = sq_at + 8 * size
         while True:
-            yield x_p
+            yield x_d
             if r[size]:  # x = 2**b = -1, so x*x = (2**b - 1)*F + 1
                 r[size], r[0] = 0, 1
-                k_p = largest_k_p
+                k_d = largest_k_d
+            elif fft_k:  # x*x mod F itself: k is unknown, and k*F = 0 mod d = q
+                sq[size] = mul_fft(sq_at, size, r_at, size, r_at, size, fft_k)
+                memmove(r_at, sq_at, 8 * (size + 1))
+                k_d = 0
             else:
                 sqr(sq_at, r_at, size)
-                k_p = mod_1(hi_at, size, p)
+                k_d = mod_1(hi_at, size, d)
                 if sub_n(r_at, sq_at, hi_at, size):
                     r[size] = add_1(r_at, r_at, size, 1)
-                    k_p -= 1
+                    k_d -= 1
             wrapped = c and sub_1(r_at, r_at, size + 1, c)
             if wrapped:
                 r[size] = add_1(r_at, r_at, size, 1)
-            y_p = mod_1(r_at, size + 1, p)
+            y_d = mod_1(r_at, size + 1, d)
             if r[size] > 1 or (r[size] and any(r[:size])):
                 raise ArithmeticError(f"GMP left a residue above 2**{m.b} mod F_{m.n}")
-            if (x_p * x_p - k_p * f_p - y_p - c + wrapped * f_p) % p:
-                raise ArithmeticError(f"GMP squared a residue mod F_{m.n} wrongly (mod {p} check)")
-            x_p = y_p
+            if (x_d * x_d - k_d * f_d - y_d - c + wrapped * f_d) % d:
+                raise ArithmeticError(f"GMP squared a residue mod F_{m.n} wrongly (mod {d} check)")
+            x_d = y_d
 
-    def export(y_p: int) -> int:
+    def export(y_d: int) -> int:
         y = _from_limbs(r)
-        if y > largest or y % p != y_p:
-            raise ArithmeticError(f"GMP exported a residue mod F_{m.n} wrongly (mod {p} check)")
+        if y > largest or y % d != y_d:
+            raise ArithmeticError(f"GMP exported a residue mod F_{m.n} wrongly (mod {d} check)")
         return y
 
-    return items(x_p), export
+    return items(x_d), export

@@ -1,3 +1,4 @@
+import ctypes
 import pathlib
 import random
 import subprocess
@@ -192,24 +193,35 @@ def gmp_residue(x, patch):
     while n < 16 and 1 << (1 << n) < x:
         n += 1
     m = FermatModulus(n)
-    assert m.backend == "gmp"
+    assert m.backend.startswith("gmp")
     return m, x % m.value
 
 
 ITEMS = (0, 1, 2, 7)
+# Each kernel, and the GMP_MIN_N and FFT_MIN_N that force it where the modulus allows it.
+KERNELS = (("gmp-fft", 0, arith.FFT_MIN_N), ("gmp", 0, 99), ("int", 99, 99))
 
 
-def assert_gmp_steps_match_int(x, patch):
-    """One square, eight chain items and chain_item at ITEMS, c = 0 and 2, on both backends, against a plain % loop."""
-    m, r = gmp_residue(x, patch)
+def assert_steps_match_plain(m, r, patch):
+    """One square, eight chain items and chain_item at ITEMS, c = 0 and 2, on every kernel m can take, against a plain % loop.
+
+    "gmp-fft" is skipped where m has no FFT plan; "gmp" and "int" always run.
+    """
     plain = {c: plain_chain(r, c, m.value, max(ITEMS) + 1) for c in (0, 2)}
-    for backend, min_n in (("gmp", 0), ("int", 99)):
-        patch.setattr(arith, "GMP_MIN_N", min_n)
+    for backend, gmp_min_n, fft_min_n in KERNELS:
+        patch.setattr(arith, "GMP_MIN_N", gmp_min_n)
+        patch.setattr(arith, "FFT_MIN_N", fft_min_n)
+        if m.backend != backend and backend == "gmp-fft":
+            continue
         assert m.backend == backend
         assert square_mod(r, m) == plain[0][1]
         for c, items in plain.items():
             assert list(islice(square_chain(r, c, m), len(items))) == items
             assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
+
+
+def assert_gmp_steps_match_int(x, patch):
+    assert_steps_match_plain(*gmp_residue(x, patch), patch)
 
 
 # Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
@@ -241,7 +253,9 @@ def test_chain_item_rejects_a_negative_index():
 
 def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (2, arith.GMP_MIN_N - 1)] == ["int", "int"]
-    assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", "gmp"]
+    assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, arith.FFT_MIN_N - 1)] == ["gmp", "gmp"]
+    fft = "gmp-fft" if arith._gmp_version(gmp) in arith._FFT_GMP_VERSIONS else "gmp"
+    assert [FermatModulus(n).backend for n in (arith.FFT_MIN_N, 16)] == [fft, fft]
 
 
 def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
@@ -383,28 +397,36 @@ def test_gmp_corrupted_export_raises(gmp, monkeypatch):
         square_mod(x, FermatModulus(arith.GMP_MIN_N))
 
 
-def test_gmp_check_survives_optimized_python(gmp):
-    # python -O strips assert statements; the per-step check must not be one.
+def run_optimized(corruption, n):
+    """stdout of a python -O run that applies ``corruption`` to the library and walks a_mod_fermat(n + 2, n)."""
     code = (
-        "import sys\n"
+        "import ctypes, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from fermatlab import arith\n"
         "from fermatlab.sequences import a_mod_fermat\n"
         "lib = arith._load_gmp()\n"
-        "sqr, add_1 = lib.__gmpn_sqr, lib.__gmpn_add_1\n"
-        "def corrupted(rp, up, n):\n"
-        "    sqr(rp, up, n)\n"
-        "    add_1(rp, rp, 2 * n, 1)\n"
-        "lib.__gmpn_sqr = corrupted\n"
+        f"{corruption}"
         "try:\n"
-        "    a_mod_fermat(arith.GMP_MIN_N + 2, arith.GMP_MIN_N)\n"
+        f"    a_mod_fermat({n + 2}, {n})\n"
         "except ArithmeticError:\n"
         "    print('caught', __debug__)\n"
     )
     done = subprocess.run(
         [sys.executable, "-O", "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["caught", "False"]
+    return done.stdout.split()
+
+
+def test_gmp_check_survives_optimized_python(gmp):
+    # python -O strips assert statements; the per-step check must not be one.
+    corruption = (
+        "sqr, add_1 = lib.__gmpn_sqr, lib.__gmpn_add_1\n"
+        "def corrupted(rp, up, n):\n"
+        "    sqr(rp, up, n)\n"
+        "    add_1(rp, rp, 2 * n, 1)\n"
+        "lib.__gmpn_sqr = corrupted\n"
+    )
+    assert run_optimized(corruption, arith.GMP_MIN_N) == ["caught", "False"]
 
 
 class RecordedLibrary:
@@ -420,15 +442,17 @@ class RecordedLibrary:
 
 def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     # Python owns every limb buffer, so a walk that stops early or raises has nothing to free.
+    fft = FermatModulus(arith.FFT_MIN_N).backend == "gmp-fft"  # makes the plan with the real library
     recorded = RecordedLibrary(gmp)
     monkeypatch.setattr(arith, "_load_gmp", lambda: recorded)
     a_mod_fermat(40, 13)  # stops 39 steps into an endless chain
+    assert len(list(islice(square_chain(6, 2, FermatModulus(arith.FFT_MIN_N)), 5))) == 5  # abandoned at item 4
     monkeypatch.setattr(arith, "GMP_MIN_N", 0)
-    assert len(list(islice(square_chain(6, 2, FermatModulus(6)), 5))) == 5  # abandoned at item 4
+    assert len(list(islice(square_chain(6, 2, FermatModulus(6)), 5))) == 5
     monkeypatch.setattr(*corrupt_export(gmp))
     with pytest.raises(ArithmeticError):
         a_mod_fermat(8, 6)
-    assert "__gmpn_sqr" in recorded.names
+    assert "__gmpn_sqr" in recorded.names and ("__gmpn_mul_fft" in recorded.names) == fft
     assert all(name.startswith("__gmpn_") for name in recorded.names)
 
 
@@ -439,3 +463,123 @@ def test_missing_library_falls_back_to_int(monkeypatch):
     m = FermatModulus(arith.GMP_MIN_N)
     assert m.backend == "int"
     assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
+
+
+# ------------------------------------------------------------ GMP FFT step
+
+
+@pytest.fixture
+def fft(gmp):
+    """The GMP library, with the FFT plan mod F_15 made: a corruption after this reaches the chain, not the self-test."""
+    if arith._gmp_version(gmp) not in arith._FFT_GMP_VERSIONS:
+        pytest.skip(f"GMP {arith._gmp_version(gmp)} is not a version the FFT step was tested on")
+    assert FermatModulus(15).backend == "gmp-fft"
+    return gmp
+
+
+def test_listed_factors_divide_their_fermat_numbers():
+    assert sorted(arith._FACTORS) == [15, 16, 17, 18, 19, 21, 23]
+    for n, q in arith._FACTORS.items():
+        assert n >= arith.FFT_MIN_N and 1 < q < 1 << 64
+        assert pow(2, 1 << n, q) == q - 1  # 2**(2**n) = -1, so q | F_n
+
+
+def test_a_wrong_factor_raises_when_its_chain_starts(gmp, monkeypatch):
+    monkeypatch.setitem(arith._FACTORS, 15, arith._FACTORS[15] + 2)
+    monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        square_mod(3, FermatModulus(15))
+
+
+def assert_falls_back_to_mpn_sqr(monkeypatch):
+    monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
+    m = FermatModulus(15)
+    assert m.backend == "gmp"
+    assert [r for _, r in islice(residues(m), 40)] == plain_walk(15, 40)
+
+
+def test_an_untested_gmp_version_squares_with_mpn_sqr(gmp, monkeypatch):
+    monkeypatch.setattr(arith, "_FFT_GMP_VERSIONS", frozenset())
+    assert_falls_back_to_mpn_sqr(monkeypatch)
+
+
+def corrupt_fft_product(gmp):
+    real = gmp.__gmpn_mul_fft
+
+    def corrupted(op, *args):
+        carry = real(op, *args)
+        ctypes.c_uint64.from_address(op).value ^= 1 << 17
+        return carry
+
+    return gmp, "__gmpn_mul_fft", corrupted
+
+
+def test_a_failed_self_test_squares_with_mpn_sqr(fft, monkeypatch):
+    monkeypatch.setattr(*corrupt_fft_product(fft))
+    assert_falls_back_to_mpn_sqr(monkeypatch)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+@pytest.mark.parametrize("edge", ["0", "1", "2", "F-1", "F-2", "2**(b/2)", "random"])
+def test_fft_square_edges(fft, monkeypatch, n, edge):
+    # 2**(b/2) squares to F - 1, the kernel's carry; F - 1 = 2**b squares to 1 without a kernel call.
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 17))  # F_17 is beyond the default budget
+    m = FermatModulus(n)
+    values = {"F-1": m.value - 1, "F-2": m.value - 2, "2**(b/2)": 1 << m.b // 2}
+    x = int(edge) if edge.isdigit() else values.get(edge) or random.Random(n).getrandbits(m.b)
+    assert_steps_match_plain(m, x, monkeypatch)
+
+
+@pytest.mark.parametrize("x, c", [(6, 2), (3, 0)], ids=["walk", "pepin"])
+def test_fft_and_mpn_sqr_chains_agree(fft, monkeypatch, x, c):
+    m = FermatModulus(15)
+    fft_items = list(islice(square_chain(x, c, m), 512))
+    monkeypatch.setattr(arith, "FFT_MIN_N", 99)
+    assert m.backend == "gmp"
+    assert list(islice(square_chain(x, c, m), 512)) == fft_items
+
+
+def force_carry(gmp):
+    real = gmp.__gmpn_mul_fft
+    return gmp, "__gmpn_mul_fft", lambda *args: real(*args) or 1
+
+
+FFT_MUTATIONS = [
+    corrupt_fft_product,
+    force_carry,
+    corrupt_wrap,
+    corrupt_remainder,
+    corrupt_export,
+]
+FFT_WALKS = {
+    "a_mod_fermat": lambda: a_mod_fermat(17, 15),
+    "pepin_test": lambda: pepin_test(15),
+    "square_chain": lambda: list(islice(square_chain(6, 2, FermatModulus(15)), 8)),
+}
+CORRUPTED_FFT_WALKS = [
+    pytest.param(mutation, walk, id=f"{mutation.__name__}-{walk}")
+    for mutation in FFT_MUTATIONS
+    for walk in FFT_WALKS
+    if (mutation, walk) != (corrupt_wrap, "pepin_test")
+]
+
+
+@pytest.mark.parametrize("mutation, walk", CORRUPTED_FFT_WALKS)
+def test_fft_corruption_raises(fft, monkeypatch, mutation, walk):
+    monkeypatch.setattr(*mutation(fft))
+    with pytest.raises(ArithmeticError, match="GMP"):
+        FFT_WALKS[walk]()
+
+
+def test_fft_check_survives_optimized_python(fft):
+    corruption = (
+        "if arith.FermatModulus(arith.FFT_MIN_N).backend != 'gmp-fft':\n"
+        "    sys.exit('no FFT plan')\n"
+        "mul_fft = lib.__gmpn_mul_fft\n"
+        "def corrupted(op, *args):\n"
+        "    carry = mul_fft(op, *args)\n"
+        "    ctypes.c_uint64.from_address(op).value ^= 1\n"
+        "    return carry\n"
+        "lib.__gmpn_mul_fft = corrupted\n"
+    )
+    assert run_optimized(corruption, arith.FFT_MIN_N) == ["caught", "False"]

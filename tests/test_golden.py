@@ -9,8 +9,9 @@ depend on the benchmark directory.
 
 Every case runs on both squaring kernels: "int" hides the GMP library so
 every modulus squares with ``x * x``, and "gmp" sends every modulus that GMP
-can take through it, small ones included: from n = 6 up, where b is a whole
-number of 64-bit limbs.  Below that the "gmp" cases stay on ``x * x``.
+can take through ``mpn_sqr``, small ones included: from n = 6 up, where b is
+a whole number of 64-bit limbs.  Below that the "gmp" cases stay on
+``x * x``.  The walk also runs on "gmp-fft", GMP's FFT step.
 """
 
 import hashlib
@@ -57,13 +58,15 @@ WALK = (16, 1025, "c1054078ce03677dc2ab70a4b1a5b7f83815bc7a8786cfeedfaf9346ba4d5
 
 
 def force_backend(backend, monkeypatch):
-    """Make every modulus built from here on square with ``backend``."""
+    """Make every modulus built from here on square with ``backend``; "gmp-fft" only where a factor is known."""
     if backend == "int":
         monkeypatch.setattr(arith, "_load_gmp", lambda: None)
     elif arith._load_gmp() is None:
         pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP kernel to pin")
     else:
         monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+        if backend == "gmp":
+            monkeypatch.setattr(arith, "FFT_MIN_N", 99)
 
 
 # The int cases are the reference and carry the plain ids n2..n14.
@@ -90,10 +93,12 @@ def test_cross_check_matches_golden(
     assert report.consistent
 
 
-@pytest.mark.parametrize("backend", ["int", "gmp"])
+@pytest.mark.parametrize("backend", ["int", "gmp", "gmp-fft"])
 def test_walk_matches_golden(monkeypatch, backend):
     force_backend(backend, monkeypatch)
     n, q, digest = WALK
+    if backend == "gmp-fft" and arith._gmp_version(arith._load_gmp()) not in arith._FFT_GMP_VERSIONS:
+        pytest.skip("this GMP is not a version the FFT step was tested on")
     assert FermatModulus(n).backend == backend
     residue = a_mod_fermat(q, n)
     assert hashlib.sha256(residue.to_bytes((1 << n) // 8 + 1, "little")).hexdigest() == digest
