@@ -220,10 +220,6 @@ def assert_steps_match_plain(m, r, patch):
             assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
 
 
-def assert_gmp_steps_match_int(x, patch):
-    assert_steps_match_plain(*gmp_residue(x, patch), patch)
-
-
 # Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
 # which sets the top limb, squares to 1 and makes the - 2 wrap, as 0 and 1
 # do; 2**32 squares to 2**64 = F_6 - 1, the fold's carry into the top limb.
@@ -234,7 +230,7 @@ _EDGES += [(1 << b) - 1 for b in (8192, 1 << 16, (1 << 16) + 1)]
 
 @pytest.mark.parametrize("x", _EDGES, ids=[f"bits{x.bit_length()}_pop{bin(x).count('1')}" for x in _EDGES])
 def test_gmp_square_edges(gmp, monkeypatch, x):
-    assert_gmp_steps_match_int(x, monkeypatch)
+    assert_steps_match_plain(*gmp_residue(x, monkeypatch), monkeypatch)
 
 
 @settings(deadline=None)
@@ -243,7 +239,7 @@ def test_gmp_square_matches_int(bits, seed):
     if arith._load_gmp() is None:
         pytest.skip(f"{arith.GMP_SONAME} does not load here")
     with pytest.MonkeyPatch.context() as patch:
-        assert_gmp_steps_match_int(random.Random(seed).getrandbits(bits), patch)
+        assert_steps_match_plain(*gmp_residue(random.Random(seed).getrandbits(bits), patch), patch)
 
 
 def test_chain_item_rejects_a_negative_index():
