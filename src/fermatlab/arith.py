@@ -21,7 +21,6 @@ not load, every modulus uses ``x * x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Iterator
@@ -67,11 +66,13 @@ _FACTORS = {
 _LIMB_BITS = 64
 
 
-@dataclass
 class OpCounter:
     """Squarings spent by the walks it is passed to; monotone within a run."""
 
-    squarings: int = 0
+    __slots__ = ("squarings",)
+
+    def __init__(self, squarings: int = 0) -> None:
+        self.squarings = squarings
 
 
 class FermatModulus:

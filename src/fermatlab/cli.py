@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: pepin, paper-test, cross-check, verify-identities, factor,
-bench.  Machine-readable output (``--format json`` or ``csv``) goes to
-stdout and never mixes with diagnostics, which go to stderr.  Exit codes:
-0 success, 1 usage or domain error, 2 budget exceeded, 3 the two procedures
-disagreed somewhere (the headline finding a cross-check run watches for).
-Any other exception is a bug and propagates as a traceback.
+Subcommands: pepin, paper-test, cross-check, verify-identities, factor.
+Machine-readable output (``--format json`` or ``csv``) goes to stdout and
+never mixes with diagnostics, which go to stderr.  Exit codes: 0 success,
+1 usage or domain error, 2 budget exceeded, 3 the two procedures disagreed
+somewhere (the headline finding a cross-check run watches for).  Any other
+exception is a bug and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .primality import (
     trial_factor_search,
     verify_two_order,
 )
-from .report import ReportRecord, records_table, render_csv, render_json_lines, render_table
+from .report import ReportRecord, records_table, render_csv, render_json_lines
 from .sequences import a_exact, overlap_check
 from .zsqrt2 import ONE, U, V, ZSqrt2, frobenius_check, trace_pow2
 
@@ -65,10 +65,10 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cross_check_record(report: TestReport, command: str) -> ReportRecord:
+def _cross_check_record(report: TestReport) -> ReportRecord:
     m = FermatModulus(report.n)
     return ReportRecord(
-        command=command,
+        command="cross-check",
         n=report.n,
         bits=m.b,
         verdict_pepin=report.pepin.label,
@@ -140,7 +140,7 @@ def _checked_range(args: argparse.Namespace) -> range:
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     ns = _checked_range(args)
     reports = [cross_check(n) for n in ns]
-    records = [_cross_check_record(report, "cross-check") for report in reports]
+    records = [_cross_check_record(report) for report in reports]
     _emit(records, args.format)
     agreed = sum(1 for report in reports if report.consistent)
     summary = f"cross-check: {agreed}/{len(reports)} consistent for n={ns.start}..{ns.stop - 1}"
@@ -226,27 +226,6 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    ns = _checked_range(args)
-    records = [_cross_check_record(cross_check(n), "bench") for n in ns]
-    if args.format == "table":
-        columns = {  # table header: record field
-            "n": "n",
-            "bits": "bits",
-            "backend": "backend",
-            "squarings_pepin": "squarings_pepin",
-            "pepin_ms": "elapsed_ms_pepin",
-            "squarings_scan": "squarings_scan",
-            "scan_ms": "elapsed_ms_scan",
-            "consistent": "consistent",
-        }
-        rows = [[getattr(record, field) for field in columns.values()] for record in records]
-        sys.stdout.write(render_table(list(columns), rows))
-    else:
-        _emit(records, args.format)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fermatlab",
@@ -286,12 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-limit", dest="k_limit", type=int, default=1000)
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser("bench", help="squaring counts and wall times, both tests per n")
-    p.add_argument("--from", dest="from_n", type=int, required=True, metavar="A")
-    p.add_argument("--to", dest="to_n", type=int, required=True, metavar="B")
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import FermatModulus, Natural, OpCounter, chain_item, fermat_value
 from .sequences import residues
@@ -39,8 +39,7 @@ class VerdictKind(enum.Enum):
     DIVISOR_WITNESS_FOUND = "DivisorWitnessFound"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one primality procedure.
 
     ``DivisorWitnessFound`` carries the witness index q and deliberately does
@@ -56,8 +55,7 @@ class Verdict:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """What one recurrence scan saw.
 
     ``anomalies`` lists indices below the window floor whose residue was
@@ -82,8 +80,7 @@ class ScanResult:
         return Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=self.found_q)
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(NamedTuple):
     """A proper divisor k * 2**(n+2) + 1 of the modulus, with its cofactor."""
 
     k: int
@@ -91,8 +88,7 @@ class FactorWitness:
     cofactor: Natural
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """Both procedures on one modulus, with agreement flag and instrumentation."""
 
     __test__ = False  # keeps pytest from collecting this despite the name

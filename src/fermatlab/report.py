@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SCHEMA_VERSION = "3"
 
@@ -37,8 +37,7 @@ FIELDS = (
 )
 
 
-@dataclass
-class ReportRecord:
+class ReportRecord(NamedTuple):
     command: str
     n: int
     bits: int
@@ -68,9 +67,14 @@ class ReportRecord:
     @classmethod
     def from_json(cls, line: str) -> "ReportRecord":
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"a report line must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(FIELDS)
         if unknown:
             raise ValueError(f"unknown report fields: {sorted(unknown)}")
+        missing = [name for name in cls._fields if name not in data and name not in cls._field_defaults]
+        if missing:
+            raise ValueError(f"missing report fields: {missing}")
         return cls(**data)
 
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import FermatModulus, Natural, OpCounter, chain_item, reduce_mod_fermat, square_chain
 from .budget import check_pow2_bits
@@ -44,12 +43,11 @@ def s_value(q: int) -> Natural:
     return x >> 1
 
 
-@dataclass
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Indices where the strict sandwich F_n < A_n < F_{n+1} failed (expected none)."""
 
     n_max: int
-    violations: list[int] = field(default_factory=list)
+    violations: list[int]
 
     @property
     def ok(self) -> bool:
@@ -60,12 +58,12 @@ def overlap_check(n_max: int) -> OverlapReport:
     """Exact-integer check that each term sits strictly between consecutive moduli."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    report = OverlapReport(n_max)
+    violations = []
     lower = FermatModulus(1).value
     for n in range(1, n_max + 1):
         upper = FermatModulus(n + 1).value
         term = a_exact(n)
         if not lower < term < upper:
-            report.violations.append(n)
+            violations.append(n)
         lower = upper
-    return report
+    return OverlapReport(n_max, violations)

@@ -8,13 +8,12 @@ verified componentwise modulo a prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import BudgetExceededError, check_pow2_bits, max_bits
 
 
-@dataclass(frozen=True)
-class ZSqrt2:
+class ZSqrt2(NamedTuple):
     """a + b*sqrt(2) with exact integer components."""
 
     a: int
@@ -37,6 +36,9 @@ class ZSqrt2:
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
+
+    def __rmul__(self, other: object) -> "ZSqrt2":
+        return NotImplemented  # an int on the left would repeat the tuple
 
     def __pow__(self, k: int) -> "ZSqrt2":
         # Components grow like 2.55*k bits for the unit U, hence the budget.
@@ -63,16 +65,16 @@ class ZSqrt2:
 ONE = ZSqrt2(1, 0)
 
 
-@dataclass(frozen=True)
 class UnitPair:
     """The unit u = 3 + 2*sqrt(2) and its inverse conjugate v; u+v=6, u*v=1."""
 
-    u: ZSqrt2 = ZSqrt2(3, 2)
-    v: ZSqrt2 = ZSqrt2(3, -2)
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        if self.u + self.v != ZSqrt2(6, 0) or self.u * self.v != ONE:
-            raise ValueError(f"not an inverse-conjugate unit pair: {self.u}, {self.v}")
+    def __init__(self, u: ZSqrt2 = ZSqrt2(3, 2), v: ZSqrt2 = ZSqrt2(3, -2)) -> None:
+        if u + v != ZSqrt2(6, 0) or u * v != ONE:
+            raise ValueError(f"not an inverse-conjugate unit pair: {u}, {v}")
+        self.u = u
+        self.v = v
 
 
 UNITS = UnitPair()

@@ -95,6 +95,22 @@ def test_cross_check_range(capsys):
     assert "7/7 consistent" in err
 
 
+def test_cross_check_table_has_one_row_per_n(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "10")
+    assert code == 0
+    body = [line for line in out.splitlines() if line and not line.startswith(("n ", " n", "-", "cross-check:"))]
+    assert len(body) == 9
+
+
+def test_cross_check_json_squaring_columns(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "10", "--format", "json")
+    assert code == 0
+    records = json_records(out)
+    assert len(records) == 9
+    for record in records:
+        assert record["squarings_pepin"] == (1 << record["n"]) - 1
+
+
 def test_cross_check_singleton(capsys):
     code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2", "--format", "json")
     assert code == 0 and len(json_records(out)) == 1
@@ -189,34 +205,6 @@ def test_factor_rejects_nonpositive_k_limit(capsys):
     assert code == 1 and "--k-limit" in err
 
 
-# -------------------------------------------------------------------- bench
-
-def test_bench_table_has_one_row_per_n(capsys):
-    code, out, _ = run(capsys, "bench", "--from", "2", "--to", "10")
-    assert code == 0
-    body = [line for line in out.splitlines() if line and not line.startswith(("n ", " n", "-"))]
-    assert len(body) == 9
-
-
-def test_bench_json_squaring_columns(capsys):
-    code, out, _ = run(capsys, "bench", "--from", "2", "--to", "10", "--format", "json")
-    assert code == 0
-    records = json_records(out)
-    assert len(records) == 9
-    for record in records:
-        assert record["squarings_pepin"] == (1 << record["n"]) - 1
-
-
-def test_bench_singleton_json(capsys):
-    code, out, _ = run(capsys, "bench", "--from", "2", "--to", "2", "--format", "json")
-    assert code == 0 and len(json_records(out)) == 1
-
-
-def test_bench_bad_range(capsys):
-    code, _, err = run(capsys, "bench", "--from", "9", "--to", "2")
-    assert code == 1
-
-
 # ------------------------------------------------------------ report schema
 
 def test_json_round_trip(capsys):
@@ -230,7 +218,6 @@ WALK_COMMANDS = [
     ["pepin", "3"],
     ["paper-test", "3"],
     ["cross-check", "--from", "2", "--to", "3"],
-    ["bench", "--from", "2", "--to", "3"],
 ]
 
 
@@ -248,7 +235,7 @@ def test_two_test_records_split_their_timing(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     for record in json_records(out):
-        if argv[0] in ("cross-check", "bench"):
+        if argv[0] == "cross-check":
             assert record["elapsed_ms"] == record["elapsed_ms_pepin"] + record["elapsed_ms_scan"]
         else:
             assert record["elapsed_ms_pepin"] is record["elapsed_ms_scan"] is None
@@ -259,17 +246,30 @@ def test_factor_record_has_no_backend(capsys):
     assert code == 0 and json_records(out)[0]["backend"] is None
 
 
-def test_bench_table_has_a_backend_column(capsys):
-    code, out, _ = run(capsys, "bench", "--from", "2", "--to", "3")
+def test_cross_check_table_has_a_backend_column(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "3")
     assert code == 0
-    header, _, first, second = out.splitlines()
-    assert header.split()[:3] == ["n", "bits", "backend"]
-    assert first.split()[2] == second.split()[2] == "int"
+    header, _, first, second, _ = out.splitlines()
+    columns = header.split()
+    timing = {"squarings_pepin", "elapsed_ms_pepin", "squarings_scan", "elapsed_ms_scan", "consistent"}
+    assert {"n", "bits", "backend"} | timing <= set(columns)
+    i = columns.index("backend")
+    assert first.split()[i] == second.split()[i] == "int"
 
 
 def test_from_json_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        ReportRecord.from_json('{"command": "pepin", "n": 2, "bits": 4, "bogus": 1}')
+    # A report line comes from outside the program: each bad one is a ValueError that says why.
+    for line, message in [
+        ('{"command": "pepin", "n": 2, "bits": 4, "bogus": 1}', "unknown report fields: ['bogus']"),
+        ('{"command": "pepin", "n": 2}', "missing report fields: ['bits']"),
+        ("{}", "missing report fields: ['command', 'n', 'bits']"),
+        ("[1]", "must be a JSON object, got list"),
+        ('"abc"', "must be a JSON object, got str"),
+        ("7", "must be a JSON object, got int"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            ReportRecord.from_json(line)
+        assert str(raised.value).endswith(message), line
 
 
 # ------------------------------------------------------------ odds and ends
@@ -322,23 +322,25 @@ def test_module_entry_point_subprocess():
 def test_small_runs_do_not_import_ctypes():
     # ctypes loads only when a chain first needs GMP: an n <= 11 sweep never
     # does, and neither do the n = 13 commands that square nothing mod F_13.
+    # dataclasses and inspect, which would double the import time, never load.
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import fermatlab, fermatlab.cli\n"
-        "print('import', 'ctypes' in sys.modules)\n"
+        "lazy = ('ctypes', 'dataclasses', 'inspect')\n"
+        "print('import', *(name in sys.modules for name in lazy))\n"
         "for argv in (['cross-check', '--from', '2', '--to', '11', '--format', 'json'],\n"
         "             ['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = fermatlab.cli.main(argv)\n"
-        "    print(argv[0], code, 'ctypes' in sys.modules)\n"
+        "    print(argv[0], code, *(name in sys.modules for name in lazy))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
     assert done.stdout.splitlines() == [
-        "import False",
-        "cross-check 0 False",
-        "factor 0 False",
-        "verify-identities 0 False",
+        "import False False False",
+        "cross-check 0 False False False",
+        "factor 0 False False False",
+        "verify-identities 0 False False False",
     ]

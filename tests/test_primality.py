@@ -5,7 +5,10 @@ from fermatlab import arith
 from fermatlab.arith import OpCounter, fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
+    FactorWitness,
     NotApplicableError,
+    ScanResult,
+    TestReport,
     Verdict,
     VerdictKind,
     cross_check,
@@ -16,6 +19,7 @@ from fermatlab.primality import (
     verify_two_order,
 )
 from fermatlab.sequences import a_exact, a_mod_fermat
+from fermatlab.zsqrt2 import ZSqrt2
 
 
 # ---------------------------------------------------------------- pepin_test
@@ -260,6 +264,41 @@ def test_verdict_labels():
 def test_scan_verdict_mapping():
     assert paper_scan(3).verdict == Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5)
     assert paper_scan(5).verdict == Verdict(VerdictKind.COMPOSITE_CERTIFIED)
+
+
+def _scan_result():
+    return ScanResult(n=3, window=(3, 8), found_q=5, residue_trace_hash="sha256:00", squarings=4)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda: Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5), "q", id="Verdict"),
+        pytest.param(_scan_result, "found_q", id="ScanResult"),
+        pytest.param(lambda: FactorWitness(k=5, factor=641, cofactor=6700417), "factor", id="FactorWitness"),
+        pytest.param(
+            lambda: TestReport(
+                n=3,
+                pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
+                paper=Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5),
+                consistent=True,
+                squarings_pepin=7,
+                squarings_scan=4,
+                elapsed_ms_pepin=0.5,
+                elapsed_ms_scan=0.5,
+                scan=_scan_result(),
+            ),
+            "consistent",
+            id="TestReport",
+        ),
+        pytest.param(lambda: ZSqrt2(3, 2), "b", id="ZSqrt2"),
+    ],
+)
+def test_value_types_are_immutable(make, field):
+    value, twin = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    assert value is not twin and value == twin and hash(value) == hash(twin)
 
 
 # ------------------------------------------------------- boundary regression

@@ -41,6 +41,11 @@ def test_mul_examples():
     assert U * U == ZSqrt2(17, 12)
 
 
+def test_an_int_on_the_left_does_not_repeat_an_element():
+    with pytest.raises(TypeError):
+        3 * U
+
+
 def test_pow_examples():
     assert U**0 == ONE
     assert U**4 == ZSqrt2(577, 408)
