@@ -205,6 +205,23 @@ def test_factor_rejects_nonpositive_k_limit(capsys):
     assert code == 1 and "--k-limit" in err
 
 
+# -------------------------------------------------- bench, now cross-check
+# The bench command was folded into cross-check; its checks run there.
+
+def test_bench_singleton_json(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2", "--format", "json")
+    assert code == 0
+    (record,) = json_records(out)
+    assert record["command"] == "cross-check" and record["n"] == 2
+    assert record["squarings_pepin"] == 3 and record["consistent"] is True
+
+
+def test_bench_bad_range(capsys):
+    for low, high in (("9", "2"), ("1", "3")):
+        code, out, err = run(capsys, "cross-check", "--from", low, "--to", high)
+        assert code == 1 and out == "" and "2 <= from <= to" in err
+
+
 # ------------------------------------------------------------ report schema
 
 def test_json_round_trip(capsys):
