@@ -15,8 +15,12 @@ limbs for the whole chain and GMP's ``mpn`` functions, reached through
 ``ctypes`` when ``libgmp.so.10`` loads, square and fold it; from
 ``FFT_MIN_N`` up, where a factor of the modulus is known, GMP's negacyclic
 FFT squares it mod 2**b + 1 directly.  Every step is checked modulo a
-prime, and only an item that is read becomes an int.  When the library does
-not load, every modulus uses ``x * x``.
+prime, and only an item that is read becomes an int.  Below ``GMP_MIN_N``
+a chain with c = 0 is the power x**(2**k), so :func:`chain_item` computes
+it with one ``mpz_powm`` call mod F*p, checked mod the prime p; Pépin's
+time falls from 0.6 / 2.4 / 9 ms to 0.08 / 0.44 / 3 ms at n = 9 / 10 / 11
+(``GMP_MIN_N`` has the rest).  When the library does not load, every
+modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ Natural = int
 # outweighs the ~2 ms that loading GMP costs once (cross_check(12) in a fresh
 # process: 157-175 vs 77-99 ms); 37-58 vs 10-12 us at n = 13; and 934-1297
 # vs 98-157 us at n = 16 (2-CPU Xeon, CPython 3.11.7, GMP 6.2.1).
+# Below it, Pépin's power 3**(2**k) is one mpz_powm call mod F*p instead of
+# the int chain; its time in ms, int chain -> mpz_powm, best of 20, two runs
+# (same machine): 0.007 -> 0.02 at n = 2..4 (the call's fixed cost);
+# 0.025 -> 0.021 at n = 5; 0.046 -> 0.024 at 6; 0.09 -> 0.028 at 7;
+# 0.22 -> 0.04 at 8; 0.57-0.65 -> 0.08-0.09 at 9; 2.3-2.5 -> 0.43-0.45 at
+# 10; 7.8-11.2 -> 2.7-3.1 at 11.  At n = 12 the limb chain and mpz_powm are
+# even (19-32 vs 22-28 ms) and at 13 the chain wins (66-84 vs 118-134 ms),
+# so the same boundary serves both.
 GMP_MIN_N = 12
 # The smallest n whose GMP chains square with __gmpn_mul_fft, which returns
 # x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n is
@@ -100,6 +112,15 @@ class FermatModulus:
         gmp = _gmp_for(self)
         return "int" if gmp is None else "gmp" if gmp[1] is None else "gmp-fft"
 
+    @property
+    def power_backend(self) -> str:
+        """The arithmetic of ``chain_item(x, 0, k, self)``, the power x**(2**k) that Pépin reads.
+
+        "gmp-powm" below GMP_MIN_N when GMP loads: one checked ``mpz_powm``
+        call.  Otherwise the chain's own, ``backend``.
+        """
+        return "gmp-powm" if _powm_for(self) is not None else self.backend
+
 
 def fermat_value(n: int) -> Natural:
     """The n-th term of the 3, 5, 17, 257, ... tower: 2**(2**n) + 1."""
@@ -133,10 +154,16 @@ def chain_item(x: int, c: int, k: int, m: FermatModulus) -> int:
     """Item k of ``square_chain(x, c, m)``, after k squarings.
 
     Only item k is converted to an int: on the GMP path the items before it
-    stay limbs, each checked as it is computed.
+    stay limbs, each checked as it is computed.  With c = 0 the item is the
+    power x**(2**k), and where ``m.power_backend`` is "gmp-powm" it is one
+    checked ``mpz_powm`` call instead of k steps.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative item index, got {k}")
+    lib = _powm_for(m) if c == 0 else None
+    if lib is not None:
+        _check_operands(x, c, m)
+        return _gmp_power(x, k, m, lib)
     items, export = _start(x, c, m)
     item = next(islice(items, k, None))
     return item if export is None else export(item)
@@ -167,12 +194,16 @@ def _start(x: int, c: int, m: FermatModulus):
     the GMP chain yields each item's check value x mod d, and its export
     converts the limbs of the item it last yielded.
     """
+    _check_operands(x, c, m)
+    gmp = _gmp_for(m)
+    return (_int_chain(x, c, m), None) if gmp is None else _gmp_chain(x, c, m, *gmp)
+
+
+def _check_operands(x: int, c: int, m: FermatModulus) -> None:
     if not 0 <= x < m.value:
         raise ValueError(f"expected a canonical residue mod F_{m.n}, got a {x.bit_length()}-bit integer")
     if not 0 <= c < min(m.value, 1 << 32):  # the GMP chain subtracts c as one limb
         raise ValueError(f"expected a small nonnegative constant below F_{m.n}, got {c}")
-    gmp = _gmp_for(m)
-    return (_int_chain(x, c, m), None) if gmp is None else _gmp_chain(x, c, m, *gmp)
 
 
 def _int_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
@@ -192,14 +223,20 @@ def _gmp_for(m: FermatModulus):
     return lib, _fft_plan(m.n) if m.n >= FFT_MIN_N else None
 
 
+def _powm_for(m: FermatModulus):
+    """The GMP library when powers mod m run as one ``mpz_powm``, else None: below GMP_MIN_N."""
+    return _load_gmp() if m.n < GMP_MIN_N else None
+
+
 @cache
 def _load_gmp():
     """The system GMP library with its entry points typed, or None when it cannot serve.
 
     Loaded by soname, so no subprocess runs to find it; ctypes is imported
-    here and only here, when a chain first needs the library.  A GMP built
-    with limbs other than 64 bits is not used.  The FFT entry points are
-    typed only on a tested GMP version.
+    here and only here, when a chain or a power first needs the library.
+    The ``mpn`` entry points serve the chains and the ``mpz`` ones the
+    power route.  A GMP built with limbs other than 64 bits is not used.
+    The FFT entry points are typed only on a tested GMP version.
     """
     import ctypes
 
@@ -210,12 +247,20 @@ def _load_gmp():
     if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != _LIMB_BITS:
         return None
     ptr, size, limb, order = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64, ctypes.c_int
+    mpz, count = ctypes.POINTER(_mpz_struct()), ctypes.c_size_t
     entry_points = [
         ("__gmpn_sqr", [ptr, ptr, size], None),
         ("__gmpn_mod_1", [ptr, size, limb], limb),
         ("__gmpn_sub_n", [ptr, ptr, ptr, size], limb),
         ("__gmpn_add_1", [ptr, ptr, size, limb], limb),
         ("__gmpn_sub_1", [ptr, ptr, size, limb], limb),
+        ("__gmpz_init", [mpz], None),
+        ("__gmpz_clear", [mpz], None),
+        ("__gmpz_import", [mpz, count, order, count, order, count, ptr], None),
+        ("__gmpz_export", [ptr, ctypes.POINTER(count), order, count, order, count, mpz], ptr),
+        ("__gmpz_setbit", [mpz, ctypes.c_ulong], None),
+        ("__gmpz_powm", [mpz, mpz, mpz, mpz], None),
+        ("__gmpz_sizeinbase", [mpz, order], count),
     ]
     if _gmp_version(lib) in _FFT_GMP_VERSIONS:
         entry_points += [
@@ -227,6 +272,17 @@ def _load_gmp():
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib
+
+
+@cache
+def _mpz_struct():
+    """The ctypes type of gmp.h's ``__mpz_struct`` (16 bytes): int, int, limb pointer."""
+    import ctypes  # already loaded by _load_gmp; this is a lookup
+
+    class Mpz(ctypes.Structure):
+        _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
+
+    return Mpz
 
 
 def _gmp_version(lib) -> str:
@@ -353,3 +409,41 @@ def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
         return y
 
     return items(x_d), export
+
+
+def _gmp_power(x: int, k: int, m: FermatModulus, lib) -> int:
+    """x**(2**k) mod F as one ``mpz_powm`` mod F*p, checked modulo the prime p.
+
+    x and F*p are imported as little-endian bytes, 2**k is set as one bit,
+    and the power y is read back only through ``mpz_export``.  Since p | F*p,
+    y must be below F*p and congruent to (x mod p)**e mod p, where
+    e = (2**k - 1) mod (p - 1) + 1 is 2**k reduced by Fermat's little theorem
+    (and at least 1, so x = 0 mod p still gives 0).  So a wrong import,
+    power or export raises ArithmeticError.  p = 5 mod 8 makes squaring mod p
+    at most 4-to-1, so a wrong y passes with probability at most 4/p.  Every
+    ``mpz`` is freed, whether the call returns or raises.
+    """
+    import ctypes  # already loaded by _load_gmp; this is a lookup
+
+    p = _CHECK_PRIME
+    modulus = m.value * p
+    width = (modulus.bit_length() + 7) // 8
+    base, exponent, mod, power = zs = [_mpz_struct()() for _ in range(4)]
+    for z in zs:
+        lib.__gmpz_init(z)
+    try:
+        lib.__gmpz_import(base, width, -1, 1, 0, 0, x.to_bytes(width, "little"))
+        lib.__gmpz_import(mod, width, -1, 1, 0, 0, modulus.to_bytes(width, "little"))
+        lib.__gmpz_setbit(exponent, k)
+        lib.__gmpz_powm(power, base, exponent, mod)
+        if lib.__gmpz_sizeinbase(power, 256) > width:
+            raise ArithmeticError(f"GMP left a power above the {width} bytes of F_{m.n}*{p}")
+        out = (ctypes.c_char * width)()  # zeros, so the bytes above the power's own read as 0
+        lib.__gmpz_export(out, None, -1, 1, 0, 0, power)
+    finally:
+        for z in zs:
+            lib.__gmpz_clear(z)
+    y = int.from_bytes(out, "little")
+    if y >= modulus or y % p != pow(x % p, (pow(2, k, p - 1) - 1) % (p - 1) + 1, p):
+        raise ArithmeticError(f"GMP raised a residue mod F_{m.n} to 2**{k} wrongly (mod {p} check)")
+    return reduce_mod_fermat(y, m)

@@ -30,7 +30,7 @@ from .primality import (
 )
 from .report import ReportRecord, records_table, render_csv, render_json_lines
 from .sequences import a_exact, overlap_check
-from .zsqrt2 import ONE, U, V, ZSqrt2, frobenius_check, trace_pow2
+from .zsqrt2 import ONE, U, V, ZSqrt2, frobenius_check, sqrt2_mod_fermat, trace_pow2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +99,7 @@ def _cmd_pepin(args: argparse.Namespace) -> int:
         bits=m.b,
         verdict_pepin=verdict.label,
         squarings_pepin=counter.squarings,
-        backend=m.backend,
+        backend=m.power_backend,
         elapsed_ms=elapsed_ms,
     )
     _emit([record], args.format)
@@ -185,6 +185,12 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         all(verify_two_order(n) for n in range(n_max + 1)),
         f"order identity 2^(2^(n+1)) = 1 mod F_n for n = 0..{n_max}",
     )
+
+    if n_max >= 2:
+        check(
+            all(pow(sqrt2_mod_fermat(n), 2, fermat_value(n)) == 2 for n in range(2, n_max + 1)),
+            f"square root of 2: (2^(b/4) (2^(b/2) - 1))^2 = 2 mod F_n for n = 2..{n_max}",
+        )
 
     gcd_hi = min(n_max, 12)
     if gcd_hi >= 2:

@@ -35,6 +35,17 @@ FIELDS = (
     "elapsed_ms_scan",
     "trace_hash",
 )
+# The JSON type of each field's non-null values: a timing may be a whole
+# number, but no field other than consistent takes a bool.
+_FIELD_TYPES = {
+    **dict.fromkeys(("schema_version", "command", "verdict_pepin", "verdict_paper", "backend", "trace_hash"), str),
+    **dict.fromkeys(
+        ("n", "bits", "found_q", "window_lo", "window_hi", "squarings_pepin", "squarings_scan", "factor", "cofactor"),
+        int,
+    ),
+    "consistent": bool,
+    **dict.fromkeys(("elapsed_ms", "elapsed_ms_pepin", "elapsed_ms_scan"), (int, float)),
+}
 
 
 class ReportRecord(NamedTuple):
@@ -75,6 +86,14 @@ class ReportRecord(NamedTuple):
         missing = [name for name in cls._fields if name not in data and name not in cls._field_defaults]
         if missing:
             raise ValueError(f"missing report fields: {missing}")
+        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ValueError(f"expected schema_version {SCHEMA_VERSION!r}, got {data['schema_version']!r}")
+        for name, value in data.items():
+            if value is None and cls._field_defaults.get(name, ...) is None:
+                continue
+            kind = _FIELD_TYPES[name]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"report field {name!r} has the wrong type: {value!r}")
         return cls(**data)
 
 

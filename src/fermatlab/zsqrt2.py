@@ -140,3 +140,16 @@ def frobenius_check(p: int) -> bool:
     value is reported either way.
     """
     return pow_mod_p(U, p, p) == reduce_mod(U, p)
+
+
+def sqrt2_mod_fermat(n: int) -> int:
+    """s = 2**(b/4) * (2**(b/2) - 1) with b = 2**n, a square root of 2 mod 2**b + 1 for n >= 2.
+
+    With t = 2**(b/4), t**4 = 2**b = -1, so s**2 = t**2 * (t**4 - 2*t**2 + 1)
+    = -2*t**4 = 2: 2 is a square mod every tower number from 17 up.
+    """
+    if n < 2:
+        raise ValueError(f"the square root needs b/4 to be whole, so n >= 2, got {n}")
+    check_pow2_bits(n, f"square root of 2 mod F_{n}")
+    b = 1 << n
+    return (1 << b // 4) * ((1 << b // 2) - 1)

@@ -252,6 +252,9 @@ def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, arith.FFT_MIN_N - 1)] == ["gmp", "gmp"]
     fft = "gmp-fft" if arith._gmp_version(gmp) in arith._FFT_GMP_VERSIONS else "gmp"
     assert [FermatModulus(n).backend for n in (arith.FFT_MIN_N, 16)] == [fft, fft]
+    # Powers x**(2**k) run as one mpz_powm below GMP_MIN_N, and on the chain from there up.
+    assert [FermatModulus(n).power_backend for n in (0, arith.GMP_MIN_N - 1)] == ["gmp-powm", "gmp-powm"]
+    assert [FermatModulus(n).power_backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", fft]
 
 
 def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
@@ -393,17 +396,21 @@ def test_gmp_corrupted_export_raises(gmp, monkeypatch):
         square_mod(x, FermatModulus(arith.GMP_MIN_N))
 
 
-def run_optimized(corruption, n):
-    """stdout of a python -O run that applies ``corruption`` to the library and walks a_mod_fermat(n + 2, n)."""
+def run_optimized(corruption, call):
+    """stdout of a python -O run that applies ``corruption`` to the library and makes ``call``.
+
+    ``call`` may use a_mod_fermat and pepin_test.
+    """
     code = (
         "import ctypes, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from fermatlab import arith\n"
+        "from fermatlab.primality import pepin_test\n"
         "from fermatlab.sequences import a_mod_fermat\n"
         "lib = arith._load_gmp()\n"
         f"{corruption}"
         "try:\n"
-        f"    a_mod_fermat({n + 2}, {n})\n"
+        f"    {call}\n"
         "except ArithmeticError:\n"
         "    print('caught', __debug__)\n"
     )
@@ -414,15 +421,25 @@ def run_optimized(corruption, n):
 
 
 def test_gmp_check_survives_optimized_python(gmp):
-    # python -O strips assert statements; the per-step check must not be one.
-    corruption = (
+    # python -O strips assert statements; the per-step check and the power route's check must not be one.
+    n = arith.GMP_MIN_N
+    corrupted_square = (
         "sqr, add_1 = lib.__gmpn_sqr, lib.__gmpn_add_1\n"
         "def corrupted(rp, up, n):\n"
         "    sqr(rp, up, n)\n"
         "    add_1(rp, rp, 2 * n, 1)\n"
         "lib.__gmpn_sqr = corrupted\n"
     )
-    assert run_optimized(corruption, arith.GMP_MIN_N) == ["caught", "False"]
+    corrupted_power = (
+        "powm, combit = lib.__gmpz_powm, lib['__gmpz_combit']\n"
+        "combit.argtypes = lib.__gmpz_setbit.argtypes\n"
+        "def corrupted(rop, *args):\n"
+        "    powm(rop, *args)\n"
+        "    combit(rop, 5)\n"
+        "lib.__gmpz_powm = corrupted\n"
+    )
+    for corruption, call in [(corrupted_square, f"a_mod_fermat({n + 2}, {n})"), (corrupted_power, f"pepin_test({n - 1})")]:
+        assert run_optimized(corruption, call) == ["caught", "False"], call
 
 
 class RecordedLibrary:
@@ -457,8 +474,127 @@ def test_missing_library_falls_back_to_int(monkeypatch):
     monkeypatch.setattr(arith, "_load_gmp", arith._load_gmp.__wrapped__)  # the loader, unmemoised
     assert arith._load_gmp() is None
     m = FermatModulus(arith.GMP_MIN_N)
-    assert m.backend == "int"
+    assert m.backend == m.power_backend == "int"
     assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
+    m, calls = FermatModulus(5), spy_power(monkeypatch)
+    assert m.power_backend == "int"
+    assert chain_item(3, 0, 31, m) == pow(3, 1 << 31, m.value) and calls == []
+
+
+# ------------------------------------------------------------ GMP power route
+
+
+def spy_power(patch):
+    """The list of (n, k) of every power-route call from here on."""
+    calls, power = [], arith._gmp_power
+
+    def spied(x, k, m, lib):
+        calls.append((m.n, k))
+        return power(x, k, m, lib)
+
+    patch.setattr(arith, "_gmp_power", spied)
+    return calls
+
+
+def assert_power_matches_plain(n, k, x, calls):
+    """chain_item(x, 0, k, F_n) against a plain % loop, and that it was one power-route call."""
+    m = FermatModulus(n)
+    assert m.power_backend == "gmp-powm"
+    calls.clear()
+    assert chain_item(x, 0, k, m) == plain_chain(x, 0, m.value, k + 1)[k]
+    assert calls == [(n, k)]
+
+
+@pytest.mark.parametrize("n", range(arith.GMP_MIN_N))
+def test_power_route_edges(gmp, monkeypatch, n):
+    calls = spy_power(monkeypatch)
+    for x in (0, 1, fermat_value(n) - 1):
+        for k in (0, 1, 64):
+            assert_power_matches_plain(n, k, x, calls)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=arith.GMP_MIN_N - 1),
+    k=st.integers(min_value=0, max_value=64),
+    seed=st.integers(min_value=0),
+)
+def test_power_route_matches_plain(n, k, seed):
+    if arith._load_gmp() is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here")
+    with pytest.MonkeyPatch.context() as patch:
+        assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), spy_power(patch))
+
+
+def test_power_route_checks_its_operands(gmp):
+    with pytest.raises(ValueError, match="canonical"):
+        chain_item(fermat_value(4), 0, 3, FermatModulus(4))
+
+
+def corrupt_mpz_import(gmp, which):
+    # Flips the low bit of the bytes of one import: 0 is x, 1 is the modulus F*p.
+    real, done = gmp.__gmpz_import, []
+
+    def corrupted(z, count, order, size, endian, nails, data):
+        if len(done) == which:
+            data = bytes([data[0] ^ 1]) + data[1:]
+        done.append(z)
+        real(z, count, order, size, endian, nails, data)
+
+    return gmp, "__gmpz_import", corrupted
+
+
+def corrupt_base_import(gmp):
+    return corrupt_mpz_import(gmp, 0)
+
+
+def corrupt_modulus_import(gmp):
+    return corrupt_mpz_import(gmp, 1)
+
+
+def corrupt_power(gmp):
+    real, combit = gmp.__gmpz_powm, gmp["__gmpz_combit"]  # a fresh function object, typed like setbit
+    combit.argtypes = gmp.__gmpz_setbit.argtypes
+
+    def corrupted(rop, *args):
+        real(rop, *args)
+        combit(rop, 5)
+
+    return gmp, "__gmpz_powm", corrupted
+
+
+def corrupt_mpz_export(gmp):
+    real = gmp.__gmpz_export
+
+    def corrupted(out, *args):
+        real(out, *args)
+        ctypes.c_uint8.from_buffer(out).value ^= 1
+
+    return gmp, "__gmpz_export", corrupted
+
+
+POWER_CALLS = {
+    "pepin_test": lambda: pepin_test(arith.GMP_MIN_N - 1),
+    "chain_item": lambda: chain_item(random.Random(8).randrange(fermat_value(8)), 0, 64, FermatModulus(8)),
+}
+
+
+@pytest.mark.parametrize("call", POWER_CALLS)
+@pytest.mark.parametrize("mutation", [corrupt_base_import, corrupt_modulus_import, corrupt_power, corrupt_mpz_export])
+def test_power_route_corruption_raises(gmp, monkeypatch, mutation, call):
+    calls = spy_power(monkeypatch)
+    monkeypatch.setattr(*mutation(gmp))
+    with pytest.raises(ArithmeticError, match="GMP"):
+        POWER_CALLS[call]()
+    assert len(calls) == 1
+
+
+def test_power_route_rejects_a_power_too_wide_to_export(gmp, monkeypatch):
+    # The size check keeps mpz_export from writing past its buffer; here GMP reports a power 8 bytes too wide.
+    sizeinbase = gmp.__gmpz_sizeinbase
+    monkeypatch.setattr(gmp, "__gmpz_sizeinbase", lambda z, base: sizeinbase(z, base) + 8)
+    with pytest.raises(ArithmeticError, match="above"):
+        pepin_test(arith.GMP_MIN_N - 1)
 
 
 # ------------------------------------------------------------ GMP FFT step
@@ -578,4 +714,4 @@ def test_fft_check_survives_optimized_python(fft):
         "    return carry\n"
         "lib.__gmpn_mul_fft = corrupted\n"
     )
-    assert run_optimized(corruption, arith.FFT_MIN_N) == ["caught", "False"]
+    assert run_optimized(corruption, f"a_mod_fermat({arith.FFT_MIN_N + 2}, {arith.FFT_MIN_N})") == ["caught", "False"]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fermatlab import arith
 from fermatlab.cli import main
 from fermatlab.primality import TestReport, Verdict, VerdictKind, paper_scan
 from fermatlab.report import FIELDS, ReportRecord
@@ -165,6 +166,16 @@ def test_verify_identities(capsys):
     assert "frobenius at F_0" in out
 
 
+def test_verify_identities_checks_the_square_root_of_two(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify-identities", "--max-n", "12")
+    assert code == 0 and "ok          square root of 2" in out and "n = 2..12" in out
+    import fermatlab.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "sqrt2_mod_fermat", lambda n: 2)  # 2**2 = 4, not 2
+    code, out, _ = run(capsys, "verify-identities", "--max-n", "3")
+    assert code == 1 and "UNEXPECTED  square root of 2" in out
+
+
 def test_verify_identities_minimal(capsys):
     code, out, _ = run(capsys, "verify-identities", "--max-n", "1")
     assert code == 0 and "n = 1..1" in out
@@ -244,7 +255,9 @@ def test_walk_records_carry_the_backend(capsys, argv):
     assert code == 0
     for record in json_records(out):
         assert record["schema_version"] == "3"
-        assert record["backend"] == "int"  # n < GMP_MIN_N squares with x * x everywhere
+        # n < GMP_MIN_N: the chains square with x * x, and Pépin alone runs as one mpz_powm where GMP loads.
+        pepin_backend = "int" if arith._load_gmp() is None else "gmp-powm"
+        assert record["backend"] == (pepin_backend if argv[0] == "pepin" else "int")
 
 
 @pytest.mark.parametrize("argv", WALK_COMMANDS, ids=lambda argv: argv[0])
@@ -287,6 +300,64 @@ def test_from_json_rejects_unknown_fields():
         with pytest.raises(ValueError) as raised:
             ReportRecord.from_json(line)
         assert str(raised.value).endswith(message), line
+
+
+GOOD_LINE = {"command": "pepin", "n": 2, "bits": 4}
+
+
+def from_json_error(**fields):
+    with pytest.raises(ValueError) as raised:
+        ReportRecord.from_json(json.dumps({**GOOD_LINE, **fields}))
+    return str(raised.value)
+
+
+def test_from_json_rejects_the_mixed_up_line():
+    line = '{"command": 5, "n": "x", "bits": [1], "consistent": "no", "schema_version": "2"}'
+    with pytest.raises(ValueError):
+        ReportRecord.from_json(line)
+    with pytest.raises(ValueError):
+        ReportRecord.from_json(line.replace(', "schema_version": "2"', ""))
+
+
+def test_from_json_rejects_another_schema_version():
+    for version in ("2", "4", 3, None):
+        assert "expected schema_version '3'" in from_json_error(schema_version=version)
+
+
+def assert_wrong_types_rejected(fields, values):
+    for field in fields:
+        for value in values:
+            assert f"report field {field!r} has the wrong type" in from_json_error(**{field: value}), (field, value)
+
+
+def test_from_json_rejects_an_int_field_that_is_not_an_int():
+    # A JSON true or false is not taken as 1 or 0.
+    assert_wrong_types_rejected(["n", "bits", "found_q", "squarings_pepin", "factor"], ["2", 2.0, [2], True, False])
+
+
+def test_from_json_rejects_a_bool_field_that_is_not_a_bool():
+    assert_wrong_types_rejected(["consistent"], [1, 0, "yes", "true"])
+
+
+def test_from_json_rejects_a_timing_that_is_not_a_number():
+    assert_wrong_types_rejected(["elapsed_ms", "elapsed_ms_pepin", "elapsed_ms_scan"], ["1.5", True, [1.5]])
+
+
+def test_from_json_rejects_a_str_field_that_is_not_a_str():
+    assert_wrong_types_rejected(["command", "verdict_pepin", "backend", "trace_hash"], [5, True, ["pepin"], {"a": 1}])
+
+
+def test_from_json_takes_null_only_where_the_default_is_null():
+    nullable = [name for name in FIELDS if ReportRecord._field_defaults.get(name, ...) is None]
+    record = ReportRecord.from_json(json.dumps({**GOOD_LINE, **dict.fromkeys(nullable)}))
+    assert all(getattr(record, name) is None for name in nullable)
+    for name in ("command", "n", "bits"):
+        assert f"report field {name!r} has the wrong type" in from_json_error(**{name: None})
+
+
+def test_from_json_takes_whole_and_fractional_timings():
+    record = ReportRecord.from_json(json.dumps({**GOOD_LINE, "elapsed_ms": 3, "elapsed_ms_pepin": 1.5}))
+    assert (record.elapsed_ms, record.elapsed_ms_pepin) == (3, 1.5)
 
 
 # ------------------------------------------------------------ odds and ends
@@ -337,17 +408,18 @@ def test_module_entry_point_subprocess():
 
 
 def test_small_runs_do_not_import_ctypes():
-    # ctypes loads only when a chain first needs GMP: an n <= 11 sweep never
-    # does, and neither do the n = 13 commands that square nothing mod F_13.
-    # dataclasses and inspect, which would double the import time, never load.
+    # ctypes loads only when arithmetic first needs GMP: the n = 13 commands
+    # that square nothing mod F_13 never do, and an n <= 11 sweep does once,
+    # for Pépin's mpz_powm, so it runs last.  dataclasses and inspect, which
+    # would double the import time, never load.
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import fermatlab, fermatlab.cli\n"
         "lazy = ('ctypes', 'dataclasses', 'inspect')\n"
         "print('import', *(name in sys.modules for name in lazy))\n"
-        "for argv in (['cross-check', '--from', '2', '--to', '11', '--format', 'json'],\n"
-        "             ['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13']):\n"
+        "for argv in (['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13'],\n"
+        "             ['cross-check', '--from', '2', '--to', '11', '--format', 'json']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = fermatlab.cli.main(argv)\n"
         "    print(argv[0], code, *(name in sys.modules for name in lazy))\n"
@@ -357,7 +429,7 @@ def test_small_runs_do_not_import_ctypes():
     )
     assert done.stdout.splitlines() == [
         "import False False False",
-        "cross-check 0 False False False",
         "factor 0 False False False",
         "verify-identities 0 False False False",
+        "cross-check 0 True False False",
     ]

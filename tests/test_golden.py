@@ -11,7 +11,9 @@ Every case runs on both squaring kernels: "int" hides the GMP library so
 every modulus squares with ``x * x``, and "gmp" sends every modulus that GMP
 can take through ``mpn_sqr``, small ones included: from n = 6 up, where b is
 a whole number of 64-bit limbs.  Below that the "gmp" cases stay on
-``x * x``.  The walk also runs on "gmp-fft", GMP's FFT step.
+``x * x``.  The walk also runs on "gmp-fft", GMP's FFT step.  The cases
+n = 2..11 also run at default settings, where Pépin is one checked
+``mpz_powm`` call.
 """
 
 import hashlib
@@ -83,7 +85,10 @@ def test_cross_check_matches_golden(
 ):
     force_backend(backend, monkeypatch)
     assert FermatModulus(n).backend == (backend if 1 << n >= arith._LIMB_BITS else "int")
-    report = cross_check(n)
+    assert_report_matches(cross_check(n), verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash)
+
+
+def assert_report_matches(report, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash):
     assert report.pepin.label == verdict_pepin
     assert report.paper.label == verdict_paper
     assert report.scan.found_q == found_q
@@ -91,6 +96,22 @@ def test_cross_check_matches_golden(
     assert report.squarings_scan == squarings_scan
     assert report.scan.residue_trace_hash == trace_hash
     assert report.consistent
+
+
+POWER_ROWS = [row for row in GOLDEN if row[0] < arith.GMP_MIN_N]
+
+
+@pytest.mark.parametrize("row", POWER_ROWS, ids=[f"powm-n{row[0]}" for row in POWER_ROWS])
+def test_power_route_matches_golden(monkeypatch, row):
+    # At default settings Pépin below GMP_MIN_N is one mpz_powm call of all its 2**n - 1 squarings.
+    if arith._load_gmp() is None:
+        pytest.skip(f"{arith.GMP_SONAME} does not load here, so Pépin runs on the int chain")
+    n, squarings_pepin = row[0], row[4]
+    calls, power = [], arith._gmp_power
+    monkeypatch.setattr(arith, "_gmp_power", lambda x, k, m, lib: calls.append((x, k, m.n)) or power(x, k, m, lib))
+    assert FermatModulus(n).power_backend == "gmp-powm"
+    assert_report_matches(cross_check(n), *row[1:])
+    assert calls == [(3, squarings_pepin, n)]
 
 
 @pytest.mark.parametrize("backend", ["int", "gmp", "gmp-fft"])

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fermatlab.arith import fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.sequences import a_exact
 from fermatlab.zsqrt2 import (
@@ -16,6 +17,7 @@ from fermatlab.zsqrt2 import (
     frobenius_check,
     pow_mod_p,
     reduce_mod,
+    sqrt2_mod_fermat,
     trace_pow2,
 )
 
@@ -166,3 +168,16 @@ def test_frobenius_fixtures():
 @pytest.mark.parametrize("p", [3, 5, 17])
 def test_frobenius_against_exact_power(p):
     assert frobenius_check(p) == congruent_mod(U**p, U, p)
+
+
+def test_sqrt2_mod_fermat_squares_to_two():
+    assert sqrt2_mod_fermat(2) == 6  # 36 = 2 + 2 * 17
+    for n in range(2, 13):
+        f = fermat_value(n)
+        assert 0 < sqrt2_mod_fermat(n) < f and pow(sqrt2_mod_fermat(n), 2, f) == 2
+
+
+def test_sqrt2_mod_fermat_needs_n_at_least_two():
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            sqrt2_mod_fermat(n)
