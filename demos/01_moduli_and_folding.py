@@ -17,11 +17,10 @@ except ImportError:
 
 from fermatlab import (
     FermatModulus,
-    OpCounter,
     a_mod_fermat,
     chain_item,
+    cross_check,
     fermat_value,
-    pepin_test,
     reduce_mod_fermat,
     square_chain,
     square_mod,
@@ -57,9 +56,8 @@ print(f"  3^(2^10) mod F_4 = {r} after ten squarings  (check: {pow(3, 1 << 10, m
 
 print()
 print("Squarings are counted, because both primality tests below are priced in them:")
-counter = OpCounter()
-pepin_test(4, counter)
-print(f"  the base-3 criterion on F_4 costs {counter.squarings} squarings")
-counter = OpCounter()
-a_mod_fermat(6, 4, counter)
-print(f"  the 6th recurrence term mod F_4 costs {counter.squarings} squarings")
+report = cross_check(4)
+print(f"  the base-3 criterion on F_4 costs {report.squarings_pepin} squarings")
+print(f"  the recurrence scan on F_4 costs {report.squarings_scan}, stopping at term {report.scan.found_q}")
+q = 6
+print(f"  the 6th recurrence term mod F_4, {a_mod_fermat(q, 4)}, costs {q - 1} squarings")

@@ -9,8 +9,6 @@ verifies the identities that justify the scan.
 
 from .arith import (
     FermatModulus,
-    Natural,
-    OpCounter,
     chain_item,
     fermat_value,
     reduce_mod_fermat,
@@ -28,6 +26,7 @@ from .primality import (
     cross_check,
     h_min,
     paper_scan,
+    pepin_squarings,
     pepin_test,
     trial_factor_search,
     verify_two_order,
@@ -35,9 +34,7 @@ from .primality import (
 from .sequences import OverlapReport, a_exact, a_mod_fermat, overlap_check, residues, s_value
 from .zsqrt2 import (
     U,
-    UNITS,
     V,
-    UnitPair,
     ZSqrt2,
     congruent_mod,
     frobenius_check,
@@ -54,15 +51,11 @@ __all__ = [
     "ENV_MAX_BITS",
     "FactorWitness",
     "FermatModulus",
-    "Natural",
     "NotApplicableError",
-    "OpCounter",
     "OverlapReport",
     "ScanResult",
     "TestReport",
     "U",
-    "UNITS",
-    "UnitPair",
     "V",
     "Verdict",
     "VerdictKind",
@@ -78,6 +71,7 @@ __all__ = [
     "max_bits",
     "overlap_check",
     "paper_scan",
+    "pepin_squarings",
     "pepin_test",
     "pow_mod_p",
     "reduce_mod",

@@ -31,14 +31,8 @@ def max_bits() -> int:
     return value
 
 
-def check_bits(bits: int, what: str) -> None:
-    limit = max_bits()
-    if bits > limit:
-        raise BudgetExceededError(f"{what} needs {bits} bits, budget is {limit}")
-
-
 def check_pow2_bits(log2_bits: int, what: str) -> None:
-    """Like check_bits(2**log2_bits, ...) but never materializes the power."""
+    """Raise BudgetExceededError if 2**log2_bits bits exceed the budget; never materializes the power."""
     limit = max_bits()
     if log2_bits >= limit.bit_length() or (1 << log2_bits) > limit:
         raise BudgetExceededError(f"{what} needs 2**{log2_bits} bits, budget is {limit}")

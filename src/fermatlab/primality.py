@@ -22,7 +22,7 @@ import hashlib
 import time
 from typing import NamedTuple
 
-from .arith import FermatModulus, Natural, OpCounter, chain_item, fermat_value
+from .arith import FermatModulus, chain_item, fermat_value
 from .sequences import residues
 
 TRACE_HASH_ALGORITHM = "sha256"
@@ -84,8 +84,8 @@ class FactorWitness(NamedTuple):
     """A proper divisor k * 2**(n+2) + 1 of the modulus, with its cofactor."""
 
     k: int
-    factor: Natural
-    cofactor: Natural
+    factor: int
+    cofactor: int
 
 
 class TestReport(NamedTuple):
@@ -104,19 +104,21 @@ class TestReport(NamedTuple):
     scan: ScanResult
 
 
-def pepin_test(n: int, counter: OpCounter | None = None) -> Verdict:
-    """Classical criterion: prime iff 3**((F_n - 1)/2) = -1 (mod F_n).
+def pepin_squarings(n: int) -> int:
+    """Squarings in Pépin's test on F_n: 2**n - 1.
 
     The exponent (F_n - 1)/2 is 2**(2**n - 1), so the power is exactly
     2**n - 1 squarings of 3 and no other multiplication.
     """
+    return (1 << n) - 1
+
+
+def pepin_test(n: int) -> Verdict:
+    """Classical criterion: prime iff 3**((F_n - 1)/2) = -1 (mod F_n)."""
     if n < 1:
         raise NotApplicableError(f"the base-3 criterion applies from index 1, got n={n}")
     m = FermatModulus(n)
-    squarings = (1 << n) - 1
-    x = chain_item(3, 0, squarings, m)
-    if counter is not None:
-        counter.squarings += squarings
+    x = chain_item(3, 0, pepin_squarings(n), m)
     if x == m.value - 1:
         return Verdict(VerdictKind.PRIME_BY_PEPIN)
     return Verdict(VerdictKind.COMPOSITE_BY_PEPIN)
@@ -127,7 +129,7 @@ def _residue_width_bytes(m: FermatModulus) -> int:
     return m.b // 8 + 1
 
 
-def paper_scan(n: int, full_window: bool = False, counter: OpCounter | None = None) -> ScanResult:
+def paper_scan(n: int, full_window: bool = False) -> ScanResult:
     """Scan the recurrence residues for a zero.
 
     The default window is n <= q < 2**n, the tightened range that the
@@ -158,8 +160,6 @@ def paper_scan(n: int, full_window: bool = False, counter: OpCounter | None = No
             anomalies.append(q)
         if q >= q_hi - 1:
             break
-    if counter is not None:
-        counter.squarings += q - 1
     return ScanResult(
         n=n,
         window=(q_lo, q_hi),
@@ -225,9 +225,8 @@ def cross_check(n: int) -> TestReport:
     """
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    pepin_counter = OpCounter()
     t0 = time.perf_counter()
-    pepin = pepin_test(n, pepin_counter)
+    pepin = pepin_test(n)
     t1 = time.perf_counter()
     scan = paper_scan(n)
     t2 = time.perf_counter()
@@ -242,7 +241,7 @@ def cross_check(n: int) -> TestReport:
         pepin=pepin,
         paper=paper,
         consistent=consistent,
-        squarings_pepin=pepin_counter.squarings,
+        squarings_pepin=pepin_squarings(n),
         squarings_scan=scan.squarings,
         elapsed_ms_pepin=(t1 - t0) * 1000.0,
         elapsed_ms_scan=(t2 - t1) * 1000.0,

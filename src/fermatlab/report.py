@@ -14,27 +14,6 @@ from typing import NamedTuple
 
 SCHEMA_VERSION = "3"
 
-FIELDS = (
-    "schema_version",
-    "command",
-    "n",
-    "bits",
-    "verdict_pepin",
-    "verdict_paper",
-    "found_q",
-    "window_lo",
-    "window_hi",
-    "squarings_pepin",
-    "squarings_scan",
-    "factor",
-    "cofactor",
-    "consistent",
-    "backend",
-    "elapsed_ms",
-    "elapsed_ms_pepin",
-    "elapsed_ms_scan",
-    "trace_hash",
-)
 # The JSON type of each field's non-null values: a timing may be a whole
 # number, but no field other than consistent takes a bool.
 _FIELD_TYPES = {
@@ -97,6 +76,10 @@ class ReportRecord(NamedTuple):
         return cls(**data)
 
 
+# The record's columns: schema_version is declared last, for its default, but leads each record.
+FIELDS = ("schema_version", *ReportRecord._fields[:-1])
+
+
 def _csv_cell(value: object) -> str:
     if value is None:
         return ""
@@ -128,7 +111,16 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def render_table(headers: list[str], rows: list[list[object]]) -> str:
+def records_table(records: list[ReportRecord]) -> str:
+    """Fixed-width table of the schema columns a command actually filled."""
+    mappings = [record.to_mapping() for record in records]
+    headers = [
+        name
+        for name in FIELDS
+        if name not in ("schema_version", "command")
+        and any(mapping[name] is not None for mapping in mappings)
+    ]
+    rows = [[mapping[name] for name in headers] for mapping in mappings]
     cells = [[_table_cell(value) for value in row] for row in rows]
     widths = [
         max(len(header), *(len(row[i]) for row in cells)) if cells else len(header)
@@ -147,16 +139,3 @@ def render_table(headers: list[str], rows: list[list[object]]) -> str:
     for row in cells:
         lines.append("  ".join(fit(cell, i) for i, cell in enumerate(row)).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def records_table(records: list[ReportRecord]) -> str:
-    """Fixed-width table of the schema columns a command actually filled."""
-    mappings = [record.to_mapping() for record in records]
-    headers = [
-        name
-        for name in FIELDS
-        if name not in ("schema_version", "command")
-        and any(mapping[name] is not None for mapping in mappings)
-    ]
-    rows = [[mapping[name] for name in headers] for mapping in mappings]
-    return render_table(headers, rows)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .arith import FermatModulus, Natural, OpCounter, chain_item, reduce_mod_fermat, square_chain
+from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain
 from .budget import check_pow2_bits
 
 
-def a_exact(q: int) -> Natural:
+def a_exact(q: int) -> int:
     """Exact q-th term: starts at 6, each term is the square of the previous minus 2."""
     if q < 1:
         raise ValueError(f"the sequence starts at index 1, got {q}")
@@ -24,18 +24,15 @@ def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
     return enumerate(square_chain(reduce_mod_fermat(6, m), 2, m), 1)
 
 
-def a_mod_fermat(q: int, n: int, counter: OpCounter | None = None) -> int:
+def a_mod_fermat(q: int, n: int) -> int:
     """The q-th term mod 2**(2**n) + 1, via q - 1 squaring steps from 6."""
     if q < 1:
         raise ValueError(f"the sequence starts at index 1, got {q}")
     m = FermatModulus(n)
-    r = chain_item(reduce_mod_fermat(6, m), 2, q - 1, m)
-    if counter is not None:
-        counter.squarings += q - 1
-    return r
+    return chain_item(reduce_mod_fermat(6, m), 2, q - 1, m)
 
 
-def s_value(q: int) -> Natural:
+def s_value(q: int) -> int:
     """Half of the exact q-th term (every term is even)."""
     x = a_exact(q)
     if x & 1:

@@ -63,23 +63,9 @@ class ZSqrt2(NamedTuple):
 
 
 ONE = ZSqrt2(1, 0)
-
-
-class UnitPair:
-    """The unit u = 3 + 2*sqrt(2) and its inverse conjugate v; u+v=6, u*v=1."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: ZSqrt2 = ZSqrt2(3, 2), v: ZSqrt2 = ZSqrt2(3, -2)) -> None:
-        if u + v != ZSqrt2(6, 0) or u * v != ONE:
-            raise ValueError(f"not an inverse-conjugate unit pair: {u}, {v}")
-        self.u = u
-        self.v = v
-
-
-UNITS = UnitPair()
-U = UNITS.u
-V = UNITS.v
+# The unit u = 3 + 2*sqrt(2) and its inverse conjugate v: u + v = 6 and u*v = 1.
+U = ZSqrt2(3, 2)
+V = ZSqrt2(3, -2)
 
 
 def reduce_mod(x: ZSqrt2, p: int) -> ZSqrt2:

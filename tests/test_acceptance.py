@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from fermatlab.arith import FermatModulus, OpCounter, fermat_value, reduce_mod_fermat
+from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat
 from fermatlab.cli import main
 from fermatlab.primality import (
     NotApplicableError,
@@ -18,6 +18,7 @@ from fermatlab.primality import (
     cross_check,
     h_min,
     paper_scan,
+    pepin_squarings,
     pepin_test,
     trial_factor_search,
     verify_two_order,
@@ -116,9 +117,7 @@ def test_criterion_7_arithmetic_soundness():
 
 def test_criterion_8_instrumentation_exactness():
     for n in range(2, 11):
-        counter = OpCounter()
-        pepin_test(n, counter)
-        assert counter.squarings == (1 << n) - 1, f"n={n}"
+        assert pepin_squarings(n) == cross_check(n).squarings_pepin == (1 << n) - 1, f"n={n}"
         result = paper_scan(n)
         if result.found_q is not None:
             assert result.squarings == result.found_q - 1, f"n={n}"

@@ -597,6 +597,18 @@ def test_power_route_rejects_a_power_too_wide_to_export(gmp, monkeypatch):
         pepin_test(arith.GMP_MIN_N - 1)
 
 
+@pytest.mark.parametrize("n", range(arith.GMP_MIN_N))
+def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
+    # One squaring costs less as x * x and a fold than as an mpz_powm call with its set-up.
+    def refused(*args):
+        raise AssertionError("square_mod took the power route")
+
+    monkeypatch.setattr(arith, "_gmp_power", refused)
+    m = FermatModulus(n)
+    for x in (0, 1, m.value - 1, random.Random(n).randrange(m.value)):
+        assert square_mod(x, m) == x * x % m.value
+
+
 # ------------------------------------------------------------ GMP FFT step
 
 

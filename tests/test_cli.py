@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from fermatlab import arith
+from fermatlab import arith, report
 from fermatlab.cli import main
 from fermatlab.primality import TestReport, Verdict, VerdictKind, paper_scan
 from fermatlab.report import FIELDS, ReportRecord
@@ -51,6 +52,29 @@ def test_pepin_json_fields(capsys):
     assert record["verdict_pepin"] == "PrimeByPepin"
     assert record["squarings_pepin"] == 7
     assert record["verdict_paper"] is None
+
+
+@pytest.fixture
+def slow_first_load(monkeypatch):
+    """Make the next GMP load sleep 1 s first; the list it returns records that it did."""
+    load, slept = arith._load_gmp, []
+
+    def slow():
+        if not slept:
+            slept.append(True)
+            time.sleep(1.0)
+        return load()
+
+    monkeypatch.setattr(arith, "_load_gmp", slow)
+    return slept
+
+
+@pytest.mark.parametrize("argv", [["pepin", "5"], ["paper-test", "12"]], ids=["pepin", "paper-test"])
+def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_first_load, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (record,) = json_records(out)
+    assert code == 0 and slow_first_load == [True]
+    assert record["elapsed_ms"] < 500
 
 
 # --------------------------------------------------------------- paper-test
@@ -155,6 +179,28 @@ def test_cross_check_csv_columns(capsys):
     assert rows[0] == list(FIELDS)
     assert len(rows) == 4
     assert [row[2] for row in rows[1:]] == ["2", "3", "4"]
+
+
+# The record's columns, in order, written out once more so that a change to
+# the record's declaration cannot silently move or rename one.
+RECORD_COLUMNS = (
+    "schema_version,command,n,bits,verdict_pepin,verdict_paper,found_q,window_lo,window_hi,"
+    "squarings_pepin,squarings_scan,factor,cofactor,consistent,backend,"
+    "elapsed_ms,elapsed_ms_pepin,elapsed_ms_scan,trace_hash"
+)
+
+
+def test_cross_check_csv_header_is_fixed(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == RECORD_COLUMNS
+
+
+def test_cross_check_json_key_order_is_fixed(capsys):
+    code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2", "--format", "json")
+    assert code == 0
+    (record,) = json_records(out)
+    assert ",".join(record) == RECORD_COLUMNS
 
 
 # -------------------------------------------------------- verify-identities
@@ -355,6 +401,10 @@ def test_from_json_takes_null_only_where_the_default_is_null():
         assert f"report field {name!r} has the wrong type" in from_json_error(**{name: None})
 
 
+def test_every_field_has_a_json_type():
+    assert set(report._FIELD_TYPES) == set(FIELDS)
+
+
 def test_from_json_takes_whole_and_fractional_timings():
     record = ReportRecord.from_json(json.dumps({**GOOD_LINE, "elapsed_ms": 3, "elapsed_ms_pepin": 1.5}))
     assert (record.elapsed_ms, record.elapsed_ms_pepin) == (3, 1.5)
@@ -383,6 +433,12 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "cross_check", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["cross-check", "--from", "2", "--to", "3"])
+
+
+def test_every_export_resolves():
+    import fermatlab
+
+    assert [name for name in fermatlab.__all__ if not hasattr(fermatlab, name)] == []
 
 
 def test_unknown_subcommand(capsys):

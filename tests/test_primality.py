@@ -2,7 +2,7 @@ import pytest
 
 import fermatlab.primality as primality
 from fermatlab import arith
-from fermatlab.arith import OpCounter, fermat_value
+from fermatlab.arith import fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
     FactorWitness,
@@ -14,6 +14,7 @@ from fermatlab.primality import (
     cross_check,
     h_min,
     paper_scan,
+    pepin_squarings,
     pepin_test,
     trial_factor_search,
     verify_two_order,
@@ -46,21 +47,20 @@ def test_pepin_budget():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pepin_squaring_count(n):
-    counter = OpCounter()
-    pepin_test(n, counter)
-    assert counter.squarings == (1 << n) - 1
+    assert pepin_squarings(n) == cross_check(n).squarings_pepin == (1 << n) - 1
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_counters_match_kernel_calls(counted_steps, n):
     steps = counted_steps
-    counter = OpCounter()
-    pepin_test(n, counter)
-    assert len(steps) == counter.squarings == (1 << n) - 1
+    pepin_test(n)
+    assert len(steps) == pepin_squarings(n) == (1 << n) - 1
     steps.clear()
-    result = paper_scan(n, counter=counter)
+    result = paper_scan(n)
     assert len(steps) == result.squarings
-    assert counter.squarings == (1 << n) - 1 + result.squarings
+    steps.clear()
+    report = cross_check(n)
+    assert len(steps) == report.squarings_pepin + report.squarings_scan
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -68,13 +68,12 @@ def test_gmp_walks_count_the_same_squarings(monkeypatch, counted_steps, n):
     if arith._load_gmp() is None:
         pytest.skip(f"{arith.GMP_SONAME} does not load here")
     monkeypatch.setattr(arith, "GMP_MIN_N", 0)
-    steps, counter = counted_steps, OpCounter()
-    assert pepin_test(n, counter).kind is VerdictKind.COMPOSITE_BY_PEPIN
-    assert len(steps) == counter.squarings == (1 << n) - 1
+    steps = counted_steps
+    assert pepin_test(n).kind is VerdictKind.COMPOSITE_BY_PEPIN
+    assert len(steps) == pepin_squarings(n) == (1 << n) - 1
     steps.clear()
-    counter = OpCounter()
-    assert a_mod_fermat(9, n, counter) == a_exact(9) % fermat_value(n)
-    assert len(steps) == counter.squarings == 8
+    assert a_mod_fermat(9, n) == a_exact(9) % fermat_value(n)
+    assert len(steps) == 8
 
 
 # ---------------------------------------------------------------- paper_scan

@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 import fermatlab.sequences as sequences
-from fermatlab.arith import FermatModulus, OpCounter, fermat_value
+from fermatlab.arith import FermatModulus, fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.sequences import a_exact, a_mod_fermat, overlap_check, residues, s_value
 
@@ -60,25 +60,17 @@ def test_a_mod_fermat_matches_exact_remainder():
             assert a_mod_fermat(q, n) == a_exact(q) % value
 
 
-def test_a_mod_fermat_squaring_count():
-    for q in (1, 2, 5, 9):
-        counter = OpCounter()
-        a_mod_fermat(q, 4, counter)
-        assert counter.squarings == q - 1
-
-
 def test_cursor_walks_the_residue_stream():
     assert list(islice(residues(FermatModulus(3)), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
 
 
 def test_a_next_mod_counts_one_squaring(counted_steps):
-    # Each recurrence step is one chain step, and the walk counts exactly those.
+    # Each recurrence step is one chain step: the walk to term q takes q - 1 of them.
     steps = counted_steps
     for q in (1, 2, 5, 9):
         steps.clear()
-        counter = OpCounter()
-        a_mod_fermat(q, 4, counter)
-        assert len(steps) == counter.squarings == q - 1
+        a_mod_fermat(q, 4)
+        assert len(steps) == q - 1
 
 
 def test_s_value_rejects_an_odd_term(monkeypatch):

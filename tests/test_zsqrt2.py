@@ -9,9 +9,7 @@ from fermatlab.sequences import a_exact
 from fermatlab.zsqrt2 import (
     ONE,
     U,
-    UNITS,
     V,
-    UnitPair,
     ZSqrt2,
     congruent_mod,
     frobenius_check,
@@ -28,12 +26,6 @@ _ELEMENT = st.builds(ZSqrt2, _COMPONENT, _COMPONENT)
 def test_unit_pair_identities():
     assert U + V == ZSqrt2(6, 0)
     assert U * V == ONE
-    assert UNITS.u == U and UNITS.v == V
-
-
-def test_unit_pair_rejects_non_units():
-    with pytest.raises(ValueError):
-        UnitPair(ZSqrt2(3, 2), ZSqrt2(3, 2))
 
 
 def test_mul_examples():
