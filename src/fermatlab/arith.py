@@ -15,11 +15,12 @@ limbs for the whole chain and GMP's ``mpn`` functions, reached through
 ``FFT_MIN_N`` up, where a factor of the modulus is known, GMP's negacyclic
 FFT squares it mod 2**b + 1 directly.  Every step is checked modulo a
 prime, and only an item that is read becomes an int.  Below ``GMP_MIN_N``
-a chain with c = 0 is the power x**(2**k), so :func:`chain_item` computes
-it with one ``mpz_powm`` call mod F*p, checked mod the prime p; Pépin's
-time falls from 0.6 / 2.4 / 9 ms to 0.08 / 0.44 / 3 ms at n = 9 / 10 / 11
-(``GMP_MIN_N`` has the rest).  When the library does not load, every
-modulus uses ``x * x``.
+a chain with c = 0 is the power x**(2**k), so from n = 6, where b is a
+whole number of 64-bit limbs as for the GMP chain, :func:`chain_item`
+computes it with one ``mpz_powm`` call mod F*p, checked mod the prime p;
+Pépin's time falls from 0.6 / 2.4 / 9 ms to 0.08 / 0.44 / 3 ms at
+n = 9 / 10 / 11 (``GMP_MIN_N`` has the rest).  When the library does not
+load, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ from .budget import check_pow2_bits
 # outweighs the ~2 ms that loading GMP costs once (cross_check(12) in a fresh
 # process: 157-175 vs 77-99 ms); 37-58 vs 10-12 us at n = 13; and 934-1297
 # vs 98-157 us at n = 16 (2-CPU Xeon, CPython 3.11.7, GMP 6.2.1).
-# Below it, Pépin's power 3**(2**k) is one mpz_powm call mod F*p instead of
-# the int chain; its time in ms, int chain -> mpz_powm, best of 20, two runs
-# (same machine): 0.007 -> 0.02 at n = 2..4 (the call's fixed cost);
-# 0.025 -> 0.021 at n = 5; 0.046 -> 0.024 at 6; 0.09 -> 0.028 at 7;
-# 0.22 -> 0.04 at 8; 0.57-0.65 -> 0.08-0.09 at 9; 2.3-2.5 -> 0.43-0.45 at
-# 10; 7.8-11.2 -> 2.7-3.1 at 11.  At n = 12 the limb chain and mpz_powm are
-# even (19-32 vs 22-28 ms) and at 13 the chain wins (66-84 vs 118-134 ms),
-# so the same boundary serves both.
+# Below it, from n = 6 (the chains' whole-limb rule), Pépin's power 3**(2**k)
+# is one mpz_powm call mod F*p instead of the int chain; its time in ms, int
+# chain -> mpz_powm, best of 20, two runs (same machine): 0.046 -> 0.024 at
+# n = 6; 0.09 -> 0.028 at 7; 0.22 -> 0.04 at 8; 0.57-0.65 -> 0.08-0.09 at 9;
+# 2.3-2.5 -> 0.43-0.45 at 10; 7.8-11.2 -> 2.7-3.1 at 11.  Below n = 6 the
+# call's fixed cost loses: best of 7 x 200 calls, 0.0017 / 0.0033 / 0.0072 /
+# 0.018 ms on the int chain against 0.018 / 0.022 / 0.021 / 0.021 ms at
+# n = 2 / 3 / 4 / 5.  At n = 12 the limb chain and mpz_powm are even (19-32
+# vs 22-28 ms) and at 13 the chain wins (66-84 vs 118-134 ms), so the same
+# boundary serves both.
 GMP_MIN_N = 12
 # The smallest n whose GMP chains square with __gmpn_mul_fft, which returns
 # x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n is
@@ -71,7 +74,7 @@ _FACTORS = {
     21: 4485296422913,
     23: 167772161,
 }
-# GMP chains need 64-bit limbs and b a whole number of them, so n >= 6.
+# GMP chains and powers need 64-bit limbs and b a whole number of them, so n >= 6.
 _LIMB_BITS = 64
 
 
@@ -104,8 +107,8 @@ class FermatModulus:
     def power_backend(self) -> str:
         """The arithmetic of ``chain_item(x, 0, k, self)``, the power x**(2**k) that Pépin reads.
 
-        "gmp-powm" below GMP_MIN_N when GMP loads: one checked ``mpz_powm``
-        call.  Otherwise the chain's own, ``backend``.
+        "gmp-powm" from n = 6 up to GMP_MIN_N when GMP loads: one checked
+        ``mpz_powm`` call.  Otherwise the chain's own, ``backend``.
         """
         return "gmp-powm" if _powm_for(self) is not None else self.backend
 
@@ -218,8 +221,8 @@ def _gmp_for(m: FermatModulus):
 
 
 def _powm_for(m: FermatModulus):
-    """The GMP library when powers mod m run as one ``mpz_powm``, else None: below GMP_MIN_N."""
-    return _load_gmp() if m.n < GMP_MIN_N else None
+    """The GMP library when powers mod m run as one ``mpz_powm``, else None: whole limbs below GMP_MIN_N."""
+    return _load_gmp() if m.n < GMP_MIN_N and m.b >= _LIMB_BITS else None
 
 
 @cache

@@ -21,7 +21,9 @@ from .arith import FermatModulus, fermat_value
 from .budget import BudgetExceededError, max_bits
 from .primality import (
     NotApplicableError,
+    ScanResult,
     TestReport,
+    Verdict,
     cross_check,
     paper_scan,
     pepin_squarings,
@@ -66,25 +68,43 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _record(command: str, n: int, **fields: object) -> ReportRecord:
+    return ReportRecord(command=command, n=n, bits=FermatModulus(n).b, **fields)
+
+
+def _pepin_fields(n: int, verdict: Verdict) -> dict[str, object]:
+    return {"verdict_pepin": verdict.label, "squarings_pepin": pepin_squarings(n)}
+
+
+def _scan_fields(scan: ScanResult) -> dict[str, object]:
+    return {
+        "verdict_paper": scan.verdict.label,
+        "found_q": scan.found_q,
+        "window_lo": scan.window[0],
+        "window_hi": scan.window[1],
+        "squarings_scan": scan.squarings,
+        "trace_hash": scan.residue_trace_hash,
+    }
+
+
+def _timed(test, *args):
+    """The test's result and its wall time in ms."""
+    start = time.perf_counter()
+    result = test(*args)
+    return result, (time.perf_counter() - start) * 1000.0
+
+
 def _cross_check_record(report: TestReport) -> ReportRecord:
-    m = FermatModulus(report.n)
-    return ReportRecord(
-        command="cross-check",
-        n=report.n,
-        bits=m.b,
-        verdict_pepin=report.pepin.label,
-        verdict_paper=report.paper.label,
-        found_q=report.scan.found_q,
-        window_lo=report.scan.window[0],
-        window_hi=report.scan.window[1],
-        squarings_pepin=report.squarings_pepin,
-        squarings_scan=report.squarings_scan,
+    return _record(
+        "cross-check",
+        report.n,
+        **_pepin_fields(report.n, report.pepin),
+        **_scan_fields(report.scan),
         consistent=report.consistent,
-        backend=m.backend,
+        backend=FermatModulus(report.n).backend,
         elapsed_ms=report.elapsed_ms_pepin + report.elapsed_ms_scan,
         elapsed_ms_pepin=report.elapsed_ms_pepin,
         elapsed_ms_scan=report.elapsed_ms_scan,
-        trace_hash=report.scan.residue_trace_hash,
     )
 
 
@@ -92,18 +112,8 @@ def _cmd_pepin(args: argparse.Namespace) -> int:
     # Reading the backend loads GMP, so the clock times the squarings alone;
     # a negative n is left to pepin_test to reject.
     backend = FermatModulus(args.n).power_backend if args.n >= 0 else None
-    start = time.perf_counter()
-    verdict = pepin_test(args.n)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    record = ReportRecord(
-        command="pepin",
-        n=args.n,
-        bits=FermatModulus(args.n).b,
-        verdict_pepin=verdict.label,
-        squarings_pepin=pepin_squarings(args.n),
-        backend=backend,
-        elapsed_ms=elapsed_ms,
-    )
+    verdict, elapsed_ms = _timed(pepin_test, args.n)
+    record = _record("pepin", args.n, **_pepin_fields(args.n, verdict), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
     return EXIT_OK
 
@@ -112,25 +122,9 @@ def _cmd_paper_test(args: argparse.Namespace) -> int:
     # Reading the backend loads GMP and makes the FFT plan, so the clock times
     # the scan alone; a negative n is left to paper_scan to reject.
     backend = FermatModulus(args.n).backend if args.n >= 0 else None
-    start = time.perf_counter()
-    scan = paper_scan(args.n, full_window=args.full_range)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    record = ReportRecord(
-        command="paper-test",
-        n=args.n,
-        bits=FermatModulus(args.n).b,
-        verdict_paper=scan.verdict.label,
-        found_q=scan.found_q,
-        window_lo=scan.window[0],
-        window_hi=scan.window[1],
-        squarings_scan=scan.squarings,
-        backend=backend,
-        elapsed_ms=elapsed_ms,
-        trace_hash=scan.residue_trace_hash,
-    )
+    scan, elapsed_ms = _timed(paper_scan, args.n, args.full_range)
+    record = _record("paper-test", args.n, **_scan_fields(scan), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
-    if scan.anomalies:
-        print(f"anomalous zero residues below the window: {list(scan.anomalies)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -215,24 +209,14 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 def _cmd_factor(args: argparse.Namespace) -> int:
     if args.k_limit < 1:
         raise _UsageError(f"need a positive --k-limit, got {args.k_limit}")
-    start = time.perf_counter()
-    witness = trial_factor_search(args.n, args.k_limit)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    record = ReportRecord(
-        command="factor",
-        n=args.n,
-        bits=FermatModulus(args.n).b,
-        factor=witness.factor if witness else None,
-        cofactor=witness.cofactor if witness else None,
-        elapsed_ms=elapsed_ms,
-    )
-    if args.format == "table":
-        if witness is None:
-            print(f"F_{args.n}: none up to k = {args.k_limit}")
-        else:
-            print(f"F_{args.n} = {witness.factor} x {witness.cofactor}   (k = {witness.k})")
+    witness, elapsed_ms = _timed(trial_factor_search, args.n, args.k_limit)
+    if args.format != "table":
+        split = {"factor": witness.factor, "cofactor": witness.cofactor} if witness else {}
+        _emit([_record("factor", args.n, **split, elapsed_ms=elapsed_ms)], args.format)
+    elif witness is None:
+        print(f"F_{args.n}: none up to k = {args.k_limit}")
     else:
-        _emit([record], args.format)
+        print(f"F_{args.n} = {witness.factor} x {witness.cofactor}   (k = {witness.k})")
     return EXIT_OK
 
 

@@ -5,27 +5,12 @@ same columns.  Fields that a command does not produce stay null so records
 from different commands diff cleanly against each other.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
 from typing import NamedTuple
 
 SCHEMA_VERSION = "3"
-
-# The JSON type of each field's non-null values: a timing may be a whole
-# number, but no field other than consistent takes a bool.
-_FIELD_TYPES = {
-    **dict.fromkeys(("schema_version", "command", "verdict_pepin", "verdict_paper", "backend", "trace_hash"), str),
-    **dict.fromkeys(
-        ("n", "bits", "found_q", "window_lo", "window_hi", "squarings_pepin", "squarings_scan", "factor", "cofactor"),
-        int,
-    ),
-    "consistent": bool,
-    **dict.fromkeys(("elapsed_ms", "elapsed_ms_pepin", "elapsed_ms_scan"), (int, float)),
-}
-
 
 class ReportRecord(NamedTuple):
     command: str
@@ -80,6 +65,17 @@ class ReportRecord(NamedTuple):
 FIELDS = ("schema_version", *ReportRecord._fields[:-1])
 
 
+def _json_type(annotation: object) -> type | tuple[type, ...]:
+    (kind,) = (kind for kind in getattr(annotation, "__args__", (annotation,)) if kind is not type(None))
+    return (int, float) if kind is float else kind
+
+
+# The JSON type of each field's non-null values, read from the class's own
+# annotations (this module keeps them objects): a float field takes a whole
+# number too, but no field other than a bool one takes a bool.
+_FIELD_TYPES = {name: _json_type(annotation) for name, annotation in ReportRecord.__annotations__.items()}
+
+
 def _csv_cell(value: object) -> str:
     if value is None:
         return ""
@@ -93,7 +89,7 @@ def render_csv(records: list[ReportRecord]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(FIELDS)
     for record in records:
-        writer.writerow([_csv_cell(record.to_mapping()[name]) for name in FIELDS])
+        writer.writerow([_csv_cell(value) for value in record.to_mapping().values()])
     return buffer.getvalue()
 
 

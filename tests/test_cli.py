@@ -69,7 +69,16 @@ def slow_first_load(monkeypatch):
     return slept
 
 
-@pytest.mark.parametrize("argv", [["pepin", "5"], ["paper-test", "12"]], ids=["pepin", "paper-test"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pepin", "8"],
+        ["paper-test", "12"],
+        ["cross-check", "--from", "8", "--to", "8"],
+        ["cross-check", "--from", "12", "--to", "12"],
+    ],
+    ids=["pepin", "paper-test", "cross-check-powm", "cross-check-gmp"],
+)
 def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_first_load, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     (record,) = json_records(out)
@@ -301,9 +310,52 @@ def test_walk_records_carry_the_backend(capsys, argv):
     assert code == 0
     for record in json_records(out):
         assert record["schema_version"] == "3"
-        # n < GMP_MIN_N: the chains square with x * x, and Pépin alone runs as one mpz_powm where GMP loads.
-        pepin_backend = "int" if arith._load_gmp() is None else "gmp-powm"
-        assert record["backend"] == (pepin_backend if argv[0] == "pepin" else "int")
+        # n <= 5: b is not a whole number of 64-bit limbs, so Pépin too squares with x * x.
+        assert record["backend"] == "int"
+
+
+def masked_json_lines(capsys, *argv):
+    """The command's JSON lines with every non-null timing replaced by "ms"."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = json_records(out)
+    for record in records:
+        for name in ("elapsed_ms", "elapsed_ms_pepin", "elapsed_ms_scan"):
+            if record[name] is not None:
+                record[name] = "ms"
+    return [json.dumps(record) for record in records]
+
+
+TRACE_N3 = "sha256:47956f7a69c960258ce42f674ef74962b193c01de988e364f37a186ca174f4ae"
+
+
+def test_pepin_record_is_fixed(capsys):
+    assert masked_json_lines(capsys, "pepin", "3") == [
+        '{"schema_version": "3", "command": "pepin", "n": 3, "bits": 8, "verdict_pepin": "PrimeByPepin", '
+        '"verdict_paper": null, "found_q": null, "window_lo": null, "window_hi": null, "squarings_pepin": 7, '
+        '"squarings_scan": null, "factor": null, "cofactor": null, "consistent": null, "backend": "int", '
+        '"elapsed_ms": "ms", "elapsed_ms_pepin": null, "elapsed_ms_scan": null, "trace_hash": null}'
+    ]
+
+
+def test_paper_test_record_is_fixed(capsys):
+    assert masked_json_lines(capsys, "paper-test", "3") == [
+        '{"schema_version": "3", "command": "paper-test", "n": 3, "bits": 8, "verdict_pepin": null, '
+        '"verdict_paper": "DivisorWitnessFound", "found_q": 5, "window_lo": 3, "window_hi": 8, '
+        '"squarings_pepin": null, "squarings_scan": 4, "factor": null, "cofactor": null, "consistent": null, '
+        '"backend": "int", "elapsed_ms": "ms", "elapsed_ms_pepin": null, "elapsed_ms_scan": null, '
+        f'"trace_hash": "{TRACE_N3}"}}'
+    ]
+
+
+def test_cross_check_record_is_fixed(capsys):
+    assert masked_json_lines(capsys, "cross-check", "--from", "3", "--to", "3") == [
+        '{"schema_version": "3", "command": "cross-check", "n": 3, "bits": 8, "verdict_pepin": "PrimeByPepin", '
+        '"verdict_paper": "DivisorWitnessFound", "found_q": 5, "window_lo": 3, "window_hi": 8, '
+        '"squarings_pepin": 7, "squarings_scan": 4, "factor": null, "cofactor": null, "consistent": true, '
+        '"backend": "int", "elapsed_ms": "ms", "elapsed_ms_pepin": "ms", "elapsed_ms_scan": "ms", '
+        f'"trace_hash": "{TRACE_N3}"}}'
+    ]
 
 
 @pytest.mark.parametrize("argv", WALK_COMMANDS, ids=lambda argv: argv[0])
@@ -405,6 +457,31 @@ def test_every_field_has_a_json_type():
     assert set(report._FIELD_TYPES) == set(FIELDS)
 
 
+def test_field_types_are_fixed():
+    number = (int, float)
+    assert report._FIELD_TYPES == {
+        "command": str,
+        "n": int,
+        "bits": int,
+        "verdict_pepin": str,
+        "verdict_paper": str,
+        "found_q": int,
+        "window_lo": int,
+        "window_hi": int,
+        "squarings_pepin": int,
+        "squarings_scan": int,
+        "factor": int,
+        "cofactor": int,
+        "consistent": bool,
+        "backend": str,
+        "elapsed_ms": number,
+        "elapsed_ms_pepin": number,
+        "elapsed_ms_scan": number,
+        "trace_hash": str,
+        "schema_version": str,
+    }
+
+
 def test_from_json_takes_whole_and_fractional_timings():
     record = ReportRecord.from_json(json.dumps({**GOOD_LINE, "elapsed_ms": 3, "elapsed_ms_pepin": 1.5}))
     assert (record.elapsed_ms, record.elapsed_ms_pepin) == (3, 1.5)
@@ -465,9 +542,10 @@ def test_module_entry_point_subprocess():
 
 def test_small_runs_do_not_import_ctypes():
     # ctypes loads only when arithmetic first needs GMP: the n = 13 commands
-    # that square nothing mod F_13 never do, and an n <= 11 sweep does once,
-    # for Pépin's mpz_powm, so it runs last.  dataclasses and inspect, which
-    # would double the import time, never load.
+    # that square nothing mod F_13 never do, nor do runs whose moduli are all
+    # at most F_5, and an n <= 11 sweep does once, for Pépin's mpz_powm from
+    # n = 6, so it runs last.  dataclasses and inspect, which would double the
+    # import time, never load.
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -475,6 +553,7 @@ def test_small_runs_do_not_import_ctypes():
         "lazy = ('ctypes', 'dataclasses', 'inspect')\n"
         "print('import', *(name in sys.modules for name in lazy))\n"
         "for argv in (['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13'],\n"
+        "             ['pepin', '5', '--format', 'json'], ['cross-check', '--from', '2', '--to', '5', '--format', 'json'],\n"
         "             ['cross-check', '--from', '2', '--to', '11', '--format', 'json']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = fermatlab.cli.main(argv)\n"
@@ -487,5 +566,7 @@ def test_small_runs_do_not_import_ctypes():
         "import False False False",
         "factor 0 False False False",
         "verify-identities 0 False False False",
+        "pepin 0 False False False",
+        "cross-check 0 False False False",
         "cross-check 0 True False False",
     ]

@@ -113,12 +113,13 @@ def test_full_window_finds_nothing_below_the_floor():
         assert result.window == (1, (1 << n) + 1)
         assert result.found_q == paper_scan(n).found_q
         assert result.found_q >= n
-        assert result.anomalies == ()
 
 
-def test_no_anomalous_zeros_in_range():
-    for n in range(2, 11):
-        assert paper_scan(n, full_window=True).anomalies == ()
+def test_zero_below_the_floor_raises(monkeypatch):
+    # The interleaving bound gives 0 < A_q < F_n for q < n, so a zero there is an arithmetic fault.
+    monkeypatch.setattr(primality, "residues", lambda m: iter([(1, 6), (2, 0), (3, 0)]))
+    with pytest.raises(ArithmeticError, match="residue 2 is 0 mod F_4, below the window floor 4"):
+        paper_scan(4)
 
 
 def test_trace_hash_is_deterministic_and_labeled():
