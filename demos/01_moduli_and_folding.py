@@ -23,7 +23,6 @@ from fermatlab import (
     fermat_value,
     reduce_mod_fermat,
     square_chain,
-    square_mod,
 )
 
 print("The tower of moduli grows doubly exponentially:")
@@ -47,10 +46,11 @@ print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m)}  (check: {big % 17}
 print()
 print("Every test squares with one chain, x, x^2 - c, ... mod F_n, each step a multiply")
 print("followed by the fold; square_chain yields every item, chain_item returns item k,")
-print("and square_mod is item 1:")
+print("and item 1 is one square:")
 m4 = FermatModulus(4)
-print(f"  3^2 mod F_4 = {square_mod(3, m4)}")
-print(f"  3^(2^k) mod F_4 for k = 0..5: {list(zip(range(6), square_chain(3, 0, m4)))}")
+powers = list(zip(range(6), square_chain(3, 0, m4)))
+print(f"  3^2 mod F_4 = {powers[1][1]}")
+print(f"  3^(2^k) mod F_4 for k = 0..5: {powers}")
 r = chain_item(3, 0, 10, m4)
 print(f"  3^(2^10) mod F_4 = {r} after ten squarings  (check: {pow(3, 1 << 10, m4.value)})")
 

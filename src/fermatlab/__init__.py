@@ -13,7 +13,6 @@ from .arith import (
     fermat_value,
     reduce_mod_fermat,
     square_chain,
-    square_mod,
 )
 from .budget import DEFAULT_MAX_BITS, ENV_MAX_BITS, BudgetExceededError, max_bits
 from .primality import (
@@ -79,7 +78,6 @@ __all__ = [
     "residues",
     "s_value",
     "square_chain",
-    "square_mod",
     "trace_pow2",
     "trial_factor_search",
     "verify_two_order",

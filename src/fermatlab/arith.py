@@ -5,7 +5,7 @@ it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
 point of working with this modulus shape.  Every test runs one squaring
 chain x, x*x - c, ... mod the modulus, read in one of two ways:
 :func:`square_chain` yields every item and :func:`chain_item` returns item
-k alone; :func:`square_mod` is item 1.
+k alone.
 
 The chain's arithmetic is chosen per modulus when a chain starts.  Below
 ``GMP_MIN_N`` it is CPython's ``x * x`` and :func:`reduce_mod_fermat`, which
@@ -171,17 +171,6 @@ def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
     """
     items, export = _start(x, c, m)
     return items if export is None else map(export, items)
-
-
-def square_mod(x: int, m: FermatModulus) -> int:
-    """Canonical residue of x * x: item 1 of ``square_chain(x, 0, m)``.
-
-    It is one step of the chain, never the power route, whose fixed cost is
-    larger: best of seven, the power route took 17-23 us and this step 2-7 us
-    at n = 4, 8, 11 (2-CPU Xeon, CPython 3.11.7, GMP 6.2.1).  On the GMP
-    chain item 0 is exported too, one conversion more than ``chain_item``.
-    """
-    return next(islice(square_chain(x, 0, m), 1, None))
 
 
 def _start(x: int, c: int, m: FermatModulus):

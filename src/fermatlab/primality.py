@@ -86,19 +86,44 @@ class FactorWitness(NamedTuple):
 
 
 class TestReport(NamedTuple):
-    """Both procedures on one modulus, with agreement flag and instrumentation."""
+    """Both procedures on one modulus, as :func:`cross_check` measured them.
+
+    It stores the two results and their wall times; the scan's verdict, both
+    squaring counts and the agreement flag are read from them, so no report
+    can carry a verdict or a count that contradicts its own scan.
+    """
 
     __test__ = False  # keeps pytest from collecting this despite the name
 
     n: int
     pepin: Verdict
-    paper: Verdict
-    consistent: bool
-    squarings_pepin: int
-    squarings_scan: int
+    scan: ScanResult
     elapsed_ms_pepin: float
     elapsed_ms_scan: float
-    scan: ScanResult
+
+    @property
+    def paper(self) -> Verdict:
+        """The scan's verdict."""
+        return self.scan.verdict
+
+    @property
+    def squarings_pepin(self) -> int:
+        return pepin_squarings(self.n)
+
+    @property
+    def squarings_scan(self) -> int:
+        return self.scan.squarings
+
+    @property
+    def consistent(self) -> bool:
+        """Whether the verdicts agree: prime by the oracle exactly when the scan found a witness.
+
+        Each procedure has exactly two outcomes, so one equivalence covers
+        both directions; a disagreement would be a headline finding.
+        """
+        return (self.pepin.kind is VerdictKind.PRIME_BY_PEPIN) == (
+            self.paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND
+        )
 
 
 def pepin_squarings(n: int) -> int:
@@ -213,12 +238,7 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
 
 
 def cross_check(n: int) -> TestReport:
-    """Run both procedures on one modulus and compare their verdicts.
-
-    Agreement means: prime by the oracle exactly when the scan found a
-    witness, and composite by the oracle exactly when the scan certified
-    compositeness.  A disagreement would be a headline finding.
-    """
+    """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts."""
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
     # Reading the backend loads GMP and makes the FFT plan where the tests
@@ -229,20 +249,10 @@ def cross_check(n: int) -> TestReport:
     t1 = time.perf_counter()
     scan = paper_scan(n)
     t2 = time.perf_counter()
-
-    paper = scan.verdict
-    # Each procedure has exactly two outcomes, so one equivalence covers both directions.
-    consistent = (pepin.kind is VerdictKind.PRIME_BY_PEPIN) == (
-        paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND
-    )
     return TestReport(
         n=n,
         pepin=pepin,
-        paper=paper,
-        consistent=consistent,
-        squarings_pepin=pepin_squarings(n),
-        squarings_scan=scan.squarings,
+        scan=scan,
         elapsed_ms_pepin=(t1 - t0) * 1000.0,
         elapsed_ms_scan=(t2 - t1) * 1000.0,
-        scan=scan,
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatlab import arith
-from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, square_chain, square_mod
+from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, square_chain
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import paper_scan, pepin_test
 from fermatlab.sequences import a_mod_fermat, residues
@@ -95,11 +95,11 @@ def test_mul_examples():
 
 def test_square_examples():
     m2, m3 = FermatModulus(2), FermatModulus(3)
-    assert square_mod(6, m2) == 2
-    assert square_mod(0, m3) == 0
+    assert power_of_two(6, 1, m2) == 2
+    assert power_of_two(0, 1, m3) == 0
     # 197**2 = 38809 = 151*257 + 2 by the exact-remainder oracle.
     assert 38809 % 257 == 2
-    assert square_mod(197, m3) == 2
+    assert power_of_two(197, 1, m3) == 2
 
 
 _SMALL_N = st.sampled_from([2, 3, 4, 5])
@@ -122,7 +122,7 @@ def test_ring_laws(n, x, y, z):
 def test_square_equals_self_multiplication(n, x):
     m = FermatModulus(n)
     a = reduce_mod_fermat(x, m)
-    assert square_mod(a, m) == reduce_mod_fermat(a * a, m) == a * a % m.value
+    assert power_of_two(a, 1, m) == reduce_mod_fermat(a * a, m) == a * a % m.value
 
 
 def test_pow_examples():
@@ -214,7 +214,7 @@ def assert_steps_match_plain(m, r, patch):
         if m.backend != backend and backend == "gmp-fft":
             continue
         assert m.backend == backend
-        assert square_mod(r, m) == plain[0][1]
+        assert power_of_two(r, 1, m) == plain[0][1]
         for c, items in plain.items():
             assert list(islice(square_chain(r, c, m), len(items))) == items
             assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
@@ -394,7 +394,7 @@ def test_gmp_corrupted_export_raises(gmp, monkeypatch):
     monkeypatch.setattr(*corrupt_export(gmp))
     x = random.Random(5).getrandbits(1 << arith.GMP_MIN_N)
     with pytest.raises(ArithmeticError, match="exported"):
-        square_mod(x, FermatModulus(arith.GMP_MIN_N))
+        power_of_two(x, 1, FermatModulus(arith.GMP_MIN_N))
 
 
 def run_optimized(corruption, call):
@@ -606,12 +606,12 @@ def test_power_route_rejects_a_power_too_wide_to_export(gmp, monkeypatch):
 def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
     # One squaring costs less as x * x and a fold than as an mpz_powm call with its set-up.
     def refused(*args):
-        raise AssertionError("square_mod took the power route")
+        raise AssertionError("item 1 of square_chain took the power route")
 
     monkeypatch.setattr(arith, "_gmp_power", refused)
     m = FermatModulus(n)
     for x in (0, 1, m.value - 1, random.Random(n).randrange(m.value)):
-        assert square_mod(x, m) == x * x % m.value
+        assert power_of_two(x, 1, m) == x * x % m.value
 
 
 # ------------------------------------------------------------ GMP FFT step
@@ -637,7 +637,7 @@ def test_a_wrong_factor_raises_when_its_chain_starts(gmp, monkeypatch):
     monkeypatch.setitem(arith._FACTORS, 15, arith._FACTORS[15] + 2)
     monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
     with pytest.raises(ArithmeticError, match="does not divide"):
-        square_mod(3, FermatModulus(15))
+        power_of_two(3, 1, FermatModulus(15))
 
 
 def assert_falls_back_to_mpn_sqr(monkeypatch):

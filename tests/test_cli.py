@@ -163,17 +163,13 @@ def test_cross_check_has_no_jobs_flag(capsys):
 def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
     import fermatlab.cli as cli_module
 
-    scan = paper_scan(2)
+    # The scan finds its witness at q = 2, so a composite oracle verdict really disagrees with it.
     broken = TestReport(
         n=2,
-        pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
-        paper=Verdict(VerdictKind.COMPOSITE_CERTIFIED),
-        consistent=False,
-        squarings_pepin=3,
-        squarings_scan=1,
+        pepin=Verdict(VerdictKind.COMPOSITE_BY_PEPIN),
+        scan=paper_scan(2),
         elapsed_ms_pepin=0.0,
         elapsed_ms_scan=0.0,
-        scan=scan,
     )
     monkeypatch.setattr(cli_module, "cross_check", lambda n: broken)
     code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2")

@@ -248,6 +248,23 @@ def test_certificate_soundness_across_range():
         assert report.consistent, f"disagreement at n={n}"
 
 
+def test_report_derives_its_verdict_counts_and_agreement():
+    witness, certified = paper_scan(2), paper_scan(5)
+    for pepin, scan, agree in (
+        (VerdictKind.PRIME_BY_PEPIN, witness, True),
+        (VerdictKind.PRIME_BY_PEPIN, certified, False),
+        (VerdictKind.COMPOSITE_BY_PEPIN, witness, False),
+        (VerdictKind.COMPOSITE_BY_PEPIN, certified, True),
+    ):
+        report = TestReport(n=scan.n, pepin=Verdict(pepin), scan=scan, elapsed_ms_pepin=0.0, elapsed_ms_scan=0.0)
+        assert report.consistent is agree, (pepin, scan.verdict)
+    for n in range(2, 13):
+        report = cross_check(n)
+        assert report.paper == report.scan.verdict, f"n={n}"
+        assert report.squarings_pepin == pepin_squarings(n), f"n={n}"
+        assert report.squarings_scan == report.scan.squarings, f"n={n}"
+
+
 def test_cross_check_floor():
     with pytest.raises(NotApplicableError):
         cross_check(1)
@@ -270,27 +287,20 @@ def _scan_result():
     return ScanResult(n=3, window=(3, 8), found_q=5, residue_trace_hash="sha256:00", squarings=4)
 
 
+def _test_report():
+    return TestReport(
+        n=3, pepin=Verdict(VerdictKind.PRIME_BY_PEPIN), scan=_scan_result(), elapsed_ms_pepin=0.5, elapsed_ms_scan=0.5
+    )
+
+
 @pytest.mark.parametrize(
     "make, field",
     [
         pytest.param(lambda: Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5), "q", id="Verdict"),
         pytest.param(_scan_result, "found_q", id="ScanResult"),
         pytest.param(lambda: FactorWitness(k=5, factor=641, cofactor=6700417), "factor", id="FactorWitness"),
-        pytest.param(
-            lambda: TestReport(
-                n=3,
-                pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
-                paper=Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5),
-                consistent=True,
-                squarings_pepin=7,
-                squarings_scan=4,
-                elapsed_ms_pepin=0.5,
-                elapsed_ms_scan=0.5,
-                scan=_scan_result(),
-            ),
-            "consistent",
-            id="TestReport",
-        ),
+        pytest.param(_test_report, "scan", id="TestReport"),
+        pytest.param(_test_report, "consistent", id="TestReport.consistent"),
         pytest.param(lambda: ZSqrt2(3, 2), "b", id="ZSqrt2"),
     ],
 )
