@@ -221,7 +221,8 @@ def _load_gmp():
     Loaded by soname, so no subprocess runs to find it; ctypes is imported
     here and only here, when a chain or a power first needs the library.
     The ``mpn`` entry points serve the chains and the ``mpz`` ones the
-    power route.  A GMP built with limbs other than 64 bits is not used.
+    power route.  A GMP that lacks one of them (GMP 5 has the same soname
+    but no ``mpz_roinit_n``) or has limbs other than 64 bits is not used.
     The FFT entry points are typed only on a tested GMP version.
     """
     import ctypes
@@ -233,7 +234,7 @@ def _load_gmp():
     if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != _LIMB_BITS:
         return None
     ptr, size, limb, order = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64, ctypes.c_int
-    mpz, count = ctypes.POINTER(_mpz_struct()), ctypes.c_size_t
+    mpz = ctypes.POINTER(_mpz_struct())
     entry_points = [
         ("__gmpn_sqr", [ptr, ptr, size], None),
         ("__gmpn_mod_1", [ptr, size, limb], limb),
@@ -242,11 +243,8 @@ def _load_gmp():
         ("__gmpn_sub_1", [ptr, ptr, size, limb], limb),
         ("__gmpz_init", [mpz], None),
         ("__gmpz_clear", [mpz], None),
-        ("__gmpz_import", [mpz, count, order, count, order, count, ptr], None),
-        ("__gmpz_export", [ptr, ctypes.POINTER(count), order, count, order, count, mpz], ptr),
-        ("__gmpz_setbit", [mpz, ctypes.c_ulong], None),
+        ("__gmpz_roinit_n", [mpz, ptr, size], ptr),
         ("__gmpz_powm", [mpz, mpz, mpz, mpz], None),
-        ("__gmpz_sizeinbase", [mpz, order], count),
     ]
     if _gmp_version(lib) in _FFT_GMP_VERSIONS:
         entry_points += [
@@ -255,7 +253,9 @@ def _load_gmp():
             ("__gmpn_fft_next_size", [size, order], size),
         ]
     for name, argtypes, restype in entry_points:
-        function = getattr(lib, name)
+        function = getattr(lib, name, None)
+        if function is None:
+            return None
         function.argtypes, function.restype = argtypes, restype
     return lib
 
@@ -285,7 +285,9 @@ def _fft_plan(n: int):
     must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is raised.
     The plan needs a tested GMP version, a k that GMP's FFT takes at exactly
     L = b / 64 limbs, and a self-test at that L against the reference fold:
-    a random x, and 2**(b/2), whose square F - 1 is the kernel's carry.
+    a random x, and 2**(b/2), whose square F - 1 is the kernel's carry, each
+    squared in place as the chain's step does it, so an FFT that cannot
+    alias its operands is not used.
     """
     q = _FACTORS.get(n)
     if q is None:
@@ -303,13 +305,11 @@ def _fft_plan(n: int):
     k = lib.__gmpn_fft_best_k(size, 1)
     if lib.__gmpn_fft_next_size(size, k) != size:
         return None
-    square = (ctypes.c_uint64 * (size + 1))()
     for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2):
-        r = _to_limbs(x, size)
-        square[size] = lib.__gmpn_mul_fft(
-            ctypes.addressof(square), size, ctypes.addressof(r), size, ctypes.addressof(r), size, k
-        )
-        if _from_limbs(square) != reduce_mod_fermat(x * x, m):
+        r = _to_limbs(x, size + 1)
+        r_at = ctypes.addressof(r)
+        r[size] = lib.__gmpn_mul_fft(r_at, size, r_at, size, r_at, size, k)
+        if _from_limbs(r) != reduce_mod_fermat(x * x, m):
             return None
     return k, q
 
@@ -335,9 +335,9 @@ def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
     square.  Without a plan, ``mpn_sqr`` squares the L low limbs into 2L
     and x*x = hi * 2**b + lo is folded to lo - hi, adding F on a borrow,
     with x*x = k*F + r and k mod d from ``mpn_mod_1``; d is the prime p.
-    With a plan (k, q), ``mpn_mul_fft`` returns x*x mod F, with its carry as
-    the top limb, and d is q: F = 0 mod q, so k is not needed.  Every step
-    checks that the top limb is canonical and that
+    With a plan (k, q), ``mpn_mul_fft`` writes x*x mod F over x in place,
+    with its carry as the top limb, and d is q: F = 0 mod q, so k is not
+    needed.  Every step checks that the top limb is canonical and that
     x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d carried
     from the step before.  The import and the export (y <= F - 1) are
     checked mod d too.  ctypes checks no ABI, so a wrong import, square,
@@ -350,27 +350,28 @@ def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
     f_d, largest_k_d = m.value % d, (largest - 1) % d
     mod_1, add_1, sub_1 = lib.__gmpn_mod_1, lib.__gmpn_add_1, lib.__gmpn_sub_1
     if fft_k:
-        mul_fft, memmove = lib.__gmpn_mul_fft, ctypes.memmove
+        mul_fft = lib.__gmpn_mul_fft
     else:
         sqr, sub_n = lib.__gmpn_sqr, lib.__gmpn_sub_n
     r = _to_limbs(x, size + 1)
+    r_at = ctypes.addressof(r)
     x_d = x % d
-    if mod_1(ctypes.addressof(r), size + 1, d) != x_d:
+    if mod_1(r_at, size + 1, d) != x_d:
         raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
 
     def items(x_d: int) -> Iterator[int]:
-        # Python owns both buffers: r lives as long as export, sq as long as this generator.
-        sq = (ctypes.c_uint64 * (size + 1 if fft_k else 2 * size))()
-        r_at, sq_at = ctypes.addressof(r), ctypes.addressof(sq)
-        hi_at = sq_at + 8 * size
+        # Python owns both buffers: r lives as long as export, mpn_sqr's square sq as long as this generator.
+        if not fft_k:
+            sq = (ctypes.c_uint64 * (2 * size))()
+            sq_at = ctypes.addressof(sq)
+            hi_at = sq_at + 8 * size
         while True:
             yield x_d
             if r[size]:  # x = 2**b = -1, so x*x = (2**b - 1)*F + 1
                 r[size], r[0] = 0, 1
                 k_d = largest_k_d
             elif fft_k:  # x*x mod F itself: k is unknown, and k*F = 0 mod d = q
-                sq[size] = mul_fft(sq_at, size, r_at, size, r_at, size, fft_k)
-                memmove(r_at, sq_at, 8 * (size + 1))
+                r[size] = mul_fft(r_at, size, r_at, size, r_at, size, fft_k)
                 k_d = 0
             else:
                 sqr(sq_at, r_at, size)
@@ -400,36 +401,33 @@ def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
 def _gmp_power(x: int, k: int, m: FermatModulus, lib) -> int:
     """x**(2**k) mod F as one ``mpz_powm`` mod F*p, checked modulo the prime p.
 
-    x and F*p are imported as little-endian bytes, 2**k is set as one bit,
-    and the power y is read back only through ``mpz_export``.  Since p | F*p,
-    y must be below F*p and congruent to (x mod p)**e mod p, where
+    GMP reads x, 2**k and F*p in place, through read-only ``mpz_roinit_n``
+    views of ``bytes`` held here for the whole call.  The power y is read
+    from its ``mpz``'s size and limbs once that size is within F*p's.  Since
+    p | F*p, y must be below F*p and congruent to (x mod p)**e mod p, where
     e = (2**k - 1) mod (p - 1) + 1 is 2**k reduced by Fermat's little theorem
-    (and at least 1, so x = 0 mod p still gives 0).  So a wrong import,
-    power or export raises ArithmeticError.  p = 5 mod 8 makes squaring mod p
-    at most 4-to-1, so a wrong y passes with probability at most 4/p.  Every
-    ``mpz`` is freed, whether the call returns or raises.
+    (and at least 1, so x = 0 mod p still gives 0).  So a wrong view, power
+    or read raises ArithmeticError.  p = 5 mod 8 makes squaring mod p at
+    most 4-to-1, so a wrong y passes with probability at most 4/p.  Only the
+    power's ``mpz`` owns memory; it is freed whether the call returns or raises.
     """
     import ctypes  # already loaded by _load_gmp; this is a lookup
 
     p = _CHECK_PRIME
     modulus = m.value * p
-    width = (modulus.bit_length() + 7) // 8
-    base, exponent, mod, power = zs = [_mpz_struct()() for _ in range(4)]
-    for z in zs:
-        lib.__gmpz_init(z)
+    size = -(-modulus.bit_length() // _LIMB_BITS)
+    operands = [v.to_bytes(8 * n, "little") for v, n in ((x, size), (1 << k, k // _LIMB_BITS + 1), (modulus, size))]
+    power, *views = [_mpz_struct()() for _ in range(4)]
+    for view, limbs in zip(views, operands):
+        lib.__gmpz_roinit_n(view, limbs, len(limbs) // 8)
+    lib.__gmpz_init(power)
     try:
-        lib.__gmpz_import(base, width, -1, 1, 0, 0, x.to_bytes(width, "little"))
-        lib.__gmpz_import(mod, width, -1, 1, 0, 0, modulus.to_bytes(width, "little"))
-        lib.__gmpz_setbit(exponent, k)
-        lib.__gmpz_powm(power, base, exponent, mod)
-        if lib.__gmpz_sizeinbase(power, 256) > width:
-            raise ArithmeticError(f"GMP left a power above the {width} bytes of F_{m.n}*{p}")
-        out = (ctypes.c_char * width)()  # zeros, so the bytes above the power's own read as 0
-        lib.__gmpz_export(out, None, -1, 1, 0, 0, power)
+        lib.__gmpz_powm(power, *views)
+        if not 0 <= power._mp_size <= size:
+            raise ArithmeticError(f"GMP left a power of size {power._mp_size}, below 0 or above F_{m.n}*{p}'s {size} limbs")
+        y = int.from_bytes(ctypes.string_at(power._mp_d, 8 * power._mp_size), "little")
     finally:
-        for z in zs:
-            lib.__gmpz_clear(z)
-    y = int.from_bytes(out, "little")
+        lib.__gmpz_clear(power)
     if y >= modulus or y % p != pow(x % p, (pow(2, k, p - 1) - 1) % (p - 1) + 1, p):
         raise ArithmeticError(f"GMP raised a residue mod F_{m.n} to 2**{k} wrongly (mod {p} check)")
     return reduce_mod_fermat(y, m)

@@ -433,7 +433,7 @@ def test_gmp_check_survives_optimized_python(gmp):
     )
     corrupted_power = (
         "powm, combit = lib.__gmpz_powm, lib['__gmpz_combit']\n"
-        "combit.argtypes = lib.__gmpz_setbit.argtypes\n"
+        "combit.argtypes = [ctypes.POINTER(arith._mpz_struct()), ctypes.c_ulong]\n"
         "def corrupted(rop, *args):\n"
         "    powm(rop, *args)\n"
         "    combit(rop, 5)\n"
@@ -470,16 +470,34 @@ def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     assert all(name.startswith("__gmpn_") for name in recorded.names)
 
 
-def test_missing_library_falls_back_to_int(monkeypatch):
-    monkeypatch.setattr(arith, "GMP_SONAME", "libfermatlab-missing.so.0")
+def assert_falls_back_to_int(monkeypatch):
+    """The unmemoised loader returns None, and chains and powers mod every modulus use x * x."""
     monkeypatch.setattr(arith, "_load_gmp", arith._load_gmp.__wrapped__)  # the loader, unmemoised
     assert arith._load_gmp() is None
     m = FermatModulus(arith.GMP_MIN_N)
-    assert m.backend == m.power_backend == "int"
+    assert m.backend == m.power_backend == FermatModulus(8).power_backend == "int"
     assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
+
+
+def test_missing_library_falls_back_to_int(monkeypatch):
+    monkeypatch.setattr(arith, "GMP_SONAME", "libfermatlab-missing.so.0")
+    assert_falls_back_to_int(monkeypatch)
     m, calls = FermatModulus(5), spy_power(monkeypatch)
     assert m.power_backend == "int"
     assert chain_item(3, 0, 31, m) == pow(3, 1 << 31, m.value) and calls == []
+
+
+@pytest.mark.parametrize("symbol", ["__gmpz_roinit_n", "__gmpn_sqr"])
+def test_a_library_without_an_entry_point_falls_back_to_int(gmp, monkeypatch, symbol):
+    # GMP 5 has the same soname as GMP 6 but no mpz_roinit_n, which came with GMP 6.0.
+    class Lacking(ctypes.CDLL):
+        def __getattr__(self, name):
+            if name == symbol:
+                raise AttributeError(name)
+            return super().__getattr__(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", Lacking)
+    assert_falls_back_to_int(monkeypatch)
 
 
 # ------------------------------------------------------------ GMP power route
@@ -536,30 +554,30 @@ def test_power_route_checks_its_operands(gmp):
         chain_item(fermat_value(4), 0, 3, FermatModulus(4))
 
 
-def corrupt_mpz_import(gmp, which):
-    # Flips the low bit of the bytes of one import: 0 is x, 1 is the modulus F*p.
-    real, done = gmp.__gmpz_import, []
+def corrupt_view(gmp, which):
+    # Flips the low bit of the limbs behind one mpz_roinit_n view: 0 is x, 1 is 2**k, 2 is the modulus F*p.
+    real, held = gmp.__gmpz_roinit_n, []
 
-    def corrupted(z, count, order, size, endian, nails, data):
-        if len(done) == which:
-            data = bytes([data[0] ^ 1]) + data[1:]
-        done.append(z)
-        real(z, count, order, size, endian, nails, data)
+    def corrupted(z, limbs, size):
+        if len(held) == which:
+            limbs = bytes([limbs[0] ^ 1]) + limbs[1:]
+        held.append(limbs)  # GMP reads the view's limbs until mpz_powm returns
+        return real(z, limbs, size)
 
-    return gmp, "__gmpz_import", corrupted
+    return gmp, "__gmpz_roinit_n", corrupted
 
 
 def corrupt_base_import(gmp):
-    return corrupt_mpz_import(gmp, 0)
+    return corrupt_view(gmp, 0)
 
 
 def corrupt_modulus_import(gmp):
-    return corrupt_mpz_import(gmp, 1)
+    return corrupt_view(gmp, 2)
 
 
 def corrupt_power(gmp):
-    real, combit = gmp.__gmpz_powm, gmp["__gmpz_combit"]  # a fresh function object, typed like setbit
-    combit.argtypes = gmp.__gmpz_setbit.argtypes
+    real, combit = gmp.__gmpz_powm, gmp["__gmpz_combit"]  # a fresh function object, typed here
+    combit.argtypes = [ctypes.POINTER(arith._mpz_struct()), ctypes.c_ulong]
 
     def corrupted(rop, *args):
         real(rop, *args)
@@ -568,14 +586,15 @@ def corrupt_power(gmp):
     return gmp, "__gmpz_powm", corrupted
 
 
-def corrupt_mpz_export(gmp):
-    real = gmp.__gmpz_export
+def corrupt_result_limb(gmp):
+    # Flips a bit of the power's low limb in memory, between mpz_powm and the read.
+    real = gmp.__gmpz_powm
 
-    def corrupted(out, *args):
-        real(out, *args)
-        ctypes.c_uint8.from_buffer(out).value ^= 1
+    def corrupted(rop, *args):
+        real(rop, *args)
+        ctypes.c_uint64.from_address(rop._mp_d).value ^= 1
 
-    return gmp, "__gmpz_export", corrupted
+    return gmp, "__gmpz_powm", corrupted
 
 
 POWER_CALLS = {
@@ -585,7 +604,7 @@ POWER_CALLS = {
 
 
 @pytest.mark.parametrize("call", POWER_CALLS)
-@pytest.mark.parametrize("mutation", [corrupt_base_import, corrupt_modulus_import, corrupt_power, corrupt_mpz_export])
+@pytest.mark.parametrize("mutation", [corrupt_base_import, corrupt_modulus_import, corrupt_power, corrupt_result_limb])
 def test_power_route_corruption_raises(gmp, monkeypatch, mutation, call):
     calls = spy_power(monkeypatch)
     monkeypatch.setattr(*mutation(gmp))
@@ -595,11 +614,20 @@ def test_power_route_corruption_raises(gmp, monkeypatch, mutation, call):
 
 
 def test_power_route_rejects_a_power_too_wide_to_export(gmp, monkeypatch):
-    # The size check keeps mpz_export from writing past its buffer; here GMP reports a power 8 bytes too wide.
-    sizeinbase = gmp.__gmpz_sizeinbase
-    monkeypatch.setattr(gmp, "__gmpz_sizeinbase", lambda z, base: sizeinbase(z, base) + 8)
-    with pytest.raises(ArithmeticError, match="above"):
-        pepin_test(arith.GMP_MIN_N - 1)
+    # The size check keeps the read inside the power's limbs.  Here GMP reports
+    # a power one limb wider than F*p, then one of negative size.
+    n = arith.GMP_MIN_N - 1
+    limbs = -(-(fermat_value(n) * arith._CHECK_PRIME).bit_length() // 64)
+    real = gmp.__gmpz_powm
+    for size in (limbs + 1, -1):
+
+        def resized(rop, *args):
+            real(rop, *args)
+            rop._mp_size = size
+
+        monkeypatch.setattr(gmp, "__gmpz_powm", resized)
+        with pytest.raises(ArithmeticError, match="above"):
+            pepin_test(n)
 
 
 @pytest.mark.parametrize("n", range(arith.GMP_MIN_N))
@@ -649,6 +677,21 @@ def assert_falls_back_to_mpn_sqr(monkeypatch):
 
 def test_an_untested_gmp_version_squares_with_mpn_sqr(gmp, monkeypatch):
     monkeypatch.setattr(arith, "_FFT_GMP_VERSIONS", frozenset())
+    assert_falls_back_to_mpn_sqr(monkeypatch)
+
+
+def test_an_fft_that_cannot_square_in_place_squares_with_mpn_sqr(fft, monkeypatch):
+    # The chain's FFT step writes x*x over x, so the plan's self-test must make the same call.
+    real = fft.__gmpn_mul_fft
+
+    def corrupted(op, pl, n, nl, m, ml, k):
+        carry = real(op, pl, n, nl, m, ml, k)
+        if op in (n, m):
+            ctypes.c_uint64.from_address(op).value ^= 1
+        return carry
+
+    monkeypatch.setattr(fft, "__gmpn_mul_fft", corrupted)
+    assert arith._fft_plan.__wrapped__(15) is None
     assert_falls_back_to_mpn_sqr(monkeypatch)
 
 
