@@ -3,63 +3,63 @@
 Residues are plain Python ints in [0, 2**b + 1).  Reduction never divides:
 it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
 point of working with this modulus shape.  Every test runs one squaring
-chain x, x*x - c, ... mod the modulus, read in one of two ways:
-:func:`square_chain` yields every item and :func:`chain_item` returns item
-k alone.
+chain x, x*x - c, ... mod the modulus, read in one of three ways:
+:func:`square_chain` yields every item, :func:`chain_item` returns item k
+alone and :func:`trace_blocks` yields the items' fixed-width bytes a block
+at a time, for the scan's hash.
 
 The chain's arithmetic is chosen per modulus when a chain starts.  Below
 ``GMP_MIN_N`` it is CPython's ``x * x`` and :func:`reduce_mod_fermat`, which
 is also the reference.  From ``GMP_MIN_N`` up the residue lives in 64-bit
-limbs for the whole chain and GMP's ``mpn`` functions, reached through
-``ctypes`` when ``libgmp.so.10`` loads, square and fold it; from
-``FFT_MIN_N`` up, where a factor of the modulus is known, GMP's negacyclic
-FFT squares it mod 2**b + 1 directly.  Every step is checked modulo a
-prime, and only an item that is read becomes an int.  Below ``GMP_MIN_N``
-a chain with c = 0 is the power x**(2**k), so from n = 6, where b is a
-whole number of 64-bit limbs as for the GMP chain, :func:`chain_item`
-computes it with one ``mpz_powm`` call mod F*p, checked mod the prime p;
-Pépin's time falls from 0.6 / 2.4 / 9 ms to 0.08 / 0.44 / 3 ms at
-n = 9 / 10 / 11 (``GMP_MIN_N`` has the rest).  When the library does not
-load, every modulus uses ``x * x``.
+limbs for the whole chain, and a small compiled kernel, ``_chain.c``, runs
+a block of steps per call on them, squaring and folding with GMP's ``mpn``
+functions from ``libgmp.so.10``; from ``FFT_MIN_N`` up, where a factor of
+the modulus is known, GMP's negacyclic FFT squares mod 2**b + 1 directly.
+Every step is checked modulo a prime, and only an item that is read becomes
+an int.  The kernel is built once with the system C compiler into a
+per-user cache and loaded, with libgmp, through ``ctypes``.  When the
+library does not load or the kernel cannot be built, every modulus uses
+``x * x``.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from functools import cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .budget import check_pow2_bits
 
-# The smallest n whose chains run in GMP.  Time per step of the int chain
-# (x * x and the fold) against the GMP chain (mpn_sqr, the fold and the
-# checks on limbs), best of five walks of x -> x*x - 2, range of five runs:
-# 3.2-6.0 vs 4.5-8.7 us at n = 11; 11.5-19.1 vs 7.1-9.8 us at n = 12, which
-# outweighs the ~2 ms that loading GMP costs once (cross_check(12) in a fresh
-# process: 157-175 vs 77-99 ms); 37-58 vs 10-12 us at n = 13; and 934-1297
-# vs 98-157 us at n = 16 (2-CPU Xeon, CPython 3.11.7, GMP 6.2.1).
-# Below it, from n = 6 (the chains' whole-limb rule), Pépin's power 3**(2**k)
-# is one mpz_powm call mod F*p instead of the int chain; its time in ms, int
-# chain -> mpz_powm, best of 20, two runs (same machine): 0.046 -> 0.024 at
-# n = 6; 0.09 -> 0.028 at 7; 0.22 -> 0.04 at 8; 0.57-0.65 -> 0.08-0.09 at 9;
-# 2.3-2.5 -> 0.43-0.45 at 10; 7.8-11.2 -> 2.7-3.1 at 11.  Below n = 6 the
-# call's fixed cost loses: best of 7 x 200 calls, 0.0017 / 0.0033 / 0.0072 /
-# 0.018 ms on the int chain against 0.018 / 0.022 / 0.021 / 0.021 ms at
-# n = 2 / 3 / 4 / 5.  At n = 12 the limb chain and mpz_powm are even (19-32
-# vs 22-28 ms) and at 13 the chain wins (66-84 vs 118-134 ms), so the same
-# boundary serves both.
-GMP_MIN_N = 12
-# The smallest n whose GMP chains square with __gmpn_mul_fft, which returns
+# The smallest n whose chains run in the kernel: b = 2**n is a whole number of
+# 64-bit limbs from here, and the kernel already wins.  Time per step of the
+# int chain (x * x and the fold) against the kernel (one call for the walk),
+# us, in a walk of 1024 steps of x -> x*x - 2, best of 7, range of three runs:
+# 0.31-0.57 vs 0.047-0.077 at n = 6; 0.32-0.52 vs 0.052-0.084 at 7;
+# 0.38-0.64 vs 0.063-0.10 at 8; 0.59-0.91 vs 0.10-0.15 at 9; 1.0-1.8 vs
+# 0.19-0.28 at 10; 2.6-4.7 vs 0.50-0.72 at 11; 9.1-15 vs 1.3-2.2 at 12; 29-46
+# vs 3.6-5.7 at 13; 87-137 vs 10-18 at 14 (mpn_sqr); 289-425 vs 24-32 at 15
+# and 865-1270 vs 50-84 at 16 (the FFT step) (2-CPU Xeon, CPython 3.11.7,
+# GMP 6.2.1, gcc 12 -O2).  The int chain below is also the reference.
+GMP_MIN_N = 6
+# The smallest n whose kernel chains square with __gmpn_mul_fft, which returns
 # x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n is
 # known.  Time per call of mpn_sqr vs mpn_mul_fft (k = 5 / 6), min of 7:
-# 17.3-19.9 vs 17.8-23.7 us at n = 14 (no win); 45.6-53.4 vs 33.7-38.6 us
-# at n = 15; 114-122 vs 78-80 us at n = 16 (2-CPU Xeon, CPython 3.11.7,
-# GMP 6.2.1).
+# 17.3-19.9 vs 17.8-23.7 us at n = 14 (no win).  Kernel time per step with
+# mpn_sqr vs the FFT, walked as above: 31-42 vs 24-32 us at n = 15; 76-115
+# vs 50-84 us at n = 16 (same machine).
 FFT_MIN_N = 15
 GMP_SONAME = "libgmp.so.10"
+# The compiler that builds the kernel; without one, every modulus uses x * x.
+_COMPILER = "cc"
+# The trace bytes one kernel call may write: a block holds as many items as fit, and at least one.
+_BLOCK_BYTES = 1 << 16
 # The FFT entry points are undocumented and ctypes checks no ABI, so they are
 # used only with the GMP versions they were tested on.
 _FFT_GMP_VERSIONS = frozenset({"6.2.1"})
+# The mpn entry points every kernel chain calls.
+_MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
 # A prime factor q < 2**64 of F_n (W. Keller's tables) for each n >= FFT_MIN_N
@@ -74,8 +74,10 @@ _FACTORS = {
     21: 4485296422913,
     23: 167772161,
 }
-# GMP chains and powers need 64-bit limbs and b a whole number of them, so n >= 6.
+# GMP chains need 64-bit limbs and b a whole number of them, so n >= 6.
 _LIMB_BITS = 64
+# What fermat_chain_run returns for a failed step: _chain.c's ABOVE and WRONG.
+_ABOVE, _WRONG = -1, -2
 
 
 class FermatModulus:
@@ -96,21 +98,12 @@ class FermatModulus:
     def backend(self) -> str:
         """The arithmetic of chains mod this modulus: "int", "gmp" or "gmp-fft".
 
-        "gmp-fft" squares with GMP's FFT and "gmp" with ``mpn_sqr``.  Reading
-        it may load the GMP library and make the FFT plan, as starting a
-        chain does.
+        "gmp-fft" squares with GMP's FFT and "gmp" with ``mpn_sqr``, both in
+        the kernel.  Reading it may load the GMP library, build or load the
+        kernel and make the FFT plan, as starting a chain does.
         """
         gmp = _gmp_for(self)
         return "int" if gmp is None else "gmp" if gmp[1] is None else "gmp-fft"
-
-    @property
-    def power_backend(self) -> str:
-        """The arithmetic of ``chain_item(x, 0, k, self)``, the power x**(2**k) that Pépin reads.
-
-        "gmp-powm" from n = 6 up to GMP_MIN_N when GMP loads: one checked
-        ``mpz_powm`` call.  Otherwise the chain's own, ``backend``.
-        """
-        return "gmp-powm" if _powm_for(self) is not None else self.backend
 
 
 def fermat_value(n: int) -> int:
@@ -144,45 +137,74 @@ def reduce_mod_fermat(x: int, m: FermatModulus) -> int:
 def chain_item(x: int, c: int, k: int, m: FermatModulus) -> int:
     """Item k of ``square_chain(x, c, m)``, after k squarings.
 
-    Only item k is converted to an int: on the GMP path the items before it
-    stay limbs, each checked as it is computed.  With c = 0 the item is the
-    power x**(2**k), and where ``m.power_backend`` is "gmp-powm" it is one
-    checked ``mpz_powm`` call instead of k steps.
+    Only item k is converted to an int.  On the GMP path the items before it
+    stay limbs, each checked as it is computed, and all k steps are one
+    kernel call (one more after each zero item).  With c = 0 the item is the
+    power x**(2**k) that Pépin reads.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative item index, got {k}")
-    lib = _powm_for(m) if c == 0 else None
-    if lib is not None:
-        _check_operands(x, c, m)
-        return _gmp_power(x, k, m, lib)
-    items, export = _start(x, c, m)
-    item = next(islice(items, k, None))
-    return item if export is None else export(item)
+    _check_operands(x, c, m)
+    gmp = _gmp_for(m)
+    if gmp is None:
+        return next(islice(_int_chain(x, c, m), k, None))
+    chain = _GmpChain(x, c, m, *gmp)
+    while k:
+        k -= chain.run(k)
+    return chain.export()
 
 
 def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
     """Yield x, x*x - c, (x*x - c)**2 - c, ... mod m as canonical ints.
 
-    Item k costs k squarings, each done when it is asked for.  ``x`` must be
-    a canonical residue and ``c`` a small nonnegative constant (0 for Pépin,
-    2 for the recurrence).  The arithmetic is the one ``m.backend`` names;
-    the GMP chain raises ArithmeticError on any step or item that fails its
-    check.
-    """
-    items, export = _start(x, c, m)
-    return items if export is None else map(export, items)
-
-
-def _start(x: int, c: int, m: FermatModulus):
-    """The chain from x on m's backend: its items, and the export that reads one as an int.
-
-    The int chain yields the residues themselves and has no export (None);
-    the GMP chain yields each item's check value x mod d, and its export
-    converts the limbs of the item it last yielded.
+    ``x`` must be a canonical residue and ``c`` a small nonnegative constant
+    (0 for Pépin, 2 for the recurrence).  The arithmetic is the one
+    ``m.backend`` names.  Each item is squared when it is asked for; the
+    GMP chain runs one kernel step per item and exports the item from the
+    limbs, raising ArithmeticError on any step or item that fails its check.
     """
     _check_operands(x, c, m)
     gmp = _gmp_for(m)
-    return (_int_chain(x, c, m), None) if gmp is None else _gmp_chain(x, c, m, *gmp)
+    return _int_chain(x, c, m) if gmp is None else _gmp_items(x, _GmpChain(x, c, m, *gmp))
+
+
+def trace_blocks(x: int, c: int, m: FermatModulus, count: int) -> Iterator[tuple[memoryview | bytes, bool]]:
+    """Yield items 0 .. count - 1 of ``square_chain(x, c, m)`` as bytes, a block at a time, each with whether it ends in 0.
+
+    Each item is b/8 + 1 little-endian bytes, the scan's trace encoding, so
+    hashing the blocks in turn hashes the items in turn.  A block is valid
+    until the next block is asked for.  Reading stops after the first zero
+    item.  On the int chain each block is one item.  On the GMP chain the
+    kernel writes each block's items, at most ``_BLOCK_BYTES`` of them (one
+    item where one is larger), and the last item read and every zero
+    candidate (an item that is 0 mod d) are exported and checked in full.
+    """
+    if count < 1:
+        return
+    _check_operands(x, c, m)
+    width = m.b // 8 + 1
+    gmp = _gmp_for(m)
+    if gmp is None:
+        for r in islice(_int_chain(x, c, m), count):
+            yield r.to_bytes(width, "little"), not r
+            if not r:
+                return
+        return
+    yield x.to_bytes(width, "little"), not x
+    count -= 1
+    if not x or not count:
+        return
+    chain = _GmpChain(x, c, m, *gmp)
+    per_block = max(1, _BLOCK_BYTES // width)
+    buffer = bytearray(min(per_block, count) * width)
+    view, at = memoryview(buffer), _address(buffer)
+    while count:
+        done = chain.run(min(per_block, count), at)
+        count -= done
+        zero = (not count or chain.state.x_d == 0) and chain.export() == 0
+        yield view[: done * width], zero
+        if zero:
+            return
 
 
 def _check_operands(x: int, c: int, m: FermatModulus) -> None:
@@ -202,28 +224,22 @@ def _int_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
 
 
 def _gmp_for(m: FermatModulus):
-    """The GMP library and the FFT plan (None for mpn_sqr) when chains mod m run in GMP, else None."""
-    lib = _load_gmp() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
-    if lib is None:
+    """The kernel and the FFT plan (None for mpn_sqr) when chains mod m run in GMP, else None."""
+    kernel = _load_kernel() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
+    if kernel is None:
         return None
-    return lib, _fft_plan(m.n) if m.n >= FFT_MIN_N else None
-
-
-def _powm_for(m: FermatModulus):
-    """The GMP library when powers mod m run as one ``mpz_powm``, else None: whole limbs below GMP_MIN_N."""
-    return _load_gmp() if m.n < GMP_MIN_N and m.b >= _LIMB_BITS else None
+    return kernel, _fft_plan(m.n) if m.n >= FFT_MIN_N else None
 
 
 @cache
 def _load_gmp():
-    """The system GMP library with its entry points typed, or None when it cannot serve.
+    """The system GMP library, or None when it cannot serve.
 
-    Loaded by soname, so no subprocess runs to find it; ctypes is imported
-    here and only here, when a chain or a power first needs the library.
-    The ``mpn`` entry points serve the chains and the ``mpz`` ones the
-    power route.  A GMP that lacks one of them (GMP 5 has the same soname
-    but no ``mpz_roinit_n``) or has limbs other than 64 bits is not used.
-    The FFT entry points are typed only on a tested GMP version.
+    Loaded by soname, so no subprocess runs to find it; ctypes is first
+    imported here, when a chain first needs GMP.  A GMP that lacks one of
+    the ``mpn`` entry points the kernel calls, or has limbs other than 64
+    bits, is not used.  The FFT entry points are used only on a tested GMP
+    version, where the two that ``_fft_plan`` calls are typed.
     """
     import ctypes
 
@@ -233,48 +249,181 @@ def _load_gmp():
         return None
     if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != _LIMB_BITS:
         return None
-    ptr, size, limb, order = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64, ctypes.c_int
-    mpz = ctypes.POINTER(_mpz_struct())
-    entry_points = [
-        ("__gmpn_sqr", [ptr, ptr, size], None),
-        ("__gmpn_mod_1", [ptr, size, limb], limb),
-        ("__gmpn_sub_n", [ptr, ptr, ptr, size], limb),
-        ("__gmpn_add_1", [ptr, ptr, size, limb], limb),
-        ("__gmpn_sub_1", [ptr, ptr, size, limb], limb),
-        ("__gmpz_init", [mpz], None),
-        ("__gmpz_clear", [mpz], None),
-        ("__gmpz_roinit_n", [mpz, ptr, size], ptr),
-        ("__gmpz_powm", [mpz, mpz, mpz, mpz], None),
-    ]
+    names = [f"__gmpn_{name}" for name in _MPN]
     if _gmp_version(lib) in _FFT_GMP_VERSIONS:
-        entry_points += [
-            ("__gmpn_mul_fft", [ptr, size, ptr, size, ptr, size, order], limb),
+        names.append("__gmpn_mul_fft")
+        size, order = ctypes.c_long, ctypes.c_int
+        for name, argtypes, restype in [
             ("__gmpn_fft_best_k", [size, order], order),
             ("__gmpn_fft_next_size", [size, order], size),
-        ]
-    for name, argtypes, restype in entry_points:
-        function = getattr(lib, name, None)
-        if function is None:
-            return None
-        function.argtypes, function.restype = argtypes, restype
+        ]:
+            function = getattr(lib, name, None)
+            if function is None:
+                return None
+            function.argtypes, function.restype = argtypes, restype
+    if any(getattr(lib, name, None) is None for name in names):
+        return None
     return lib
-
-
-@cache
-def _mpz_struct():
-    """The ctypes type of gmp.h's ``__mpz_struct`` (16 bytes): int, int, limb pointer."""
-    import ctypes  # already loaded by _load_gmp; this is a lookup
-
-    class Mpz(ctypes.Structure):
-        _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
-
-    return Mpz
 
 
 def _gmp_version(lib) -> str:
     import ctypes  # already loaded by _load_gmp; this is a lookup
 
     return ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
+
+
+class _Kernel(NamedTuple):
+    """The loaded kernel: ``fermat_chain_run``, the GMP table it calls through, the table's entry types and its chain type."""
+
+    run: object
+    gmp: object
+    prototypes: dict
+    chain_type: type
+
+
+@cache
+def _load_kernel() -> _Kernel | None:
+    """The compiled chain kernel, with libgmp's ``mpn`` entry points in its table, or None.
+
+    None when GMP cannot serve, the platform is big-endian (the trace bytes
+    are the limbs' own), or the kernel cannot be built or fails its first
+    walk.  Made once per process, on first need; reading
+    ``FermatModulus.backend`` makes it, so the commands start their clocks
+    after it.  The table holds the entry points' addresses, which
+    ``prototypes`` types, so a test can put the address of a ctypes callback
+    in it.
+    """
+    lib = _load_gmp()
+    if lib is None or sys.byteorder != "little":
+        return None
+    shared = _build_kernel()
+    if shared is None:
+        return None
+    import ctypes
+
+    limb, size, ptr, fn = ctypes.c_uint64, ctypes.c_long, ctypes.c_void_p, ctypes.CFUNCTYPE
+    prototypes = {  # in the order of _chain.c's struct gmp
+        "sqr": fn(None, ptr, ptr, size),
+        "mod_1": fn(limb, ptr, size, limb),
+        "sub_n": fn(limb, ptr, ptr, ptr, size),
+        "add_1": fn(limb, ptr, ptr, size, limb),
+        "sub_1": fn(limb, ptr, ptr, size, limb),
+        "mul_fft": fn(limb, ptr, size, ptr, size, ptr, size, ctypes.c_int),
+    }
+
+    class Gmp(ctypes.Structure):
+        _fields_ = [(name, ptr) for name in prototypes]
+
+    class Chain(ctypes.Structure):
+        _fields_ = [
+            ("gmp", ctypes.POINTER(Gmp)),
+            ("r", ptr),
+            ("sq", ptr),
+            ("size", size),
+            ("width", size),
+            ("c", limb),
+            ("d", limb),
+            ("f_d", limb),
+            ("top_k_d", limb),
+            ("fft_k", ctypes.c_int),
+            ("x_d", limb),
+        ]
+
+    table = Gmp()
+    for name in _MPN + (("mul_fft",) if _gmp_version(lib) in _FFT_GMP_VERSIONS else ()):
+        setattr(table, name, _function_address(getattr(lib, f"__gmpn_{name}")))
+    run = shared.fermat_chain_run
+    run.argtypes, run.restype = [ptr, size, ptr], size
+    kernel = _Kernel(run, table, prototypes, Chain)
+    # Eight steps of the recurrence mod F_6, the smallest whole-limb modulus,
+    # against the int chain: a kernel built or linked wrongly is not used,
+    # and ctypes makes its one-time set-up for these calls before any clock.
+    m = FermatModulus(6)
+    try:
+        chain = _GmpChain(6, 2, m, kernel, None)
+        chain.run(8)
+        if chain.export() == next(islice(_int_chain(6, 2, m), 8, None)):
+            return kernel
+    except ArithmeticError:
+        pass
+    return None
+
+
+def _build_kernel():
+    """``_chain.c`` compiled and loaded, or None when it cannot be built.
+
+    The library is cached per user, in $XDG_CACHE_HOME/fermatlab or
+    ~/.cache/fermatlab, under the source's sha256, so a changed source is
+    built anew.  On a miss the compiler writes a temporary file that
+    ``os.replace`` moves into place, so no process loads a partial one;
+    where the cache directory cannot be written, the kernel is built in a
+    temporary directory instead and loaded from there.
+    """
+    import ctypes
+    import hashlib
+
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_chain.c")
+    with open(source, "rb") as file:
+        name = f"chain-{os.uname().machine}-{hashlib.sha256(file.read()).hexdigest()[:16]}.so"
+    directory = _cache_dir()
+    if directory is not None:
+        path = os.path.join(directory, name)
+        try:
+            return ctypes.CDLL(path)
+        except OSError:  # not built yet
+            pass
+        try:
+            os.makedirs(directory, exist_ok=True)
+            return _compile(source, directory, path)
+        except OSError:  # the cache directory cannot be written
+            pass
+    import tempfile
+
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            return _compile(source, directory, os.path.join(directory, name))
+    except OSError:
+        return None
+
+
+def _cache_dir() -> str | None:
+    """The kernel's cache directory, or None where no absolute one can be named."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # the XDG rule: a relative path is ignored
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "fermatlab") if os.path.isabs(root) else None
+
+
+def _compile(source: str, directory: str, path: str):
+    """Compile ``source`` to ``path`` through a temporary file in ``directory``, and load it; None if the compiler fails.
+
+    Raises OSError when ``directory`` cannot be written.  The compiler runs
+    inside ``subprocess.run``, which waits for it or kills it at the time-out,
+    so no process outlives the call.
+    """
+    import ctypes
+    import subprocess
+    import tempfile
+
+    handle, built = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(handle)
+    try:
+        try:
+            done = subprocess.run(
+                [_COMPILER, "-O2", "-shared", "-fPIC", "-o", built, source],
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                timeout=120,
+            )
+        except (FileNotFoundError, subprocess.TimeoutExpired):  # no compiler, or one that hangs
+            return None
+        if done.returncode:
+            return None
+        os.replace(built, path)
+    finally:
+        if os.path.exists(built):
+            os.remove(built)
+    return ctypes.CDLL(path)
 
 
 @cache
@@ -285,9 +434,9 @@ def _fft_plan(n: int):
     must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is raised.
     The plan needs a tested GMP version, a k that GMP's FFT takes at exactly
     L = b / 64 limbs, and a self-test at that L against the reference fold:
-    a random x, and 2**(b/2), whose square F - 1 is the kernel's carry, each
-    squared in place as the chain's step does it, so an FFT that cannot
-    alias its operands is not used.
+    one kernel step, checked mod q, from a random x and from 2**(b/2), whose
+    square F - 1 is the FFT's carry.  The step squares in place, as every
+    chain's does, so an FFT that cannot alias its operands is not used.
     """
     q = _FACTORS.get(n)
     if q is None:
@@ -297,7 +446,6 @@ def _fft_plan(n: int):
     lib = _load_gmp()
     if _gmp_version(lib) not in _FFT_GMP_VERSIONS:
         return None
-    import ctypes  # already loaded by _load_gmp; this is a lookup
     import random
 
     m = FermatModulus(n)
@@ -306,28 +454,51 @@ def _fft_plan(n: int):
     if lib.__gmpn_fft_next_size(size, k) != size:
         return None
     for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2):
-        r = _to_limbs(x, size + 1)
-        r_at = ctypes.addressof(r)
-        r[size] = lib.__gmpn_mul_fft(r_at, size, r_at, size, r_at, size, k)
-        if _from_limbs(r) != reduce_mod_fermat(x * x, m):
+        try:
+            chain = _GmpChain(x, 0, m, _load_kernel(), (k, q))
+            chain.run(1)
+            if chain.export() != reduce_mod_fermat(x * x, m):
+                return None
+        except ArithmeticError:
             return None
     return k, q
 
 
-def _to_limbs(x: int, count: int):
-    """x as ``count`` 64-bit little-endian limbs in a new ctypes array."""
+def _function_address(function) -> int:
+    """The address of a foreign function or a ctypes callback.
+
+    ``ctypes.cast`` makes the object refer to itself, a reference cycle, so
+    it is kept for objects that live as long as the process or a test.
+    """
     import ctypes  # already loaded by _load_gmp; this is a lookup
 
-    return (ctypes.c_uint64 * count).from_buffer_copy(x.to_bytes(8 * count, "little"))
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+def _to_limbs(x: int, count: int) -> bytearray:
+    """x as ``count`` 64-bit little-endian limbs in a new buffer."""
+    return bytearray(x.to_bytes(8 * count, "little"))
 
 
 def _from_limbs(limbs) -> int:
-    """The int that a ctypes array of 64-bit little-endian limbs holds."""
+    """The int that a buffer of 64-bit little-endian limbs holds."""
     return int.from_bytes(limbs, "little")
 
 
-def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
-    """The chain on raw GMP limbs: x mod d per item, and the export of the current item.
+def _address(buffer: bytearray) -> int:
+    """The address of a buffer's first byte, for the kernel.
+
+    Buffers are bytearrays, so no ctypes type is made per size (each new
+    one is a reference cycle), and none is ever resized, so the address
+    holds while the buffer lives.
+    """
+    import ctypes  # already loaded by _load_gmp; this is a lookup
+
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+
+
+class _GmpChain:
+    """One chain on GMP limbs, run by the kernel a block of steps per call.
 
     The residue is L + 1 limbs, L = b / 64; the top limb is 1 only for
     x = 2**b.  A step squares it, then subtracts c, adding F on a wrap.
@@ -339,95 +510,59 @@ def _gmp_chain(x: int, c: int, m: FermatModulus, lib, plan):
     with its carry as the top limb, and d is q: F = 0 mod q, so k is not
     needed.  Every step checks that the top limb is canonical and that
     x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d carried
-    from the step before.  The import and the export (y <= F - 1) are
+    from the step before.  The import and every export (y <= F - 1) are
     checked mod d too.  ctypes checks no ABI, so a wrong import, square,
     fold, wrap or export raises ArithmeticError.
+
+    Python owns every buffer the kernel writes, and this object holds the
+    residue, mpn_sqr's square and the kernel's chain struct for the chain's
+    whole life; a trace buffer is held by its reader.
     """
-    import ctypes  # already loaded by _load_gmp; this is a lookup
 
-    fft_k, d = plan or (0, _CHECK_PRIME)
-    size, largest = m.b // _LIMB_BITS, m.value - 1
-    f_d, largest_k_d = m.value % d, (largest - 1) % d
-    mod_1, add_1, sub_1 = lib.__gmpn_mod_1, lib.__gmpn_add_1, lib.__gmpn_sub_1
-    if fft_k:
-        mul_fft = lib.__gmpn_mul_fft
-    else:
-        sqr, sub_n = lib.__gmpn_sqr, lib.__gmpn_sub_n
-    r = _to_limbs(x, size + 1)
-    r_at = ctypes.addressof(r)
-    x_d = x % d
-    if mod_1(r_at, size + 1, d) != x_d:
-        raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
+    __slots__ = ("m", "run_block", "d", "width", "r", "sq", "state", "state_at")
 
-    def items(x_d: int) -> Iterator[int]:
-        # Python owns both buffers: r lives as long as export, mpn_sqr's square sq as long as this generator.
-        if not fft_k:
-            sq = (ctypes.c_uint64 * (2 * size))()
-            sq_at = ctypes.addressof(sq)
-            hi_at = sq_at + 8 * size
-        while True:
-            yield x_d
-            if r[size]:  # x = 2**b = -1, so x*x = (2**b - 1)*F + 1
-                r[size], r[0] = 0, 1
-                k_d = largest_k_d
-            elif fft_k:  # x*x mod F itself: k is unknown, and k*F = 0 mod d = q
-                r[size] = mul_fft(r_at, size, r_at, size, r_at, size, fft_k)
-                k_d = 0
-            else:
-                sqr(sq_at, r_at, size)
-                k_d = mod_1(hi_at, size, d)
-                if sub_n(r_at, sq_at, hi_at, size):
-                    r[size] = add_1(r_at, r_at, size, 1)
-                    k_d -= 1
-            wrapped = c and sub_1(r_at, r_at, size + 1, c)
-            if wrapped:
-                r[size] = add_1(r_at, r_at, size, 1)
-            y_d = mod_1(r_at, size + 1, d)
-            if r[size] > 1 or (r[size] and any(r[:size])):
-                raise ArithmeticError(f"GMP left a residue above 2**{m.b} mod F_{m.n}")
-            if (x_d * x_d - k_d * f_d - y_d - c + wrapped * f_d) % d:
-                raise ArithmeticError(f"GMP squared a residue mod F_{m.n} wrongly (mod {d} check)")
-            x_d = y_d
+    def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan) -> None:
+        import ctypes  # already loaded by _load_gmp; this is a lookup
 
-    def export(y_d: int) -> int:
-        y = _from_limbs(r)
-        if y > largest or y % d != y_d:
-            raise ArithmeticError(f"GMP exported a residue mod F_{m.n} wrongly (mod {d} check)")
+        fft_k, d = plan or (0, _CHECK_PRIME)
+        size = m.b // _LIMB_BITS
+        self.m, self.run_block, self.d, self.width = m, kernel.run, d, m.b // 8 + 1
+        self.r = _to_limbs(x, size + 1)
+        self.sq = None if fft_k else bytearray(16 * size)
+        r_at = _address(self.r)
+        x_d = x % d
+        if kernel.prototypes["mod_1"](kernel.gmp.mod_1)(r_at, size + 1, d) != x_d:
+            raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
+        f_d = (pow(2, m.b, d) + 1) % d
+        sq_at = None if self.sq is None else _address(self.sq)
+        self.state = kernel.chain_type(
+            ctypes.pointer(kernel.gmp), r_at, sq_at, size, self.width, c, d, f_d, (f_d - 2) % d, fft_k, x_d
+        )
+        self.state_at = ctypes.addressof(self.state)
+
+    def run(self, count: int, trace_at: int | None = None) -> int:
+        """Run up to ``count`` steps, copying each new item's trace bytes to ``trace_at`` when given; the steps run.
+
+        Fewer than ``count`` run only when the last item is 0.
+        """
+        done = self.run_block(self.state_at, count, trace_at)
+        if done == _ABOVE:
+            raise ArithmeticError(f"GMP left a residue above 2**{self.m.b} mod F_{self.m.n}")
+        if done == _WRONG:
+            raise ArithmeticError(f"GMP squared a residue mod F_{self.m.n} wrongly (mod {self.d} check)")
+        return done
+
+    def export(self) -> int:
+        """The current item as an int, checked: at most F - 1 and equal to its x mod d."""
+        y = _from_limbs(self.r)
+        if y >= self.m.value or y % self.d != self.state.x_d:
+            raise ArithmeticError(f"GMP exported a residue mod F_{self.m.n} wrongly (mod {self.d} check)")
         return y
 
-    return items(x_d), export
 
-
-def _gmp_power(x: int, k: int, m: FermatModulus, lib) -> int:
-    """x**(2**k) mod F as one ``mpz_powm`` mod F*p, checked modulo the prime p.
-
-    GMP reads x, 2**k and F*p in place, through read-only ``mpz_roinit_n``
-    views of ``bytes`` held here for the whole call.  The power y is read
-    from its ``mpz``'s size and limbs once that size is within F*p's.  Since
-    p | F*p, y must be below F*p and congruent to (x mod p)**e mod p, where
-    e = (2**k - 1) mod (p - 1) + 1 is 2**k reduced by Fermat's little theorem
-    (and at least 1, so x = 0 mod p still gives 0).  So a wrong view, power
-    or read raises ArithmeticError.  p = 5 mod 8 makes squaring mod p at
-    most 4-to-1, so a wrong y passes with probability at most 4/p.  Only the
-    power's ``mpz`` owns memory; it is freed whether the call returns or raises.
-    """
-    import ctypes  # already loaded by _load_gmp; this is a lookup
-
-    p = _CHECK_PRIME
-    modulus = m.value * p
-    size = -(-modulus.bit_length() // _LIMB_BITS)
-    operands = [v.to_bytes(8 * n, "little") for v, n in ((x, size), (1 << k, k // _LIMB_BITS + 1), (modulus, size))]
-    power, *views = [_mpz_struct()() for _ in range(4)]
-    for view, limbs in zip(views, operands):
-        lib.__gmpz_roinit_n(view, limbs, len(limbs) // 8)
-    lib.__gmpz_init(power)
-    try:
-        lib.__gmpz_powm(power, *views)
-        if not 0 <= power._mp_size <= size:
-            raise ArithmeticError(f"GMP left a power of size {power._mp_size}, below 0 or above F_{m.n}*{p}'s {size} limbs")
-        y = int.from_bytes(ctypes.string_at(power._mp_d, 8 * power._mp_size), "little")
-    finally:
-        lib.__gmpz_clear(power)
-    if y >= modulus or y % p != pow(x % p, (pow(2, k, p - 1) - 1) % (p - 1) + 1, p):
-        raise ArithmeticError(f"GMP raised a residue mod F_{m.n} to 2**{k} wrongly (mod {p} check)")
-    return reduce_mod_fermat(y, m)
+def _gmp_items(x: int, chain: _GmpChain) -> Iterator[int]:
+    """square_chain's items on the GMP chain: x, then one kernel step and one checked export per item."""
+    yield x
+    while True:
+        chain.run(1)
+        yield chain.export()

@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from functools import cache
 from typing import Sequence
 
 from . import __version__
@@ -109,9 +110,9 @@ def _cross_check_record(report: TestReport) -> ReportRecord:
 
 
 def _cmd_pepin(args: argparse.Namespace) -> int:
-    # Reading the backend loads GMP, so the clock times the squarings alone;
-    # a negative n is left to pepin_test to reject.
-    backend = FermatModulus(args.n).power_backend if args.n >= 0 else None
+    # Reading the backend loads GMP and the kernel, so the clock times the
+    # squarings alone; a negative n is left to pepin_test to reject.
+    backend = FermatModulus(args.n).backend if args.n >= 0 else None
     verdict, elapsed_ms = _timed(pepin_test, args.n)
     record = _record("pepin", args.n, **_pepin_fields(args.n, verdict), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
@@ -119,8 +120,8 @@ def _cmd_pepin(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_test(args: argparse.Namespace) -> int:
-    # Reading the backend loads GMP and makes the FFT plan, so the clock times
-    # the scan alone; a negative n is left to paper_scan to reject.
+    # Reading the backend loads GMP and the kernel and makes the FFT plan, so
+    # the clock times the scan alone; a negative n is left to paper_scan to reject.
     backend = FermatModulus(args.n).backend if args.n >= 0 else None
     scan, elapsed_ms = _timed(paper_scan, args.n, args.full_range)
     record = _record("paper-test", args.n, **_scan_fields(scan), backend=backend, elapsed_ms=elapsed_ms)
@@ -220,6 +221,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fermatlab",

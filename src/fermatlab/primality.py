@@ -23,7 +23,7 @@ import time
 from typing import NamedTuple
 
 from .arith import FermatModulus, chain_item, fermat_value
-from .sequences import residues
+from .sequences import residue_blocks, residues
 
 TRACE_HASH_ALGORITHM = "sha256"
 
@@ -173,15 +173,14 @@ def paper_scan(n: int, full_window: bool = False) -> ScanResult:
     width = _residue_width_bytes(m)
     trace = hashlib.new(TRACE_HASH_ALGORITHM)
     found_q: int | None = None
-    for q, r in residues(m):
-        trace.update(r.to_bytes(width, "little"))
-        if r == 0:
+    q = 0
+    for block, zero in residue_blocks(m, q_hi - 1):
+        trace.update(block)
+        q += len(block) // width
+        if zero:
             if q < q_lo:
                 raise ArithmeticError(f"residue {q} is 0 mod F_{n}, below the window floor {q_lo}")
             found_q = q
-            break
-        if q >= q_hi - 1:
-            break
     return ScanResult(
         n=n,
         window=(q_lo, q_hi),
@@ -241,9 +240,9 @@ def cross_check(n: int) -> TestReport:
     """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts."""
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    # Reading the backend loads GMP and makes the FFT plan where the tests
-    # use them, so the clocks time the squarings alone.
-    FermatModulus(n).power_backend
+    # Reading the backend loads GMP, builds or loads the kernel and makes the
+    # FFT plan where the tests use them, so the clocks time the squarings alone.
+    FermatModulus(n).backend
     t0 = time.perf_counter()
     pepin = pepin_test(n)
     t1 = time.perf_counter()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain
+from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain, trace_blocks
 from .budget import check_pow2_bits
 
 
@@ -22,6 +22,11 @@ def a_exact(q: int) -> int:
 def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
     """Yield (q, q-th term mod m) for q = 1, 2, ...; each step past q = 1 is one squaring."""
     return enumerate(square_chain(reduce_mod_fermat(6, m), 2, m), 1)
+
+
+def residue_blocks(m: FermatModulus, count: int):
+    """Residues q = 1 .. count mod m as fixed-width bytes, in blocks, stopping after a zero (see ``arith.trace_blocks``)."""
+    return trace_blocks(reduce_mod_fermat(6, m), 2, m, count)
 
 
 def a_mod_fermat(q: int, n: int) -> int:

@@ -1,8 +1,10 @@
 import ctypes
+import gc
 import pathlib
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import islice
 
 import pytest
@@ -13,6 +15,7 @@ from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import paper_scan, pepin_test
 from fermatlab.sequences import a_mod_fermat, residues
+from fermatlab.zsqrt2 import sqrt2_mod_fermat
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -164,14 +167,6 @@ def test_pow_matches_builtin(n):
 # ------------------------------------------------------------ GMP chain
 
 
-@pytest.fixture
-def gmp():
-    lib = arith._load_gmp()
-    if lib is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP chain to test")
-    return lib
-
-
 def plain_chain(x, c, value, steps):
     """The first items of x, x*x - c, ... mod value by a plain % loop."""
     out = []
@@ -186,10 +181,9 @@ def plain_walk(n, steps):
     return plain_chain(6, 2, fermat_value(n), steps)
 
 
-def gmp_residue(x, patch):
-    """The smallest modulus F_n > x (6 <= n <= 16) with chains forced through GMP, and x mod F_n."""
-    patch.setattr(arith, "GMP_MIN_N", 0)
-    n = 6  # the smallest n whose b is a whole number of 64-bit limbs
+def gmp_residue(x):
+    """The smallest modulus F_n > x (GMP_MIN_N <= n <= 16), whose chains run in GMP, and x mod F_n."""
+    n = arith.GMP_MIN_N
     while n < 16 and 1 << (1 << n) < x:
         n += 1
     m = FermatModulus(n)
@@ -199,15 +193,16 @@ def gmp_residue(x, patch):
 
 ITEMS = (0, 1, 2, 7)
 # Each kernel, and the GMP_MIN_N and FFT_MIN_N that force it where the modulus allows it.
-KERNELS = (("gmp-fft", 0, arith.FFT_MIN_N), ("gmp", 0, 99), ("int", 99, 99))
+KERNELS = (("gmp-fft", arith.GMP_MIN_N, arith.FFT_MIN_N), ("gmp", arith.GMP_MIN_N, 99), ("int", 99, 99))
 
 
 def assert_steps_match_plain(m, r, patch):
-    """One square, eight chain items and chain_item at ITEMS, c = 0 and 2, on every kernel m can take, against a plain % loop.
+    """One square, eight chain items, chain_item at ITEMS and the trace blocks, c = 0 and 2, on every kernel m can take, against a plain % loop.
 
     "gmp-fft" is skipped where m has no FFT plan; "gmp" and "int" always run.
     """
     plain = {c: plain_chain(r, c, m.value, max(ITEMS) + 1) for c in (0, 2)}
+    width = m.b // 8 + 1
     for backend, gmp_min_n, fft_min_n in KERNELS:
         patch.setattr(arith, "GMP_MIN_N", gmp_min_n)
         patch.setattr(arith, "FFT_MIN_N", fft_min_n)
@@ -218,28 +213,33 @@ def assert_steps_match_plain(m, r, patch):
         for c, items in plain.items():
             assert list(islice(square_chain(r, c, m), len(items))) == items
             assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
+            upto_zero = items[: items.index(0) + 1] if 0 in items else items
+            blocks = [(bytes(block), zero) for block, zero in arith.trace_blocks(r, c, m, len(items))]  # each valid until the next
+            assert b"".join(block for block, _ in blocks) == b"".join(y.to_bytes(width, "little") for y in upto_zero)
+            assert [zero for _, zero in blocks] == [False] * (len(blocks) - 1) + [upto_zero[-1] == 0]
 
 
 # Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
 # which sets the top limb, squares to 1 and makes the - 2 wrap, as 0 and 1
-# do; 2**32 squares to 2**64 = F_6 - 1, the fold's carry into the top limb.
+# do; 2**32 squares to 2**64 = F_6 - 1, the fold's carry into the top limb;
+# a square root of 2 mod F_8 makes item 1 of the c = 2 chain 0, after which a
+# kernel call stops.
 _EDGES = [0, 1, 2, 3, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1]
 _EDGES += [1 << b for b in (31, 32, 63, 65, 127, 4096, 8192, 1 << 16)]
 _EDGES += [(1 << b) - 1 for b in (8192, 1 << 16, (1 << 16) + 1)]
+_EDGES += [sqrt2_mod_fermat(8)]
 
 
 @pytest.mark.parametrize("x", _EDGES, ids=[f"bits{x.bit_length()}_pop{bin(x).count('1')}" for x in _EDGES])
 def test_gmp_square_edges(gmp, monkeypatch, x):
-    assert_steps_match_plain(*gmp_residue(x, monkeypatch), monkeypatch)
+    assert_steps_match_plain(*gmp_residue(x), monkeypatch)
 
 
 @settings(deadline=None)
 @given(bits=st.integers(min_value=0, max_value=(1 << 16) + 1), seed=st.integers(min_value=0))
-def test_gmp_square_matches_int(bits, seed):
-    if arith._load_gmp() is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here")
+def test_gmp_square_matches_int(gmp, bits, seed):
     with pytest.MonkeyPatch.context() as patch:
-        assert_steps_match_plain(*gmp_residue(random.Random(seed).getrandbits(bits), patch), patch)
+        assert_steps_match_plain(*gmp_residue(random.Random(seed).getrandbits(bits)), patch)
 
 
 def test_chain_item_rejects_a_negative_index():
@@ -250,12 +250,8 @@ def test_chain_item_rejects_a_negative_index():
 def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (2, arith.GMP_MIN_N - 1)] == ["int", "int"]
     assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, arith.FFT_MIN_N - 1)] == ["gmp", "gmp"]
-    fft = "gmp-fft" if arith._gmp_version(gmp) in arith._FFT_GMP_VERSIONS else "gmp"
+    fft = "gmp-fft" if arith._gmp_version(arith._load_gmp()) in arith._FFT_GMP_VERSIONS else "gmp"
     assert [FermatModulus(n).backend for n in (arith.FFT_MIN_N, 16)] == [fft, fft]
-    # Powers x**(2**k) run as one mpz_powm on whole limbs below GMP_MIN_N, and on the chain elsewhere.
-    assert [FermatModulus(n).power_backend for n in (0, 5)] == ["int", "int"]
-    assert [FermatModulus(n).power_backend for n in (6, arith.GMP_MIN_N - 1)] == ["gmp-powm", "gmp-powm"]
-    assert [FermatModulus(n).power_backend for n in (arith.GMP_MIN_N, 16)] == ["gmp", fft]
 
 
 def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
@@ -263,6 +259,26 @@ def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
     assert [FermatModulus(n).backend for n in (2, 5, 6)] == ["int", "int", "gmp"]
     monkeypatch.setattr(arith, "_LIMB_BITS", 32)  # as if GMP had been built with 32-bit limbs
     assert arith._load_gmp.__wrapped__() is None
+
+
+# Every callback put in the kernel's table; the kernel may call one until its test ends.
+CALLBACKS = []
+
+
+def entry(gmp, name):
+    """The kernel table's entry ``name`` as a function Python can call."""
+    return gmp.prototypes[name](getattr(gmp.gmp, name))
+
+
+def install(gmp, name, function):
+    """(table, name, the address of ``function`` as a callback of the entry's type), for monkeypatch.setattr."""
+    CALLBACKS.append(gmp.prototypes[name](function))
+    return gmp.gmp, name, arith._function_address(CALLBACKS[-1])
+
+
+def callback(gmp, name, make):
+    """install() of ``make(the entry)``: make takes the entry, callable from Python, and returns the function to install."""
+    return install(gmp, name, make(entry(gmp, name)))
 
 
 def corrupt_import(gmp):
@@ -277,52 +293,57 @@ def corrupt_import(gmp):
 
 
 def corrupt_product(gmp):
-    real, add_1 = gmp.__gmpn_sqr, gmp.__gmpn_add_1
+    add_1 = entry(gmp, "add_1")
 
-    def corrupted(rp, up, n):
-        real(rp, up, n)
-        add_1(rp, rp, 2 * n, 1)
+    def make(sqr):
+        def corrupted(rp, up, n):
+            sqr(rp, up, n)
+            add_1(rp, rp, 2 * n, 1)
 
-    return gmp, "__gmpn_sqr", corrupted
+        return corrupted
+
+    return callback(gmp, "sqr", make)
 
 
 def corrupt_fold(gmp):
     # lo + hi for lo - hi: harmless while hi = 0, which holds for every step
     # of the recurrence below q = n - 1, so the walks below go further.
-    add_n = gmp["__gmpn_add_n"]  # a fresh function object, typed like sub_n
-    add_n.argtypes, add_n.restype = gmp.__gmpn_sub_n.argtypes, gmp.__gmpn_sub_n.restype
-    return gmp, "__gmpn_sub_n", add_n
+    return gmp.gmp, "sub_n", arith._function_address(arith._load_gmp().__gmpn_add_n)
 
 
 def always_borrow(gmp, name):
-    real = getattr(gmp, name)
+    def make(real):
+        def corrupted(*args):
+            real(*args)
+            return 1
 
-    def corrupted(*args):
-        real(*args)
-        return 1
+        return corrupted
 
-    return gmp, name, corrupted
+    return callback(gmp, name, make)
 
 
 def corrupt_compare(gmp):
     # lo - hi is right, but the +1 of F is added and k lowered when they should not be.
-    return always_borrow(gmp, "__gmpn_sub_n")
+    return always_borrow(gmp, "sub_n")
 
 
 def corrupt_wrap(gmp):
     # x - c is right, but F is added as if x < c.
-    return always_borrow(gmp, "__gmpn_sub_1")
+    return always_borrow(gmp, "sub_1")
 
 
 def corrupt_remainder(gmp):
     # Right for the import check, off by one for every remainder after it.
-    real, calls = gmp.__gmpn_mod_1, []
+    calls = []
 
-    def corrupted(up, n, d):
-        calls.append(n)
-        return real(up, n, d) + (len(calls) > 1)
+    def make(real):
+        def corrupted(up, n, d):
+            calls.append(n)
+            return real(up, n, d) + (len(calls) > 1)
 
-    return gmp, "__gmpn_mod_1", corrupted
+        return corrupted
+
+    return callback(gmp, "mod_1", make)
 
 
 def corrupt_export(gmp):
@@ -363,7 +384,7 @@ def test_gmp_corruption_raises(gmp, monkeypatch, mutation, walk):
 def corrupt_carry(gmp):
     # A forced borrow completed with its carry: y + F for y and k - 1 for k
     # satisfy the mod-p relation, and only the range check sees y > F - 1.
-    sub_n, add_1 = gmp.__gmpn_sub_n, gmp.__gmpn_add_1
+    sub_n, add_1 = entry(gmp, "sub_n"), entry(gmp, "add_1")
     forced = []
 
     def borrow(*args):
@@ -373,7 +394,7 @@ def corrupt_carry(gmp):
     def carry(*args):
         return add_1(*args) | (forced.pop() if forced else 0)
 
-    return [(gmp, "__gmpn_sub_n", borrow), (gmp, "__gmpn_add_1", carry)]
+    return [install(gmp, "sub_n", borrow), install(gmp, "add_1", carry)]
 
 
 @pytest.mark.parametrize("walk", WALKS)
@@ -398,17 +419,18 @@ def test_gmp_corrupted_export_raises(gmp, monkeypatch):
 
 
 def run_optimized(corruption, call):
-    """stdout of a python -O run that applies ``corruption`` to the library and makes ``call``.
+    """stdout of a python -O run that applies ``corruption`` to the loaded ``kernel`` and makes ``call``.
 
-    ``call`` may use a_mod_fermat and pepin_test.
+    ``call`` may use a_mod_fermat, pepin_test and paper_scan.
     """
     code = (
         "import ctypes, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from fermatlab import arith\n"
-        "from fermatlab.primality import pepin_test\n"
+        "from fermatlab.primality import paper_scan, pepin_test\n"
         "from fermatlab.sequences import a_mod_fermat\n"
-        "lib = arith._load_gmp()\n"
+        "kernel = arith._load_kernel()\n"
+        "entry = lambda name: kernel.prototypes[name](getattr(kernel.gmp, name))\n"
         f"{corruption}"
         "try:\n"
         f"    {call}\n"
@@ -422,25 +444,18 @@ def run_optimized(corruption, call):
 
 
 def test_gmp_check_survives_optimized_python(gmp):
-    # python -O strips assert statements; the per-step check and the power route's check must not be one.
-    n = arith.GMP_MIN_N
+    # python -O strips assert statements; the kernel's per-step check must not be one.
     corrupted_square = (
-        "sqr, add_1 = lib.__gmpn_sqr, lib.__gmpn_add_1\n"
+        "sqr, add_1 = entry('sqr'), entry('add_1')\n"
         "def corrupted(rp, up, n):\n"
         "    sqr(rp, up, n)\n"
         "    add_1(rp, rp, 2 * n, 1)\n"
-        "lib.__gmpn_sqr = corrupted\n"
+        "held = kernel.prototypes['sqr'](corrupted)\n"
+        "kernel.gmp.sqr = ctypes.cast(held, ctypes.c_void_p).value\n"
     )
-    corrupted_power = (
-        "powm, combit = lib.__gmpz_powm, lib['__gmpz_combit']\n"
-        "combit.argtypes = [ctypes.POINTER(arith._mpz_struct()), ctypes.c_ulong]\n"
-        "def corrupted(rop, *args):\n"
-        "    powm(rop, *args)\n"
-        "    combit(rop, 5)\n"
-        "lib.__gmpz_powm = corrupted\n"
-    )
-    for corruption, call in [(corrupted_square, f"a_mod_fermat({n + 2}, {n})"), (corrupted_power, f"pepin_test({n - 1})")]:
-        assert run_optimized(corruption, call) == ["caught", "False"], call
+    n = arith.GMP_MIN_N
+    for call in (f"a_mod_fermat({n + 2}, {n})", f"pepin_test({n})", f"paper_scan({n})"):
+        assert run_optimized(corrupted_square, call) == ["caught", "False"], call
 
 
 class RecordedLibrary:
@@ -457,39 +472,52 @@ class RecordedLibrary:
 def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     # Python owns every limb buffer, so a walk that stops early or raises has nothing to free.
     fft = FermatModulus(arith.FFT_MIN_N).backend == "gmp-fft"  # makes the plan with the real library
-    recorded = RecordedLibrary(gmp)
+    recorded = RecordedLibrary(arith._load_gmp())
     monkeypatch.setattr(arith, "_load_gmp", lambda: recorded)
+    monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))  # its table is filled from recorded
     a_mod_fermat(40, 13)  # stops 39 steps into an endless chain
     assert len(list(islice(square_chain(6, 2, FermatModulus(arith.FFT_MIN_N)), 5))) == 5  # abandoned at item 4
-    monkeypatch.setattr(arith, "GMP_MIN_N", 0)
     assert len(list(islice(square_chain(6, 2, FermatModulus(6)), 5))) == 5
     monkeypatch.setattr(*corrupt_export(gmp))
     with pytest.raises(ArithmeticError):
         a_mod_fermat(8, 6)
     assert "__gmpn_sqr" in recorded.names and ("__gmpn_mul_fft" in recorded.names) == fft
-    assert all(name.startswith("__gmpn_") for name in recorded.names)
+    assert all(name.startswith("__gmpn_") for name in recorded.names if name.startswith("__gmp"))
+
+
+def test_a_kernel_that_fails_its_first_walk_is_not_used(gmp, monkeypatch):
+    # A library whose mpn_sub_n adds: the kernel's walk mod F_6 at load time catches it.
+    class Swapped(RecordedLibrary):
+        def __getattr__(self, name):
+            return super().__getattr__("__gmpn_add_n" if name == "__gmpn_sub_n" else name)
+
+    swapped = Swapped(arith._load_gmp())
+    monkeypatch.setattr(arith, "_load_gmp", lambda: swapped)
+    monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))
+    assert [FermatModulus(n).backend for n in (6, 12)] == ["int", "int"]
+    assert "__gmpn_add_n" in swapped.names
 
 
 def assert_falls_back_to_int(monkeypatch):
-    """The unmemoised loader returns None, and chains and powers mod every modulus use x * x."""
+    """The unmemoised loaders return None, and chains mod every modulus use x * x."""
     monkeypatch.setattr(arith, "_load_gmp", arith._load_gmp.__wrapped__)  # the loader, unmemoised
-    assert arith._load_gmp() is None
-    m = FermatModulus(arith.GMP_MIN_N)
-    assert m.backend == m.power_backend == FermatModulus(8).power_backend == "int"
-    assert [r for _, r in islice(residues(m), 40)] == plain_walk(arith.GMP_MIN_N, 40)
+    monkeypatch.setattr(arith, "_load_kernel", arith._load_kernel.__wrapped__)
+    assert arith._load_gmp() is None and arith._load_kernel() is None
+    m = FermatModulus(12)
+    assert m.backend == FermatModulus(arith.GMP_MIN_N).backend == "int"
+    assert [r for _, r in islice(residues(m), 40)] == plain_walk(12, 40)
+    m = FermatModulus(8)
+    assert chain_item(3, 0, 255, m) == pow(3, 1 << 255, m.value)
 
 
 def test_missing_library_falls_back_to_int(monkeypatch):
     monkeypatch.setattr(arith, "GMP_SONAME", "libfermatlab-missing.so.0")
     assert_falls_back_to_int(monkeypatch)
-    m, calls = FermatModulus(5), spy_power(monkeypatch)
-    assert m.power_backend == "int"
-    assert chain_item(3, 0, 31, m) == pow(3, 1 << 31, m.value) and calls == []
 
 
-@pytest.mark.parametrize("symbol", ["__gmpz_roinit_n", "__gmpn_sqr"])
+@pytest.mark.parametrize("symbol", ["__gmpn_mod_1", "__gmpn_sqr"])
 def test_a_library_without_an_entry_point_falls_back_to_int(gmp, monkeypatch, symbol):
-    # GMP 5 has the same soname as GMP 6 but no mpz_roinit_n, which came with GMP 6.0.
+    # A library with GMP's soname that lacks an entry point the kernel calls is not used.
     class Lacking(ctypes.CDLL):
         def __getattr__(self, name):
             if name == symbol:
@@ -500,53 +528,52 @@ def test_a_library_without_an_entry_point_falls_back_to_int(gmp, monkeypatch, sy
     assert_falls_back_to_int(monkeypatch)
 
 
-# ------------------------------------------------------------ GMP power route
+# ------------------------------------------------------------ the kernel
 
 
-def spy_power(patch):
-    """The list of (n, k) of every power-route call from here on."""
-    calls, power = [], arith._gmp_power
+def spy_kernel(patch):
+    """The list of (c, steps asked, steps run) of every kernel call from here on."""
+    kernel, calls = arith._load_kernel(), []
 
-    def spied(x, k, m, lib):
-        calls.append((m.n, k))
-        return power(x, k, m, lib)
+    def spied(state, count, trace):
+        done = kernel.run(state, count, trace)
+        calls.append((kernel.chain_type.from_address(state).c, count, done))
+        return done
 
-    patch.setattr(arith, "_gmp_power", spied)
+    patch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied))
     return calls
 
 
 def assert_power_matches_plain(n, k, x, calls):
-    """chain_item(x, 0, k, F_n) against a plain % loop, and that it was one power-route call.
+    """chain_item(x, 0, k, F_n), the power x**(2**k), against a plain % loop, and its kernel calls.
 
-    Below n = 6, where b is not a whole number of 64-bit limbs, it must be the int chain instead.
+    From GMP_MIN_N all k steps are one call, or one per step from x = 0,
+    since a call stops after a zero item; below it no call is made.
     """
     m = FermatModulus(n)
-    routed = m.b >= arith._LIMB_BITS
-    assert m.power_backend == ("gmp-powm" if routed else "int")
+    routed = n >= arith.GMP_MIN_N
+    assert m.backend == ("gmp" if routed else "int")
     calls.clear()
     assert chain_item(x, 0, k, m) == plain_chain(x, 0, m.value, k + 1)[k]
-    assert calls == ([(n, k)] if routed else [])
+    if not routed or not k:
+        assert calls == []
+    else:
+        assert calls == ([(0, k - i, 1) for i in range(k)] if x == 0 else [(0, k, k)])
 
 
-@pytest.mark.parametrize("n", range(arith.GMP_MIN_N))
+@pytest.mark.parametrize("n", range(12))  # the int chain below GMP_MIN_N, the kernel from it
 def test_power_route_edges(gmp, monkeypatch, n):
-    calls = spy_power(monkeypatch)
+    calls = spy_kernel(monkeypatch)
     for x in (0, 1, fermat_value(n) - 1):
         for k in (0, 1, 64):
             assert_power_matches_plain(n, k, x, calls)
 
 
 @settings(deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=arith.GMP_MIN_N - 1),
-    k=st.integers(min_value=0, max_value=64),
-    seed=st.integers(min_value=0),
-)
-def test_power_route_matches_plain(n, k, seed):
-    if arith._load_gmp() is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here")
+@given(n=st.integers(min_value=0, max_value=11), k=st.integers(min_value=0, max_value=64), seed=st.integers(min_value=0))
+def test_power_route_matches_plain(gmp, n, k, seed):
     with pytest.MonkeyPatch.context() as patch:
-        assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), spy_power(patch))
+        assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), spy_kernel(patch))
 
 
 def test_power_route_checks_its_operands(gmp):
@@ -554,92 +581,93 @@ def test_power_route_checks_its_operands(gmp):
         chain_item(fermat_value(4), 0, 3, FermatModulus(4))
 
 
-def corrupt_view(gmp, which):
-    # Flips the low bit of the limbs behind one mpz_roinit_n view: 0 is x, 1 is 2**k, 2 is the modulus F*p.
-    real, held = gmp.__gmpz_roinit_n, []
-
-    def corrupted(z, limbs, size):
-        if len(held) == which:
-            limbs = bytes([limbs[0] ^ 1]) + limbs[1:]
-        held.append(limbs)  # GMP reads the view's limbs until mpz_powm returns
-        return real(z, limbs, size)
-
-    return gmp, "__gmpz_roinit_n", corrupted
-
-
-def corrupt_base_import(gmp):
-    return corrupt_view(gmp, 0)
-
-
-def corrupt_modulus_import(gmp):
-    return corrupt_view(gmp, 2)
-
-
-def corrupt_power(gmp):
-    real, combit = gmp.__gmpz_powm, gmp["__gmpz_combit"]  # a fresh function object, typed here
-    combit.argtypes = [ctypes.POINTER(arith._mpz_struct()), ctypes.c_ulong]
-
-    def corrupted(rop, *args):
-        real(rop, *args)
-        combit(rop, 5)
-
-    return gmp, "__gmpz_powm", corrupted
-
-
-def corrupt_result_limb(gmp):
-    # Flips a bit of the power's low limb in memory, between mpz_powm and the read.
-    real = gmp.__gmpz_powm
-
-    def corrupted(rop, *args):
-        real(rop, *args)
-        ctypes.c_uint64.from_address(rop._mp_d).value ^= 1
-
-    return gmp, "__gmpz_powm", corrupted
-
-
-POWER_CALLS = {
-    "pepin_test": lambda: pepin_test(arith.GMP_MIN_N - 1),
-    "chain_item": lambda: chain_item(random.Random(8).randrange(fermat_value(8)), 0, 64, FermatModulus(8)),
-}
-
-
-@pytest.mark.parametrize("call", POWER_CALLS)
-@pytest.mark.parametrize("mutation", [corrupt_base_import, corrupt_modulus_import, corrupt_power, corrupt_result_limb])
-def test_power_route_corruption_raises(gmp, monkeypatch, mutation, call):
-    calls = spy_power(monkeypatch)
-    monkeypatch.setattr(*mutation(gmp))
-    with pytest.raises(ArithmeticError, match="GMP"):
-        POWER_CALLS[call]()
-    assert len(calls) == 1
-
-
-def test_power_route_rejects_a_power_too_wide_to_export(gmp, monkeypatch):
-    # The size check keeps the read inside the power's limbs.  Here GMP reports
-    # a power one limb wider than F*p, then one of negative size.
-    n = arith.GMP_MIN_N - 1
-    limbs = -(-(fermat_value(n) * arith._CHECK_PRIME).bit_length() // 64)
-    real = gmp.__gmpz_powm
-    for size in (limbs + 1, -1):
-
-        def resized(rop, *args):
-            real(rop, *args)
-            rop._mp_size = size
-
-        monkeypatch.setattr(gmp, "__gmpz_powm", resized)
-        with pytest.raises(ArithmeticError, match="above"):
-            pepin_test(n)
-
-
-@pytest.mark.parametrize("n", range(arith.GMP_MIN_N))
+@pytest.mark.parametrize("n", range(12))
 def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
-    # One squaring costs less as x * x and a fold than as an mpz_powm call with its set-up.
-    def refused(*args):
-        raise AssertionError("item 1 of square_chain took the power route")
-
-    monkeypatch.setattr(arith, "_gmp_power", refused)
+    # Below GMP_MIN_N item 1 is x * x and a fold, and no kernel call.  With GMP_MIN_N
+    # raised to 12, n = 6..11 check that the threshold itself keeps the kernel out
+    # where b is a whole number of limbs; below 6 the limb width does too.
+    monkeypatch.setattr(arith, "GMP_MIN_N", 12)
+    calls = spy_kernel(monkeypatch)
     m = FermatModulus(n)
+    assert m.backend == "int"
     for x in (0, 1, m.value - 1, random.Random(n).randrange(m.value)):
         assert power_of_two(x, 1, m) == x * x % m.value
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 6, 11])
+def test_trace_hash_does_not_depend_on_the_block_size(monkeypatch, n):
+    # n = 3 is on the int chain, one item a block; n = 6 and 11 are on the kernel where it loads.
+    expected = paper_scan(n).residue_trace_hash
+    for items in (1, 2):
+        monkeypatch.setattr(arith, "_BLOCK_BYTES", items * ((1 << n) // 8 + 1))
+        assert paper_scan(n).residue_trace_hash == expected
+
+
+def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
+    kernel, sizes, asked = arith._load_kernel(), {}, []
+    address = arith._address
+
+    def recorded(buffer):  # every buffer the kernel is given goes through here
+        sizes[address(buffer)] = len(buffer)
+        return address(buffer)
+
+    def checked(state, count, trace):
+        width = kernel.chain_type.from_address(state).width
+        asked.append((count * width, None if trace is None else sizes[trace], width))
+        return kernel.run(state, count, trace)
+
+    monkeypatch.setattr(arith, "_address", recorded)
+    monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=checked))
+    for block_bytes in (arith._BLOCK_BYTES, 1, 1000):
+        monkeypatch.setattr(arith, "_BLOCK_BYTES", block_bytes)
+        asked.clear()
+        for n in (6, 8, 11):
+            paper_scan(n)
+        list(arith.trace_blocks(6, 2, FermatModulus(16), 20))
+        assert asked and all(size is not None and wanted <= size <= max(block_bytes, width) for wanted, size, width in asked)
+
+
+def test_chains_leave_no_reference_cycles(gmp):
+    # Memory in a cycle waits for the cycle collector, so 64 KiB trace buffers in cycles would pile up.
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (6, 11, 16):
+            m = FermatModulus(n)
+            paper_scan(n) if n < 16 else chain_item(6, 2, 8, m)
+            assert len(list(islice(residues(m), 40))) == 40
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_without_a_compiler_every_modulus_squares_with_int(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # a cold cache, so the kernel would have to be built
+    monkeypatch.setattr(arith, "_COMPILER", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))
+    assert [FermatModulus(n).backend for n in (6, 12, 16)] == ["int"] * 3
+    assert list(tmp_path.rglob("*.so")) == []
+
+
+def test_the_kernel_is_built_once_into_the_cache(gmp, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    kernel = arith._build_kernel()
+    (built,) = (tmp_path / "fermatlab").iterdir()
+    assert kernel is not None and built.name.startswith("chain-") and built.suffix == ".so"
+    monkeypatch.setattr(arith, "_COMPILER", str(tmp_path / "no-such-cc"))  # a hit needs no compiler
+    assert arith._build_kernel() is not None
+    assert list((tmp_path / "fermatlab").iterdir()) == [built]
+
+
+def test_an_unwritable_cache_builds_in_a_temporary_directory(gmp, monkeypatch, tmp_path):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")  # a file where the cache directory's parent should be
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))
+    assert FermatModulus(8).backend == "gmp"
+    m = FermatModulus(8)
+    assert chain_item(3, 0, 255, m) == pow(3, 1 << 255, m.value)
 
 
 # ------------------------------------------------------------ GMP FFT step
@@ -647,9 +675,10 @@ def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
 
 @pytest.fixture
 def fft(gmp):
-    """The GMP library, with the FFT plan mod F_15 made: a corruption after this reaches the chain, not the self-test."""
-    if arith._gmp_version(gmp) not in arith._FFT_GMP_VERSIONS:
-        pytest.skip(f"GMP {arith._gmp_version(gmp)} is not a version the FFT step was tested on")
+    """The loaded kernel, with the FFT plan mod F_15 made: a corruption after this reaches the chain, not the self-test."""
+    version = arith._gmp_version(arith._load_gmp())
+    if version not in arith._FFT_GMP_VERSIONS:
+        pytest.skip(f"GMP {version} is not a version the FFT step was tested on")
     assert FermatModulus(15).backend == "gmp-fft"
     return gmp
 
@@ -682,28 +711,30 @@ def test_an_untested_gmp_version_squares_with_mpn_sqr(gmp, monkeypatch):
 
 def test_an_fft_that_cannot_square_in_place_squares_with_mpn_sqr(fft, monkeypatch):
     # The chain's FFT step writes x*x over x, so the plan's self-test must make the same call.
-    real = fft.__gmpn_mul_fft
+    def make(real):
+        def corrupted(op, pl, n, nl, m, ml, k):
+            carry = real(op, pl, n, nl, m, ml, k)
+            if op in (n, m):
+                ctypes.c_uint64.from_address(op).value ^= 1
+            return carry
 
-    def corrupted(op, pl, n, nl, m, ml, k):
-        carry = real(op, pl, n, nl, m, ml, k)
-        if op in (n, m):
-            ctypes.c_uint64.from_address(op).value ^= 1
-        return carry
+        return corrupted
 
-    monkeypatch.setattr(fft, "__gmpn_mul_fft", corrupted)
+    monkeypatch.setattr(*callback(fft, "mul_fft", make))
     assert arith._fft_plan.__wrapped__(15) is None
     assert_falls_back_to_mpn_sqr(monkeypatch)
 
 
 def corrupt_fft_product(gmp):
-    real = gmp.__gmpn_mul_fft
+    def make(real):
+        def corrupted(op, *args):
+            carry = real(op, *args)
+            ctypes.c_uint64.from_address(op).value ^= 1 << 17
+            return carry
 
-    def corrupted(op, *args):
-        carry = real(op, *args)
-        ctypes.c_uint64.from_address(op).value ^= 1 << 17
-        return carry
+        return corrupted
 
-    return gmp, "__gmpn_mul_fft", corrupted
+    return callback(gmp, "mul_fft", make)
 
 
 def test_a_failed_self_test_squares_with_mpn_sqr(fft, monkeypatch):
@@ -732,8 +763,7 @@ def test_fft_and_mpn_sqr_chains_agree(fft, monkeypatch, x, c):
 
 
 def force_carry(gmp):
-    real = gmp.__gmpn_mul_fft
-    return gmp, "__gmpn_mul_fft", lambda *args: real(*args) or 1
+    return callback(gmp, "mul_fft", lambda real: lambda *args: real(*args) or 1)
 
 
 FFT_MUTATIONS = [
@@ -767,11 +797,12 @@ def test_fft_check_survives_optimized_python(fft):
     corruption = (
         "if arith.FermatModulus(arith.FFT_MIN_N).backend != 'gmp-fft':\n"
         "    sys.exit('no FFT plan')\n"
-        "mul_fft = lib.__gmpn_mul_fft\n"
+        "mul_fft = entry('mul_fft')\n"
         "def corrupted(op, *args):\n"
         "    carry = mul_fft(op, *args)\n"
         "    ctypes.c_uint64.from_address(op).value ^= 1\n"
         "    return carry\n"
-        "lib.__gmpn_mul_fft = corrupted\n"
+        "held = kernel.prototypes['mul_fft'](corrupted)\n"
+        "kernel.gmp.mul_fft = ctypes.cast(held, ctypes.c_void_p).value\n"
     )
     assert run_optimized(corruption, f"a_mod_fermat({arith.FFT_MIN_N + 2}, {arith.FFT_MIN_N})") == ["caught", "False"]

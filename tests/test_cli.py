@@ -2,14 +2,16 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from fermatlab import arith, report
+from fermatlab import arith, cli, report
 from fermatlab.cli import main
 from fermatlab.primality import TestReport, Verdict, VerdictKind, paper_scan
 from fermatlab.report import FIELDS, ReportRecord
@@ -55,18 +57,23 @@ def test_pepin_json_fields(capsys):
 
 
 @pytest.fixture
-def slow_first_load(monkeypatch):
-    """Make the next GMP load sleep 1 s first; the list it returns records that it did."""
-    load, slept = arith._load_gmp, []
+def slow_cold_start(monkeypatch, tmp_path):
+    """A cold kernel cache, and a next GMP load and kernel load that sleep 1 s first; returns what slept and the cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    slept = []
 
-    def slow():
-        if not slept:
-            slept.append(True)
-            time.sleep(1.0)
-        return load()
+    def slow(name, load):
+        def slowed():
+            if name not in slept:
+                slept.append(name)
+                time.sleep(1.0)
+            return load()
 
-    monkeypatch.setattr(arith, "_load_gmp", slow)
-    return slept
+        return slowed
+
+    monkeypatch.setattr(arith, "_load_gmp", slow("gmp", arith._load_gmp))
+    monkeypatch.setattr(arith, "_load_kernel", cache(slow("kernel", arith._load_kernel.__wrapped__)))
+    return slept, tmp_path / "fermatlab"
 
 
 @pytest.mark.parametrize(
@@ -74,15 +81,18 @@ def slow_first_load(monkeypatch):
     [
         ["pepin", "8"],
         ["paper-test", "12"],
-        ["cross-check", "--from", "8", "--to", "8"],
+        ["cross-check", "--from", "6", "--to", "6"],
         ["cross-check", "--from", "12", "--to", "12"],
     ],
-    ids=["pepin", "paper-test", "cross-check-powm", "cross-check-gmp"],
+    ids=["pepin", "paper-test", "cross-check-n6", "cross-check-gmp"],
 )
-def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_first_load, argv):
+def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_cold_start, argv):
+    # The kernel is built into the empty cache, and both loads sleep, before the clock starts.
+    slept, built = slow_cold_start
     code, out, _ = run(capsys, *argv, "--format", "json")
     (record,) = json_records(out)
-    assert code == 0 and slow_first_load == [True]
+    assert code == 0 and sorted(slept) == ["gmp", "kernel"]
+    assert record["backend"] == "gmp" and len(list(built.glob("chain-*.so"))) == 1
     assert record["elapsed_ms"] < 500
 
 
@@ -519,6 +529,26 @@ def test_unknown_subcommand(capsys):
     assert code == 1
 
 
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch):
+    # main builds its parser once per process, so a parse must leave no flag or default behind.
+    runs = [
+        ["paper-test", "3", "--full-range", "--format", "json"],
+        ["pepin", "4", "--format", "csv"],
+        ["paper-test", "3"],
+        ["cross-check", "--from", "2", "--to", "3", "--format", "json"],
+        ["pepin", "4"],
+        ["pepin"],
+    ]
+
+    def outputs():
+        return [[re.sub(r"\d+\.\d+", "ms", text) for text in run(capsys, *argv)[1:]] for argv in runs]
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = outputs()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    assert reused == outputs()
+
+
 def test_missing_subcommand(capsys):
     code, _, err = run(capsys)
     assert code == 1
@@ -539,8 +569,8 @@ def test_module_entry_point_subprocess():
 def test_small_runs_do_not_import_ctypes():
     # ctypes loads only when arithmetic first needs GMP: the n = 13 commands
     # that square nothing mod F_13 never do, nor do runs whose moduli are all
-    # at most F_5, and an n <= 11 sweep does once, for Pépin's mpz_powm from
-    # n = 6, so it runs last.  dataclasses and inspect, which would double the
+    # at most F_5, and an n <= 11 sweep does once, for the kernel from n = 6,
+    # so it runs last.  dataclasses and inspect, which would double the
     # import time, never load.
     code = (
         "import contextlib, io, sys\n"

@@ -8,15 +8,16 @@ own golden file; they are copied rather than loaded so the unit tests do not
 depend on the benchmark directory.
 
 Every case runs on both squaring kernels: "int" hides the GMP library so
-every modulus squares with ``x * x``, and "gmp" sends every modulus that GMP
-can take through ``mpn_sqr``, small ones included: from n = 6 up, where b is
-a whole number of 64-bit limbs.  Below that the "gmp" cases stay on
-``x * x``.  The walk also runs on "gmp-fft", GMP's FFT step.  The cases
-n = 2..11 also run at default settings, where Pépin is one checked
-``mpz_powm`` call from n = 6 up and the int chain below.
+every modulus squares with ``x * x``, and "gmp" runs the compiled kernel
+with ``mpn_sqr`` from n = 6 up, where b is a whole number of 64-bit limbs.
+Below that the "gmp" cases stay on ``x * x``.  The walk also runs on
+"gmp-fft", GMP's FFT step.  The cases n = 2..11 also run at default
+settings, where Pépin's power is one kernel call from n = 6 up, and with
+no C compiler, where the kernel cannot be built and every case is "int".
 """
 
 import hashlib
+from functools import cache
 
 import pytest
 
@@ -59,16 +60,14 @@ GOLDEN = [
 WALK = (16, 1025, "c1054078ce03677dc2ab70a4b1a5b7f83815bc7a8786cfeedfaf9346ba4d5ff3")
 
 
-def force_backend(backend, monkeypatch):
+def force_backend(backend, request, monkeypatch):
     """Make every modulus built from here on square with ``backend``; "gmp-fft" only where a factor is known."""
     if backend == "int":
-        monkeypatch.setattr(arith, "_load_gmp", lambda: None)
-    elif arith._load_gmp() is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here, so there is no GMP kernel to pin")
-    else:
-        monkeypatch.setattr(arith, "GMP_MIN_N", 0)
-        if backend == "gmp":
-            monkeypatch.setattr(arith, "FFT_MIN_N", 99)
+        monkeypatch.setattr(arith, "_load_kernel", lambda: None)
+        return
+    request.getfixturevalue("gmp")  # skips, or fails, where there is no kernel
+    if backend == "gmp":
+        monkeypatch.setattr(arith, "FFT_MIN_N", 99)
 
 
 # The int cases are the reference and carry the plain ids n2..n14.
@@ -81,9 +80,9 @@ CASES = [("int", *row) for row in GOLDEN] + [("gmp", *row) for row in GOLDEN]
     ids=[f"n{case[1]}" if case[0] == "int" else f"{case[0]}-n{case[1]}" for case in CASES],
 )
 def test_cross_check_matches_golden(
-    monkeypatch, backend, n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
+    request, monkeypatch, backend, n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
 ):
-    force_backend(backend, monkeypatch)
+    force_backend(backend, request, monkeypatch)
     assert FermatModulus(n).backend == (backend if 1 << n >= arith._LIMB_BITS else "int")
     assert_report_matches(cross_check(n), verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash)
 
@@ -98,27 +97,42 @@ def assert_report_matches(report, verdict_pepin, verdict_paper, found_q, squarin
     assert report.consistent
 
 
-POWER_ROWS = [row for row in GOLDEN if row[0] < arith.GMP_MIN_N]
+POWER_ROWS = [row for row in GOLDEN if row[0] < 12]  # n = 2..11, the rows of the sweep_small workload
 
 
 @pytest.mark.parametrize("row", POWER_ROWS, ids=[f"powm-n{row[0]}" for row in POWER_ROWS])
-def test_power_route_matches_golden(monkeypatch, row):
-    # At default settings Pépin below GMP_MIN_N is one mpz_powm call of all its 2**n - 1 squarings
+def test_power_route_matches_golden(gmp, monkeypatch, row):
+    # At default settings Pépin's power, all its 2**n - 1 squarings, is one kernel call
     # from n = 6, where b is a whole number of 64-bit limbs; below that it runs on the int chain.
-    if arith._load_gmp() is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here, so Pépin runs on the int chain")
+    kernel = gmp
     n, squarings_pepin = row[0], row[4]
-    calls, power = [], arith._gmp_power
-    monkeypatch.setattr(arith, "_gmp_power", lambda x, k, m, lib: calls.append((x, k, m.n)) or power(x, k, m, lib))
-    routed = 1 << n >= arith._LIMB_BITS
-    assert FermatModulus(n).power_backend == ("gmp-powm" if routed else "int")
+    calls = []
+
+    def spied(state, count, trace):
+        calls.append((kernel.chain_type.from_address(state).c, count))
+        return kernel.run(state, count, trace)
+
+    monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied))
+    routed = n >= arith.GMP_MIN_N
+    assert FermatModulus(n).backend == ("gmp" if routed else "int")
     assert_report_matches(cross_check(n), *row[1:])
-    assert calls == ([(3, squarings_pepin, n)] if routed else [])
+    assert [count for c, count in calls if c == 0] == ([squarings_pepin] if routed else [])
+
+
+def test_without_a_compiler_the_golden_rows_pass_on_int(monkeypatch, tmp_path):
+    # A cold cache and no compiler: the kernel cannot be built, so every modulus squares with x * x.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(arith, "_COMPILER", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))
+    for row in POWER_ROWS:
+        assert FermatModulus(row[0]).backend == "int"
+        assert_report_matches(cross_check(row[0]), *row[1:])
+    assert list(tmp_path.rglob("*.so")) == []
 
 
 @pytest.mark.parametrize("backend", ["int", "gmp", "gmp-fft"])
-def test_walk_matches_golden(monkeypatch, backend):
-    force_backend(backend, monkeypatch)
+def test_walk_matches_golden(request, monkeypatch, backend):
+    force_backend(backend, request, monkeypatch)
     n, q, digest = WALK
     if backend == "gmp-fft" and arith._gmp_version(arith._load_gmp()) not in arith._FFT_GMP_VERSIONS:
         pytest.skip("this GMP is not a version the FFT step was tested on")

@@ -1,8 +1,7 @@
 import pytest
 
 import fermatlab.primality as primality
-from fermatlab import arith
-from fermatlab.arith import fermat_value
+from fermatlab.arith import FermatModulus, fermat_value
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
     FactorWitness,
@@ -64,10 +63,8 @@ def test_counters_match_kernel_calls(counted_steps, n):
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_gmp_walks_count_the_same_squarings(monkeypatch, counted_steps, n):
-    if arith._load_gmp() is None:
-        pytest.skip(f"{arith.GMP_SONAME} does not load here")
-    monkeypatch.setattr(arith, "GMP_MIN_N", 0)
+def test_gmp_walks_count_the_same_squarings(gmp, counted_steps, n):
+    assert FermatModulus(n).backend == "gmp"
     steps = counted_steps
     assert pepin_test(n).kind is VerdictKind.COMPOSITE_BY_PEPIN
     assert len(steps) == pepin_squarings(n) == (1 << n) - 1
@@ -117,7 +114,8 @@ def test_full_window_finds_nothing_below_the_floor():
 
 def test_zero_below_the_floor_raises(monkeypatch):
     # The interleaving bound gives 0 < A_q < F_n for q < n, so a zero there is an arithmetic fault.
-    monkeypatch.setattr(primality, "residues", lambda m: iter([(1, 6), (2, 0), (3, 0)]))
+    blocks = [(bytes([6, 0, 0]), False), (bytes(3), True)]  # residues 1 and 2 of F_4, 3 bytes each
+    monkeypatch.setattr(primality, "residue_blocks", lambda m, count: iter(blocks))
     with pytest.raises(ArithmeticError, match="residue 2 is 0 mod F_4, below the window floor 4"):
         paper_scan(4)
 
