@@ -13,13 +13,14 @@ The chain's arithmetic is chosen per modulus when a chain starts.  Below
 is also the reference.  From ``GMP_MIN_N`` up the residue lives in 64-bit
 limbs for the whole chain, and a small compiled kernel, ``_chain.c``, runs
 a block of steps per call on them, squaring and folding with GMP's ``mpn``
-functions from ``libgmp.so.10``; from ``FFT_MIN_N`` up, where a factor of
-the modulus is known, GMP's negacyclic FFT squares mod 2**b + 1 directly.
-Every step is checked modulo a prime, and only an item that is read becomes
-an int.  The kernel is built once with the system C compiler into a
-per-user cache and loaded, with libgmp, through ``ctypes``.  When the
-library does not load or the kernel cannot be built, every modulus uses
-``x * x``.
+functions from ``libgmp.so.10``.  From ``FFT_MIN_N`` to ``FFT_MAX_N``, where
+a factor of the modulus is known, the kernel squares mod 2**b + 1 directly
+with its own weighted double-precision FFT, about 4x faster per step than
+``mpn_sqr`` (see ``FFT_MIN_N``).  Every step is checked modulo a prime or
+that factor, and only an item that is read becomes an int.  The kernel is
+built once with the system C compiler into a per-user cache and loaded,
+with libgmp, through ``ctypes``.  When the library does not load or the
+kernel cannot be built, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -39,45 +40,48 @@ from .budget import check_pow2_bits
 # 0.31-0.57 vs 0.047-0.077 at n = 6; 0.32-0.52 vs 0.052-0.084 at 7;
 # 0.38-0.64 vs 0.063-0.10 at 8; 0.59-0.91 vs 0.10-0.15 at 9; 1.0-1.8 vs
 # 0.19-0.28 at 10; 2.6-4.7 vs 0.50-0.72 at 11; 9.1-15 vs 1.3-2.2 at 12; 29-46
-# vs 3.6-5.7 at 13; 87-137 vs 10-18 at 14 (mpn_sqr); 289-425 vs 24-32 at 15
-# and 865-1270 vs 50-84 at 16 (the FFT step) (2-CPU Xeon, CPython 3.11.7,
-# GMP 6.2.1, gcc 12 -O2).  The int chain below is also the reference.
+# vs 3.6-5.7 at 13; 87-137 vs 10-18 at 14 (mpn_sqr) (2-CPU Xeon, CPython
+# 3.11.7, GMP 6.2.1, gcc 12 -O2).  The int chain below is also the reference.
 GMP_MIN_N = 6
-# The smallest n whose kernel chains square with __gmpn_mul_fft, which returns
-# x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n is
-# known.  Time per call of mpn_sqr vs mpn_mul_fft (k = 5 / 6), min of 7:
-# 17.3-19.9 vs 17.8-23.7 us at n = 14 (no win).  Kernel time per step with
-# mpn_sqr vs the FFT, walked as above: 31-42 vs 24-32 us at n = 15; 76-115
-# vs 50-84 us at n = 16 (same machine).
+# The smallest n whose kernel chains square with the kernel's FFT, which
+# returns x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n
+# is known (F_14 has none).  Kernel time per step with mpn_sqr vs the FFT,
+# walked as above, best of 7, range of three runs: 31-51 vs 8.5-14 us at
+# n = 15; 80-108 vs 17-22 us at n = 16 (same machine, gcc 12 -O3, the
+# x86-64-v3 clone).  GMP's undocumented mpn_mul_fft takes 24-32 and
+# 50-84 us, so the kernel has its own.
 FFT_MIN_N = 15
+# The largest n whose chains square with the FFT.  Its 16-bit digits keep the
+# worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
+# and 0.0625 for n = 15..19, well inside the 1/4 each step checks, but it
+# reaches 0.19 at n = 20 and 0.31 at n = 21, so larger n square with mpn_sqr.
+# Percival (Math. Comp. 72, 2003) bounds this error from the transform length
+# and the digit size.
+FFT_MAX_N = 19
 GMP_SONAME = "libgmp.so.10"
-# The compiler that builds the kernel; without one, every modulus uses x * x.
+# The compiler that builds the kernel, and its flags; without one, every modulus uses x * x.
 _COMPILER = "cc"
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 # The trace bytes one kernel call may write: a block holds as many items as fit, and at least one.
 _BLOCK_BYTES = 1 << 16
-# The FFT entry points are undocumented and ctypes checks no ABI, so they are
-# used only with the GMP versions they were tested on.
-_FFT_GMP_VERSIONS = frozenset({"6.2.1"})
 # The mpn entry points every kernel chain calls.
 _MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
-# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n >= FFT_MIN_N
-# that has one: an FFT step gives no k, but with q | F it must satisfy
-# x*x = y + c modulo q.  n = 14, 20, 22 and 24 have none, so they keep mpn_sqr.
+# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n the FFT
+# serves: an FFT step gives no k, but with q | F it must satisfy
+# x*x = y + c modulo q.
 _FACTORS = {
     15: 1214251009,
     16: 825753601,
     17: 31065037602817,
     18: 13631489,
     19: 70525124609,
-    21: 4485296422913,
-    23: 167772161,
 }
 # GMP chains need 64-bit limbs and b a whole number of them, so n >= 6.
 _LIMB_BITS = 64
-# What fermat_chain_run returns for a failed step: _chain.c's ABOVE and WRONG.
-_ABOVE, _WRONG = -1, -2
+# What fermat_chain_run returns for a failed step: _chain.c's ABOVE, WRONG and INEXACT.
+_ABOVE, _WRONG, _INEXACT = -1, -2, -3
 
 
 class FermatModulus:
@@ -98,9 +102,10 @@ class FermatModulus:
     def backend(self) -> str:
         """The arithmetic of chains mod this modulus: "int", "gmp" or "gmp-fft".
 
-        "gmp-fft" squares with GMP's FFT and "gmp" with ``mpn_sqr``, both in
-        the kernel.  Reading it may load the GMP library, build or load the
-        kernel and make the FFT plan, as starting a chain does.
+        "gmp-fft" squares with the kernel's FFT and "gmp" with GMP's
+        ``mpn_sqr``; both keep the residue in GMP limbs.  Reading it may load
+        the GMP library, build or load the kernel and make the FFT plan, as
+        starting a chain does.
         """
         gmp = _gmp_for(self)
         return "int" if gmp is None else "gmp" if gmp[1] is None else "gmp-fft"
@@ -228,7 +233,7 @@ def _gmp_for(m: FermatModulus):
     kernel = _load_kernel() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
     if kernel is None:
         return None
-    return kernel, _fft_plan(m.n) if m.n >= FFT_MIN_N else None
+    return kernel, _fft_plan(m.n) if FFT_MIN_N <= m.n <= FFT_MAX_N else None
 
 
 @cache
@@ -238,8 +243,7 @@ def _load_gmp():
     Loaded by soname, so no subprocess runs to find it; ctypes is first
     imported here, when a chain first needs GMP.  A GMP that lacks one of
     the ``mpn`` entry points the kernel calls, or has limbs other than 64
-    bits, is not used.  The FFT entry points are used only on a tested GMP
-    version, where the two that ``_fft_plan`` calls are typed.
+    bits, is not used.
     """
     import ctypes
 
@@ -249,27 +253,9 @@ def _load_gmp():
         return None
     if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != _LIMB_BITS:
         return None
-    names = [f"__gmpn_{name}" for name in _MPN]
-    if _gmp_version(lib) in _FFT_GMP_VERSIONS:
-        names.append("__gmpn_mul_fft")
-        size, order = ctypes.c_long, ctypes.c_int
-        for name, argtypes, restype in [
-            ("__gmpn_fft_best_k", [size, order], order),
-            ("__gmpn_fft_next_size", [size, order], size),
-        ]:
-            function = getattr(lib, name, None)
-            if function is None:
-                return None
-            function.argtypes, function.restype = argtypes, restype
-    if any(getattr(lib, name, None) is None for name in names):
+    if any(getattr(lib, f"__gmpn_{name}", None) is None for name in _MPN):
         return None
     return lib
-
-
-def _gmp_version(lib) -> str:
-    import ctypes  # already loaded by _load_gmp; this is a lookup
-
-    return ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
 
 
 class _Kernel(NamedTuple):
@@ -308,7 +294,6 @@ def _load_kernel() -> _Kernel | None:
         "sub_n": fn(limb, ptr, ptr, ptr, size),
         "add_1": fn(limb, ptr, ptr, size, limb),
         "sub_1": fn(limb, ptr, ptr, size, limb),
-        "mul_fft": fn(limb, ptr, size, ptr, size, ptr, size, ctypes.c_int),
     }
 
     class Gmp(ctypes.Structure):
@@ -318,19 +303,20 @@ def _load_kernel() -> _Kernel | None:
         _fields_ = [
             ("gmp", ctypes.POINTER(Gmp)),
             ("r", ptr),
-            ("sq", ptr),
+            ("work", ptr),
+            ("plan", ptr),
             ("size", size),
             ("width", size),
             ("c", limb),
             ("d", limb),
             ("f_d", limb),
             ("top_k_d", limb),
-            ("fft_k", ctypes.c_int),
             ("x_d", limb),
+            ("error", ctypes.c_double),
         ]
 
     table = Gmp()
-    for name in _MPN + (("mul_fft",) if _gmp_version(lib) in _FFT_GMP_VERSIONS else ()):
+    for name in _MPN:
         setattr(table, name, _function_address(getattr(lib, f"__gmpn_{name}")))
     run = shared.fermat_chain_run
     run.argtypes, run.restype = [ptr, size, ptr], size
@@ -353,18 +339,21 @@ def _build_kernel():
     """``_chain.c`` compiled and loaded, or None when it cannot be built.
 
     The library is cached per user, in $XDG_CACHE_HOME/fermatlab or
-    ~/.cache/fermatlab, under the source's sha256, so a changed source is
-    built anew.  On a miss the compiler writes a temporary file that
-    ``os.replace`` moves into place, so no process loads a partial one;
-    where the cache directory cannot be written, the kernel is built in a
-    temporary directory instead and loaded from there.
+    ~/.cache/fermatlab, under the sha256 of the compile command and the
+    source, so a changed source, compiler or flag is built anew.  On a miss
+    the compiler writes a temporary file that ``os.replace`` moves into
+    place, so no process loads a partial one; where the cache directory
+    cannot be written, the kernel is built in a temporary directory instead
+    and loaded from there.
     """
     import ctypes
     import hashlib
 
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_chain.c")
+    digest = hashlib.sha256("\0".join((_COMPILER, *_CFLAGS, "")).encode())
     with open(source, "rb") as file:
-        name = f"chain-{os.uname().machine}-{hashlib.sha256(file.read()).hexdigest()[:16]}.so"
+        digest.update(file.read())
+    name = f"chain-{os.uname().machine}-{digest.hexdigest()[:16]}.so"
     directory = _cache_dir()
     if directory is not None:
         path = os.path.join(directory, name)
@@ -410,7 +399,7 @@ def _compile(source: str, directory: str, path: str):
     try:
         try:
             done = subprocess.run(
-                [_COMPILER, "-O2", "-shared", "-fPIC", "-o", built, source],
+                [_COMPILER, *_CFLAGS, "-o", built, source],
                 stdin=subprocess.DEVNULL,
                 capture_output=True,
                 timeout=120,
@@ -426,42 +415,55 @@ def _compile(source: str, directory: str, path: str):
     return ctypes.CDLL(path)
 
 
+class _FftPlan(NamedTuple):
+    """The kernel's FFT plan mod F_n: its weights and twiddles, and the check factor q."""
+
+    table: bytearray
+    q: int
+
+
 @cache
-def _fft_plan(n: int):
-    """The FFT order k and the check factor q of GMP chains mod F_n, or None to square with mpn_sqr.
+def _fft_plan(n: int) -> _FftPlan | None:
+    """The FFT plan of GMP chains mod F_n, or None to square with mpn_sqr.
 
     Made once per n, when the first chain mod F_n starts.  A listed factor
     must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is raised.
-    The plan needs a tested GMP version, a k that GMP's FFT takes at exactly
-    L = b / 64 limbs, and a self-test at that L against the reference fold:
-    one kernel step, checked mod q, from a random x and from 2**(b/2), whose
-    square F - 1 is the FFT's carry.  The step squares in place, as every
-    chain's does, so an FFT that cannot alias its operands is not used.
+    The table is what ``_chain.c``'s ``fft_square`` reads for M = b / 32
+    points: the weights exp(i*pi*j / 2M), j < M, then each stage's twiddles
+    exp(-i*pi*j / h), j < h, at h - 1 for h = 1, 2, .. M/2, each as M real
+    parts and M imaginary.  ``math`` computes them, so the kernel needs no
+    libm.  The plan is used only after a self-test against the reference
+    fold: one kernel step, checked mod q, from a random x, from 2**(b/2),
+    whose square 2**b is the one residue with a top limb, and from 2**b - 1,
+    every digit 0xFFFF, whose rounding error is the largest.
     """
     q = _FACTORS.get(n)
     if q is None:
         return None
     if pow(2, 1 << n, q) != q - 1:
         raise ArithmeticError(f"{q} is listed as a factor of F_{n} but does not divide it")
-    lib = _load_gmp()
-    if _gmp_version(lib) not in _FFT_GMP_VERSIONS:
-        return None
+    import math
     import random
+    from array import array
 
     m = FermatModulus(n)
-    size = m.b // _LIMB_BITS
-    k = lib.__gmpn_fft_best_k(size, 1)
-    if lib.__gmpn_fft_next_size(size, k) != size:
-        return None
-    for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2):
+    points = m.b // 32
+    weights = [math.pi * j / (2 * points) for j in range(points)]
+    twiddles = [math.pi * j / h for h in (1 << s for s in range(n - 5)) for j in range(h)] + [0.0]  # M - 1, and a pad
+    table = array("d", map(math.cos, weights))
+    table.extend(map(math.sin, weights))
+    table.extend(map(math.cos, twiddles))
+    table.extend(-math.sin(angle) for angle in twiddles)
+    plan = _FftPlan(bytearray(table), q)
+    for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2, (1 << m.b) - 1):
         try:
-            chain = _GmpChain(x, 0, m, _load_kernel(), (k, q))
+            chain = _GmpChain(x, 0, m, _load_kernel(), plan)
             chain.run(1)
             if chain.export() != reduce_mod_fermat(x * x, m):
                 return None
         except ArithmeticError:
             return None
-    return k, q
+    return plan
 
 
 def _function_address(function) -> int:
@@ -506,37 +508,39 @@ class _GmpChain:
     square.  Without a plan, ``mpn_sqr`` squares the L low limbs into 2L
     and x*x = hi * 2**b + lo is folded to lo - hi, adding F on a borrow,
     with x*x = k*F + r and k mod d from ``mpn_mod_1``; d is the prime p.
-    With a plan (k, q), ``mpn_mul_fft`` writes x*x mod F over x in place,
-    with its carry as the top limb, and d is q: F = 0 mod q, so k is not
-    needed.  Every step checks that the top limb is canonical and that
-    x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d carried
-    from the step before.  The import and every export (y <= F - 1) are
-    checked mod d too.  ctypes checks no ABI, so a wrong import, square,
+    With an FFT plan, the kernel's FFT writes x*x mod F over x in place, a
+    final carry e folded in as -e, and d is the plan's q: F = 0 mod q, so k
+    is not needed; a step that rounds a coefficient more than 1/4 from an
+    integer fails.  Every step checks that the top limb is canonical and
+    that x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d
+    carried from the step before.  The import and every export (y <= F - 1)
+    are checked mod d too.  ctypes checks no ABI, so a wrong import, square,
     fold, wrap or export raises ArithmeticError.
 
     Python owns every buffer the kernel writes, and this object holds the
-    residue, mpn_sqr's square and the kernel's chain struct for the chain's
-    whole life; a trace buffer is held by its reader.
+    residue, the step's work space (mpn_sqr's square or the FFT's points),
+    the plan and the kernel's chain struct for the chain's whole life; a
+    trace buffer is held by its reader.
     """
 
-    __slots__ = ("m", "run_block", "d", "width", "r", "sq", "state", "state_at")
+    __slots__ = ("m", "run_block", "d", "width", "r", "work", "plan", "state", "state_at")
 
-    def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan) -> None:
+    def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan: _FftPlan | None) -> None:
         import ctypes  # already loaded by _load_gmp; this is a lookup
 
-        fft_k, d = plan or (0, _CHECK_PRIME)
+        d = _CHECK_PRIME if plan is None else plan.q
         size = m.b // _LIMB_BITS
-        self.m, self.run_block, self.d, self.width = m, kernel.run, d, m.b // 8 + 1
+        self.m, self.run_block, self.d, self.width, self.plan = m, kernel.run, d, m.b // 8 + 1, plan
         self.r = _to_limbs(x, size + 1)
-        self.sq = None if fft_k else bytearray(16 * size)
+        self.work = bytearray((16 if plan is None else 32) * size)
         r_at = _address(self.r)
         x_d = x % d
         if kernel.prototypes["mod_1"](kernel.gmp.mod_1)(r_at, size + 1, d) != x_d:
             raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
         f_d = (pow(2, m.b, d) + 1) % d
-        sq_at = None if self.sq is None else _address(self.sq)
+        work_at, plan_at = _address(self.work), None if plan is None else _address(plan.table)
         self.state = kernel.chain_type(
-            ctypes.pointer(kernel.gmp), r_at, sq_at, size, self.width, c, d, f_d, (f_d - 2) % d, fft_k, x_d
+            ctypes.pointer(kernel.gmp), r_at, work_at, plan_at, size, self.width, c, d, f_d, (f_d - 2) % d, x_d
         )
         self.state_at = ctypes.addressof(self.state)
 
@@ -549,7 +553,12 @@ class _GmpChain:
         if done == _ABOVE:
             raise ArithmeticError(f"GMP left a residue above 2**{self.m.b} mod F_{self.m.n}")
         if done == _WRONG:
-            raise ArithmeticError(f"GMP squared a residue mod F_{self.m.n} wrongly (mod {self.d} check)")
+            squarer = "GMP" if self.plan is None else "the FFT"
+            raise ArithmeticError(f"{squarer} squared a residue mod F_{self.m.n} wrongly (mod {self.d} check)")
+        if done == _INEXACT:
+            raise ArithmeticError(
+                f"the FFT rounded a coefficient {self.state.error:.3g} from an integer (above 1/4) mod F_{self.m.n}"
+            )
         return done
 
     def export(self) -> int:

@@ -1,9 +1,11 @@
 import ctypes
 import gc
+import math
 import pathlib
 import random
 import subprocess
 import sys
+from array import array
 from functools import cache
 from itertools import islice
 
@@ -250,8 +252,7 @@ def test_chain_item_rejects_a_negative_index():
 def test_gmp_is_chosen_per_modulus(gmp):
     assert [FermatModulus(n).backend for n in (2, arith.GMP_MIN_N - 1)] == ["int", "int"]
     assert [FermatModulus(n).backend for n in (arith.GMP_MIN_N, arith.FFT_MIN_N - 1)] == ["gmp", "gmp"]
-    fft = "gmp-fft" if arith._gmp_version(arith._load_gmp()) in arith._FFT_GMP_VERSIONS else "gmp"
-    assert [FermatModulus(n).backend for n in (arith.FFT_MIN_N, 16)] == [fft, fft]
+    assert [FermatModulus(n).backend for n in (arith.FFT_MIN_N, 16)] == ["gmp-fft", "gmp-fft"]
 
 
 def test_gmp_needs_whole_64_bit_limbs(gmp, monkeypatch):
@@ -471,7 +472,6 @@ class RecordedLibrary:
 
 def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     # Python owns every limb buffer, so a walk that stops early or raises has nothing to free.
-    fft = FermatModulus(arith.FFT_MIN_N).backend == "gmp-fft"  # makes the plan with the real library
     recorded = RecordedLibrary(arith._load_gmp())
     monkeypatch.setattr(arith, "_load_gmp", lambda: recorded)
     monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))  # its table is filled from recorded
@@ -481,7 +481,7 @@ def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     monkeypatch.setattr(*corrupt_export(gmp))
     with pytest.raises(ArithmeticError):
         a_mod_fermat(8, 6)
-    assert "__gmpn_sqr" in recorded.names and ("__gmpn_mul_fft" in recorded.names) == fft
+    assert "__gmpn_sqr" in recorded.names and not any("fft" in name for name in recorded.names)
     assert all(name.startswith("__gmpn_") for name in recorded.names if name.startswith("__gmp"))
 
 
@@ -655,9 +655,19 @@ def test_the_kernel_is_built_once_into_the_cache(gmp, monkeypatch, tmp_path):
     kernel = arith._build_kernel()
     (built,) = (tmp_path / "fermatlab").iterdir()
     assert kernel is not None and built.name.startswith("chain-") and built.suffix == ".so"
-    monkeypatch.setattr(arith, "_COMPILER", str(tmp_path / "no-such-cc"))  # a hit needs no compiler
+    monkeypatch.setenv("PATH", str(tmp_path / "no-such-directory"))  # a hit needs no compiler
     assert arith._build_kernel() is not None
     assert list((tmp_path / "fermatlab").iterdir()) == [built]
+
+
+def test_a_changed_compile_command_builds_a_new_kernel(gmp, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert arith._build_kernel() is not None
+    (built,) = (tmp_path / "fermatlab").iterdir()
+    monkeypatch.setattr(arith, "_CFLAGS", (*arith._CFLAGS, "-DFERMATLAB_FLAG_TEST"))
+    assert arith._build_kernel() is not None
+    (rebuilt,) = set((tmp_path / "fermatlab").iterdir()) - {built}
+    assert rebuilt.name.startswith("chain-") and rebuilt.suffix == ".so"
 
 
 def test_an_unwritable_cache_builds_in_a_temporary_directory(gmp, monkeypatch, tmp_path):
@@ -670,24 +680,33 @@ def test_an_unwritable_cache_builds_in_a_temporary_directory(gmp, monkeypatch, t
     assert chain_item(3, 0, 255, m) == pow(3, 1 << 255, m.value)
 
 
-# ------------------------------------------------------------ GMP FFT step
+# ------------------------------------------------------------ the kernel's FFT step
 
 
 @pytest.fixture
 def fft(gmp):
     """The loaded kernel, with the FFT plan mod F_15 made: a corruption after this reaches the chain, not the self-test."""
-    version = arith._gmp_version(arith._load_gmp())
-    if version not in arith._FFT_GMP_VERSIONS:
-        pytest.skip(f"GMP {version} is not a version the FFT step was tested on")
     assert FermatModulus(15).backend == "gmp-fft"
     return gmp
 
 
 def test_listed_factors_divide_their_fermat_numbers():
-    assert sorted(arith._FACTORS) == [15, 16, 17, 18, 19, 21, 23]
+    assert sorted(arith._FACTORS) == list(range(arith.FFT_MIN_N, arith.FFT_MAX_N + 1)) == [15, 16, 17, 18, 19]
     for n, q in arith._FACTORS.items():
-        assert n >= arith.FFT_MIN_N and 1 < q < 1 << 64
+        assert 1 < q < 1 << 64
         assert pow(2, 1 << n, q) == q - 1  # 2**(2**n) = -1, so q | F_n
+
+
+def test_the_fft_serves_fft_min_n_to_fft_max_n(gmp, monkeypatch):
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 21))
+    assert [FermatModulus(n).backend for n in (14, 15, 19, 20, 21)] == ["gmp", "gmp-fft", "gmp-fft", "gmp", "gmp"]
+    monkeypatch.setattr(arith, "FFT_MAX_N", 15)  # the cap holds where a factor is listed
+    assert [FermatModulus(n).backend for n in (15, 16)] == ["gmp-fft", "gmp"]
+    # F_21 has a factor, but there the square of 2**b - 1 rounds 0.31 from an
+    # integer, so even without the cap the plan's self-test refuses the FFT.
+    monkeypatch.setattr(arith, "FFT_MAX_N", 21)
+    monkeypatch.setitem(arith._FACTORS, 21, 4485296422913)
+    assert arith._fft_plan.__wrapped__(21) is None
 
 
 def test_a_wrong_factor_raises_when_its_chain_starts(gmp, monkeypatch):
@@ -704,53 +723,69 @@ def assert_falls_back_to_mpn_sqr(monkeypatch):
     assert [r for _, r in islice(residues(m), 40)] == plain_walk(15, 40)
 
 
-def test_an_untested_gmp_version_squares_with_mpn_sqr(gmp, monkeypatch):
-    monkeypatch.setattr(arith, "_FFT_GMP_VERSIONS", frozenset())
-    assert_falls_back_to_mpn_sqr(monkeypatch)
-
-
-def test_an_fft_that_cannot_square_in_place_squares_with_mpn_sqr(fft, monkeypatch):
-    # The chain's FFT step writes x*x over x, so the plan's self-test must make the same call.
-    def make(real):
-        def corrupted(op, pl, n, nl, m, ml, k):
-            carry = real(op, pl, n, nl, m, ml, k)
-            if op in (n, m):
-                ctypes.c_uint64.from_address(op).value ^= 1
-            return carry
-
-        return corrupted
-
-    monkeypatch.setattr(*callback(fft, "mul_fft", make))
+def test_a_failed_self_test_squares_with_mpn_sqr(fft, monkeypatch):
+    # Twiddles a part in 10**9 off round the products of 2**40-sized coefficients far from integers.
+    real = math.sin
+    monkeypatch.setattr(math, "sin", lambda angle: real(angle) * (1 + 1e-9))
     assert arith._fft_plan.__wrapped__(15) is None
     assert_falls_back_to_mpn_sqr(monkeypatch)
 
 
-def corrupt_fft_product(gmp):
-    def make(real):
-        def corrupted(op, *args):
-            carry = real(op, *args)
-            ctypes.c_uint64.from_address(op).value ^= 1 << 17
-            return carry
-
-        return corrupted
-
-    return callback(gmp, "mul_fft", make)
-
-
-def test_a_failed_self_test_squares_with_mpn_sqr(fft, monkeypatch):
-    monkeypatch.setattr(*corrupt_fft_product(fft))
+def test_an_fft_that_drops_the_top_limb_squares_with_mpn_sqr(fft, monkeypatch):
+    # 2**(b/2) squares to 2**b, the one residue whose top limb is 1, which only
+    # the final carry's wrap into the top limb writes; the self-test squares it.
+    monkeypatch.setattr(*callback(fft, "add_1", lambda real: lambda *args: real(*args) and 0))
+    assert arith._fft_plan.__wrapped__(15) is None
     assert_falls_back_to_mpn_sqr(monkeypatch)
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])
 @pytest.mark.parametrize("edge", ["0", "1", "2", "F-1", "F-2", "2**(b/2)", "random"])
 def test_fft_square_edges(fft, monkeypatch, n, edge):
-    # 2**(b/2) squares to F - 1, the kernel's carry; F - 1 = 2**b squares to 1 without a kernel call.
+    # 2**(b/2) squares to F - 1 = 2**b, the one residue with a top limb, which squares to 1 without the FFT.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 17))  # F_17 is beyond the default budget
     m = FermatModulus(n)
     values = {"F-1": m.value - 1, "F-2": m.value - 2, "2**(b/2)": 1 << m.b // 2}
     x = int(edge) if edge.isdigit() else values.get(edge) or random.Random(n).getrandbits(m.b)
     assert_steps_match_plain(m, x, monkeypatch)
+
+
+def fft_chain(x, c, m):
+    """A kernel chain mod m that squares with the FFT plan."""
+    return arith._GmpChain(x, c, m, arith._load_kernel(), arith._fft_plan(m.n))
+
+
+# Every 16-bit digit 0xFFFF (2**b - 1) rounds worst; 2**(b/2) squares to 2**b.
+FFT_EDGES = {
+    "0": lambda b: 0,
+    "1": lambda b: 1,
+    "2": lambda b: 2,
+    "2**(b/2)": lambda b: 1 << b // 2,
+    "2**b-1": lambda b: (1 << b) - 1,
+    "2**b-2": lambda b: (1 << b) - 2,
+    "0x8000s": lambda b: int.from_bytes(b"\x00\x80" * (b // 16), "little"),
+    "random": lambda b: random.Random(b).getrandbits(b),
+}
+
+
+@pytest.mark.parametrize("n", range(15, 20))
+@pytest.mark.parametrize("edge", FFT_EDGES)
+def test_one_fft_step_matches_the_fold(fft, monkeypatch, n, edge):
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 19))
+    m = FermatModulus(n)
+    assert m.backend == "gmp-fft"
+    x = FFT_EDGES[edge](m.b)
+    chain = fft_chain(x, 0, m)
+    assert chain.run(1) == 1
+    assert chain.export() == reduce_mod_fermat(x * x, m)
+    assert chain.state.error <= 1 / 16
+
+
+def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
+    chain = fft_chain(random.Random(16).getrandbits(1 << 16), 2, FermatModulus(16))
+    assert chain.run(1000) == 1000
+    chain.export()
+    assert 0 < chain.state.error <= 1 / 16
 
 
 @pytest.mark.parametrize("x, c", [(6, 2), (3, 0)], ids=["walk", "pepin"])
@@ -762,13 +797,48 @@ def test_fft_and_mpn_sqr_chains_agree(fft, monkeypatch, x, c):
     assert list(islice(square_chain(x, c, m), 512)) == fft_items
 
 
+def corrupt_plan(change):
+    """(arith, "_fft_plan", plans whose table, as doubles, ``change`` has edited), for monkeypatch.setattr.
+
+    ``change`` takes the table and M, the number of points; the weights are
+    at 0 (real parts) and M (imaginary), the twiddles from 2M on.
+    """
+    real = arith._fft_plan
+
+    def corrupted(n):
+        plan = real(n)
+        table = array("d", plan.table)
+        change(table, len(table) // 4)
+        return plan._replace(table=bytearray(table))
+
+    return arith, "_fft_plan", corrupted
+
+
+def corrupt_fft_product(gmp):
+    # Weight 0 doubled: digits 0 and M count twice, so the square is of
+    # another integer, exact but wrong, and only the mod q check sees it.
+    return corrupt_plan(lambda table, points: table.__setitem__(0, 2.0))
+
+
 def force_carry(gmp):
-    return callback(gmp, "mul_fft", lambda real: lambda *args: real(*args) or 1)
+    # Every subtraction borrows and every wrap carries into the top limb,
+    # above all the one that folds the FFT's final carry in.
+    return [always_borrow(gmp, "sub_1"), callback(gmp, "add_1", lambda real: lambda *args: real(*args) or 1)]
+
+
+def corrupt_twiddle(gmp):
+    # The first stage's twiddle j = 1 conjugated: coefficients far from integers.
+    def conjugate(table, points):
+        at = 3 * points + points // 2  # the imaginary part of stage h = M/2's twiddle j = 1, at h - 1 + j
+        table[at] = -table[at]
+
+    return corrupt_plan(conjugate)
 
 
 FFT_MUTATIONS = [
     corrupt_fft_product,
     force_carry,
+    corrupt_twiddle,
     corrupt_wrap,
     corrupt_remainder,
     corrupt_export,
@@ -778,31 +848,42 @@ FFT_WALKS = {
     "pepin_test": lambda: pepin_test(15),
     "square_chain": lambda: list(islice(square_chain(6, 2, FermatModulus(15)), 8)),
 }
+# Pépin has no constant to subtract, but the FFT's final carry is folded in with the same sub_1.
 CORRUPTED_FFT_WALKS = [
-    pytest.param(mutation, walk, id=f"{mutation.__name__}-{walk}")
-    for mutation in FFT_MUTATIONS
-    for walk in FFT_WALKS
-    if (mutation, walk) != (corrupt_wrap, "pepin_test")
+    pytest.param(mutation, walk, id=f"{mutation.__name__}-{walk}") for mutation in FFT_MUTATIONS for walk in FFT_WALKS
 ]
 
 
 @pytest.mark.parametrize("mutation, walk", CORRUPTED_FFT_WALKS)
 def test_fft_corruption_raises(fft, monkeypatch, mutation, walk):
-    monkeypatch.setattr(*mutation(fft))
-    with pytest.raises(ArithmeticError, match="GMP"):
+    patches = mutation(fft)
+    for patch in patches if isinstance(patches, list) else [patches]:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(ArithmeticError, match="GMP|FFT"):
         FFT_WALKS[walk]()
+
+
+def test_the_round_off_guard_raises(fft, monkeypatch):
+    # Weights 2**-20 too large scale every coefficient by about 1 + 2**-19,
+    # which moves those of a random square, near 2**40, by fractions of all sizes.
+    def scale(table, points):
+        for j in range(2 * points):
+            table[j] *= 1 + 2**-20
+
+    monkeypatch.setattr(*corrupt_plan(scale))
+    m = FermatModulus(15)
+    with pytest.raises(ArithmeticError, match="above 1/4"):
+        power_of_two(random.Random(15).getrandbits(m.b), 1, m)
 
 
 def test_fft_check_survives_optimized_python(fft):
     corruption = (
+        "from array import array\n"
         "if arith.FermatModulus(arith.FFT_MIN_N).backend != 'gmp-fft':\n"
         "    sys.exit('no FFT plan')\n"
-        "mul_fft = entry('mul_fft')\n"
-        "def corrupted(op, *args):\n"
-        "    carry = mul_fft(op, *args)\n"
-        "    ctypes.c_uint64.from_address(op).value ^= 1\n"
-        "    return carry\n"
-        "held = kernel.prototypes['mul_fft'](corrupted)\n"
-        "kernel.gmp.mul_fft = ctypes.cast(held, ctypes.c_void_p).value\n"
+        "plan = arith._fft_plan(arith.FFT_MIN_N)\n"
+        "table = array('d', plan.table)\n"
+        "table[0] = 2.0\n"
+        "plan.table[:] = bytearray(table)\n"
     )
     assert run_optimized(corruption, f"a_mod_fermat({arith.FFT_MIN_N + 2}, {arith.FFT_MIN_N})") == ["caught", "False"]
