@@ -5,8 +5,8 @@ it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
 point of working with this modulus shape.  Every test runs one squaring
 chain x, x*x - c, ... mod the modulus, read in one of three ways:
 :func:`square_chain` yields every item, :func:`chain_item` returns item k
-alone and :func:`trace_blocks` yields the items' fixed-width bytes a block
-at a time, for the scan's hash.
+alone and :func:`trace_hash` returns the sha256 of the items' fixed-width
+bytes up to the first zero, the scan's trace.
 
 The chain's arithmetic is chosen per modulus when a chain starts.  Below
 ``GMP_MIN_N`` it is CPython's ``x * x`` and :func:`reduce_mod_fermat`, which
@@ -17,10 +17,11 @@ functions from ``libgmp.so.10``.  From ``FFT_MIN_N`` to ``FFT_MAX_N``, where
 a factor of the modulus is known, the kernel squares mod 2**b + 1 directly
 with its own weighted double-precision FFT, about 4x faster per step than
 ``mpn_sqr`` (see ``FFT_MIN_N``).  Every step is checked modulo a prime or
-that factor, and only an item that is read becomes an int.  The kernel is
-built once with the system C compiler into a per-user cache and loaded,
-with libgmp, through ``ctypes``.  When the library does not load or the
-kernel cannot be built, every modulus uses ``x * x``.
+that factor, and only an item that is returned or checked in full becomes
+an int.  The kernel is built once with the system C compiler into a
+per-user cache and loaded, with libgmp, through ``ctypes``.  When the
+library does not load or the kernel cannot be built, every modulus uses
+``x * x``.
 """
 
 from __future__ import annotations
@@ -173,43 +174,46 @@ def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
     return _int_chain(x, c, m) if gmp is None else _gmp_items(x, _GmpChain(x, c, m, *gmp))
 
 
-def trace_blocks(x: int, c: int, m: FermatModulus, count: int) -> Iterator[tuple[memoryview | bytes, bool]]:
-    """Yield items 0 .. count - 1 of ``square_chain(x, c, m)`` as bytes, a block at a time, each with whether it ends in 0.
+def trace_hash(x: int, c: int, m: FermatModulus, count: int) -> tuple[str, int, bool]:
+    """The trace of items 0 .. count - 1 of ``square_chain(x, c, m)``, read up to the first zero item.
 
-    Each item is b/8 + 1 little-endian bytes, the scan's trace encoding, so
-    hashing the blocks in turn hashes the items in turn.  A block is valid
-    until the next block is asked for.  Reading stops after the first zero
-    item.  On the int chain each block is one item.  On the GMP chain the
-    kernel writes each block's items, at most ``_BLOCK_BYTES`` of them (one
-    item where one is larger), and the last item read and every zero
-    candidate (an item that is 0 mod d) are exported and checked in full.
+    Returns ``"sha256:<hex>"`` over the items read, how many were read and
+    whether the last one is 0.  Each item is hashed as b/8 + 1 little-endian
+    bytes, which hold 2**b, so the encoding is canonical and a trace can be
+    compared across machines and backends.  On the GMP chain the kernel
+    writes each block's items, at most ``_BLOCK_BYTES`` of them (one item
+    where one is larger), into one buffer that is hashed before the next
+    block, and the last item read and every zero candidate (an item that is
+    0 mod d) are exported and checked in full.  hashlib is imported on the
+    first call.
     """
     if count < 1:
-        return
+        raise ValueError(f"expected a positive item count, got {count}")
     _check_operands(x, c, m)
+    import hashlib
+
     width = m.b // 8 + 1
+    trace = hashlib.sha256()
     gmp = _gmp_for(m)
     if gmp is None:
-        for r in islice(_int_chain(x, c, m), count):
-            yield r.to_bytes(width, "little"), not r
-            if not r:
-                return
-        return
-    yield x.to_bytes(width, "little"), not x
-    count -= 1
-    if not x or not count:
-        return
-    chain = _GmpChain(x, c, m, *gmp)
-    per_block = max(1, _BLOCK_BYTES // width)
-    buffer = bytearray(min(per_block, count) * width)
-    view, at = memoryview(buffer), _address(buffer)
-    while count:
-        done = chain.run(min(per_block, count), at)
-        count -= done
-        zero = (not count or chain.state.x_d == 0) and chain.export() == 0
-        yield view[: done * width], zero
-        if zero:
-            return
+        for read, y in enumerate(islice(_int_chain(x, c, m), count), 1):
+            trace.update(y.to_bytes(width, "little"))
+            if not y:
+                break
+        return f"sha256:{trace.hexdigest()}", read, not y
+    trace.update(x.to_bytes(width, "little"))
+    read, zero = 1, not x
+    if not zero and count > 1:
+        chain = _GmpChain(x, c, m, *gmp)
+        per_block = max(1, _BLOCK_BYTES // width)
+        buffer = bytearray(min(per_block, count - 1) * width)
+        view, at = memoryview(buffer), _address(buffer)
+        while not zero and read < count:
+            done = chain.run(min(per_block, count - read), at)
+            read += done
+            trace.update(view[: done * width])
+            zero = (read == count or chain.state.x_d == 0) and chain.export() == 0
+    return f"sha256:{trace.hexdigest()}", read, zero
 
 
 def _check_operands(x: int, c: int, m: FermatModulus) -> None:

@@ -95,6 +95,17 @@ def _timed(test, *args):
     return result, (time.perf_counter() - start) * 1000.0
 
 
+def _timed_on_backend(test, n: int, *args):
+    """The result of ``test(n, *args)``, its wall time in ms and F_n's backend.
+
+    Reading the backend loads GMP and the kernel and makes the FFT plan, so
+    the clock times the squarings alone; a negative n is left to the test to
+    reject.
+    """
+    backend = FermatModulus(n).backend if n >= 0 else None
+    return (*_timed(test, n, *args), backend)
+
+
 def _cross_check_record(report: TestReport) -> ReportRecord:
     return _record(
         "cross-check",
@@ -110,20 +121,14 @@ def _cross_check_record(report: TestReport) -> ReportRecord:
 
 
 def _cmd_pepin(args: argparse.Namespace) -> int:
-    # Reading the backend loads GMP and the kernel, so the clock times the
-    # squarings alone; a negative n is left to pepin_test to reject.
-    backend = FermatModulus(args.n).backend if args.n >= 0 else None
-    verdict, elapsed_ms = _timed(pepin_test, args.n)
+    verdict, elapsed_ms, backend = _timed_on_backend(pepin_test, args.n)
     record = _record("pepin", args.n, **_pepin_fields(args.n, verdict), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
     return EXIT_OK
 
 
 def _cmd_paper_test(args: argparse.Namespace) -> int:
-    # Reading the backend loads GMP and the kernel and makes the FFT plan, so
-    # the clock times the scan alone; a negative n is left to paper_scan to reject.
-    backend = FermatModulus(args.n).backend if args.n >= 0 else None
-    scan, elapsed_ms = _timed(paper_scan, args.n, args.full_range)
+    scan, elapsed_ms, backend = _timed_on_backend(paper_scan, args.n, args.full_range)
     record = _record("paper-test", args.n, **_scan_fields(scan), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
     return EXIT_OK

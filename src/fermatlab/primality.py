@@ -18,14 +18,11 @@ and for n = 0 the scan window is degenerate.
 from __future__ import annotations
 
 import enum
-import hashlib
 import time
 from typing import NamedTuple
 
 from .arith import FermatModulus, chain_item, fermat_value
-from .sequences import residue_blocks, residues
-
-TRACE_HASH_ALGORITHM = "sha256"
+from .sequences import residue_trace, residues
 
 
 class NotApplicableError(ValueError):
@@ -58,9 +55,9 @@ class Verdict(NamedTuple):
 class ScanResult(NamedTuple):
     """What one recurrence scan saw.
 
-    ``residue_trace_hash`` digests the whole residue stream (fixed-width
-    little-endian values, sha256) so a long scan can be replayed and
-    compared elsewhere.
+    ``residue_trace_hash`` digests the whole residue stream (see
+    ``arith.trace_hash``) so a long scan can be replayed and compared
+    elsewhere.
     """
 
     n: int
@@ -146,11 +143,6 @@ def pepin_test(n: int) -> Verdict:
     return Verdict(VerdictKind.COMPOSITE_BY_PEPIN)
 
 
-def _residue_width_bytes(m: FermatModulus) -> int:
-    # Fixed width so the trace encoding is canonical; 2**b fits in b//8+1 bytes.
-    return m.b // 8 + 1
-
-
 def paper_scan(n: int, full_window: bool = False) -> ScanResult:
     """Scan the recurrence residues for a zero.
 
@@ -170,22 +162,14 @@ def paper_scan(n: int, full_window: bool = False) -> ScanResult:
         q_lo, q_hi = 1, (1 << n) + 1
     else:
         q_lo, q_hi = n, 1 << n
-    width = _residue_width_bytes(m)
-    trace = hashlib.new(TRACE_HASH_ALGORITHM)
-    found_q: int | None = None
-    q = 0
-    for block, zero in residue_blocks(m, q_hi - 1):
-        trace.update(block)
-        q += len(block) // width
-        if zero:
-            if q < q_lo:
-                raise ArithmeticError(f"residue {q} is 0 mod F_{n}, below the window floor {q_lo}")
-            found_q = q
+    trace, q, zero = residue_trace(m, q_hi - 1)
+    if zero and q < q_lo:
+        raise ArithmeticError(f"residue {q} is 0 mod F_{n}, below the window floor {q_lo}")
     return ScanResult(
         n=n,
         window=(q_lo, q_hi),
-        found_q=found_q,
-        residue_trace_hash=f"{TRACE_HASH_ALGORITHM}:{trace.hexdigest()}",
+        found_q=q if zero else None,
+        residue_trace_hash=trace,
         squarings=q - 1,
     )
 

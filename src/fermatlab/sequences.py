@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain, trace_blocks
+from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain, trace_hash
 from .budget import check_pow2_bits
 
 
@@ -24,9 +24,9 @@ def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
     return enumerate(square_chain(reduce_mod_fermat(6, m), 2, m), 1)
 
 
-def residue_blocks(m: FermatModulus, count: int):
-    """Residues q = 1 .. count mod m as fixed-width bytes, in blocks, stopping after a zero (see ``arith.trace_blocks``)."""
-    return trace_blocks(reduce_mod_fermat(6, m), 2, m, count)
+def residue_trace(m: FermatModulus, count: int) -> tuple[str, int, bool]:
+    """The trace hash of residues q = 1 .. count mod m up to the first zero, the residues read and whether the last is 0 (see ``arith.trace_hash``)."""
+    return trace_hash(reduce_mod_fermat(6, m), 2, m, count)
 
 
 def a_mod_fermat(q: int, n: int) -> int:

@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import hashlib
 import math
 import pathlib
 import random
@@ -199,7 +200,7 @@ KERNELS = (("gmp-fft", arith.GMP_MIN_N, arith.FFT_MIN_N), ("gmp", arith.GMP_MIN_
 
 
 def assert_steps_match_plain(m, r, patch):
-    """One square, eight chain items, chain_item at ITEMS and the trace blocks, c = 0 and 2, on every kernel m can take, against a plain % loop.
+    """One square, eight chain items, chain_item at ITEMS and the trace hash, c = 0 and 2, on every kernel m can take, against a plain % loop.
 
     "gmp-fft" is skipped where m has no FFT plan; "gmp" and "int" always run.
     """
@@ -216,9 +217,8 @@ def assert_steps_match_plain(m, r, patch):
             assert list(islice(square_chain(r, c, m), len(items))) == items
             assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
             upto_zero = items[: items.index(0) + 1] if 0 in items else items
-            blocks = [(bytes(block), zero) for block, zero in arith.trace_blocks(r, c, m, len(items))]  # each valid until the next
-            assert b"".join(block for block, _ in blocks) == b"".join(y.to_bytes(width, "little") for y in upto_zero)
-            assert [zero for _, zero in blocks] == [False] * (len(blocks) - 1) + [upto_zero[-1] == 0]
+            digest = hashlib.sha256(b"".join(y.to_bytes(width, "little") for y in upto_zero)).hexdigest()
+            assert arith.trace_hash(r, c, m, len(items)) == (f"sha256:{digest}", len(upto_zero), upto_zero[-1] == 0)
 
 
 # Word and limb boundaries; 2**64, 2**4096, 2**8192 and 2**65536 are F_n - 1,
@@ -571,14 +571,18 @@ def test_power_route_edges(gmp, monkeypatch, n):
 
 @settings(deadline=None)
 @given(n=st.integers(min_value=0, max_value=11), k=st.integers(min_value=0, max_value=64), seed=st.integers(min_value=0))
-def test_power_route_matches_plain(gmp, n, k, seed):
+def test_chain_item_matches_plain(gmp, n, k, seed):
     with pytest.MonkeyPatch.context() as patch:
         assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), spy_kernel(patch))
 
 
-def test_power_route_checks_its_operands(gmp):
+def test_chain_readers_check_their_operands(gmp):
     with pytest.raises(ValueError, match="canonical"):
         chain_item(fermat_value(4), 0, 3, FermatModulus(4))
+    with pytest.raises(ValueError, match="canonical"):
+        arith.trace_hash(fermat_value(4), 2, FermatModulus(4), 3)
+    with pytest.raises(ValueError, match="positive item count"):
+        arith.trace_hash(6, 2, FermatModulus(4), 0)
 
 
 @pytest.mark.parametrize("n", range(12))
@@ -624,7 +628,7 @@ def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
         asked.clear()
         for n in (6, 8, 11):
             paper_scan(n)
-        list(arith.trace_blocks(6, 2, FermatModulus(16), 20))
+        arith.trace_hash(6, 2, FermatModulus(16), 20)
         assert asked and all(size is not None and wanted <= size <= max(block_bytes, width) for wanted, size, width in asked)
 
 

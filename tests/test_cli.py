@@ -570,13 +570,14 @@ def test_small_runs_do_not_import_ctypes():
     # ctypes loads only when arithmetic first needs GMP: the n = 13 commands
     # that square nothing mod F_13 never do, nor do runs whose moduli are all
     # at most F_5, and an n <= 11 sweep does once, for the kernel from n = 6,
-    # so it runs last.  dataclasses and inspect, which would double the
-    # import time, never load.
+    # so it runs last.  hashlib loads with the first scan, so only the two
+    # cross-check runs load it.  dataclasses and inspect, which would double
+    # the import time, never load.
     code = (
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import fermatlab, fermatlab.cli\n"
-        "lazy = ('ctypes', 'dataclasses', 'inspect')\n"
+        "lazy = ('ctypes', 'dataclasses', 'inspect', 'hashlib')\n"
         "print('import', *(name in sys.modules for name in lazy))\n"
         "for argv in (['factor', '13', '--k-limit', '1'], ['verify-identities', '--max-n', '13'],\n"
         "             ['pepin', '5', '--format', 'json'], ['cross-check', '--from', '2', '--to', '5', '--format', 'json'],\n"
@@ -589,10 +590,10 @@ def test_small_runs_do_not_import_ctypes():
         [sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
     assert done.stdout.splitlines() == [
-        "import False False False",
-        "factor 0 False False False",
-        "verify-identities 0 False False False",
-        "pepin 0 False False False",
-        "cross-check 0 False False False",
-        "cross-check 0 True False False",
+        "import False False False False",
+        "factor 0 False False False False",
+        "verify-identities 0 False False False False",
+        "pepin 0 False False False False",
+        "cross-check 0 False False False True",
+        "cross-check 0 True False False True",
     ]

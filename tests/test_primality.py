@@ -114,8 +114,7 @@ def test_full_window_finds_nothing_below_the_floor():
 
 def test_zero_below_the_floor_raises(monkeypatch):
     # The interleaving bound gives 0 < A_q < F_n for q < n, so a zero there is an arithmetic fault.
-    blocks = [(bytes([6, 0, 0]), False), (bytes(3), True)]  # residues 1 and 2 of F_4, 3 bytes each
-    monkeypatch.setattr(primality, "residue_blocks", lambda m, count: iter(blocks))
+    monkeypatch.setattr(primality, "residue_trace", lambda m, count: ("sha256:" + "0" * 64, 2, True))  # residue 2 of F_4 is 0
     with pytest.raises(ArithmeticError, match="residue 2 is 0 mod F_4, below the window floor 4"):
         paper_scan(4)
 
