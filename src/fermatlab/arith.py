@@ -3,25 +3,25 @@
 Residues are plain Python ints in [0, 2**b + 1).  Reduction never divides:
 it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
 point of working with this modulus shape.  Every test runs one squaring
-chain x, x*x - c, ... mod the modulus, read in one of three ways:
-:func:`square_chain` yields every item, :func:`chain_item` returns item k
-alone and :func:`trace_hash` returns the sha256 of the items' fixed-width
-bytes up to the first zero, the scan's trace.
+chain x, x*x - c, ... mod the modulus, one chain object read in one of three
+ways: :func:`square_chain` yields every item, :func:`chain_item` returns
+item k alone and :func:`trace_hash` returns the sha256 of the items'
+fixed-width bytes up to the first zero, the scan's trace.
 
-The chain's arithmetic is chosen per modulus when a chain starts.  Below
-``GMP_MIN_N`` it is CPython's ``x * x`` and :func:`reduce_mod_fermat`, which
-is also the reference.  From ``GMP_MIN_N`` up the residue lives in 64-bit
-limbs for the whole chain, and a small compiled kernel, ``_chain.c``, runs
-a block of steps per call on them, squaring and folding with GMP's ``mpn``
-functions from ``libgmp.so.10``.  From ``FFT_MIN_N`` to ``FFT_MAX_N``, where
-a factor of the modulus is known, the kernel squares mod 2**b + 1 directly
-with its own weighted double-precision FFT, about 4x faster per step than
-``mpn_sqr`` (see ``FFT_MIN_N``).  Every step is checked modulo a prime or
-that factor, and only an item that is returned or checked in full becomes
-an int.  The kernel is built once with the system C compiler into a
-per-user cache and loaded, with libgmp, through ``ctypes``.  When the
-library does not load or the kernel cannot be built, every modulus uses
-``x * x``.
+``_chain`` alone chooses the chain's arithmetic, per modulus, when a chain
+starts.  Below ``GMP_MIN_N`` it is ``_IntChain``, CPython's ``x * x`` and
+:func:`reduce_mod_fermat`, which is also the reference.  From ``GMP_MIN_N``
+up it is ``_GmpChain``: the residue lives in 64-bit limbs for the whole
+chain, and a small compiled kernel, ``_chain.c``, runs a block of steps per
+call on them, squaring and folding with GMP's ``mpn`` functions from
+``libgmp.so.10``.  From ``FFT_MIN_N`` to ``FFT_MAX_N``, where a factor of
+the modulus is known, the kernel squares mod 2**b + 1 directly with its own
+weighted double-precision FFT, about 4x faster per step than ``mpn_sqr``
+(see ``FFT_MIN_N``).  Every step is checked modulo a prime or that factor,
+and only an item that is returned or checked in full becomes an int.  The
+kernel is built once with the system C compiler into a per-user cache and
+loaded, with libgmp, through ``ctypes``.  When the library does not load or
+the kernel cannot be built, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .budget import check_pow2_bits
@@ -143,18 +142,14 @@ def reduce_mod_fermat(x: int, m: FermatModulus) -> int:
 def chain_item(x: int, c: int, k: int, m: FermatModulus) -> int:
     """Item k of ``square_chain(x, c, m)``, after k squarings.
 
-    Only item k is converted to an int.  On the GMP path the items before it
-    stay limbs, each checked as it is computed, and all k steps are one
+    Only item k is converted to an int.  On the GMP chain the items before
+    it stay limbs, each checked as it is computed, and all k steps are one
     kernel call (one more after each zero item).  With c = 0 the item is the
     power x**(2**k) that Pépin reads.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative item index, got {k}")
-    _check_operands(x, c, m)
-    gmp = _gmp_for(m)
-    if gmp is None:
-        return next(islice(_int_chain(x, c, m), k, None))
-    chain = _GmpChain(x, c, m, *gmp)
+    chain = _chain(x, c, m)
     while k:
         k -= chain.run(k)
     return chain.export()
@@ -164,14 +159,16 @@ def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
     """Yield x, x*x - c, (x*x - c)**2 - c, ... mod m as canonical ints.
 
     ``x`` must be a canonical residue and ``c`` a small nonnegative constant
-    (0 for Pépin, 2 for the recurrence).  The arithmetic is the one
-    ``m.backend`` names.  Each item is squared when it is asked for; the
-    GMP chain runs one kernel step per item and exports the item from the
-    limbs, raising ArithmeticError on any step or item that fails its check.
+    (0 for Pépin, 2 for the recurrence), checked when the first item is
+    asked for.  The arithmetic is the one ``m.backend`` names.  Each later
+    item is one step and one export; the GMP chain raises ArithmeticError
+    on any step or item that fails its check.
     """
-    _check_operands(x, c, m)
-    gmp = _gmp_for(m)
-    return _int_chain(x, c, m) if gmp is None else _gmp_items(x, _GmpChain(x, c, m, *gmp))
+    chain = _chain(x, c, m)
+    yield x
+    while True:
+        chain.run(1)
+        yield chain.export()
 
 
 def trace_hash(x: int, c: int, m: FermatModulus, count: int) -> tuple[str, int, bool]:
@@ -180,56 +177,42 @@ def trace_hash(x: int, c: int, m: FermatModulus, count: int) -> tuple[str, int, 
     Returns ``"sha256:<hex>"`` over the items read, how many were read and
     whether the last one is 0.  Each item is hashed as b/8 + 1 little-endian
     bytes, which hold 2**b, so the encoding is canonical and a trace can be
-    compared across machines and backends.  On the GMP chain the kernel
-    writes each block's items, at most ``_BLOCK_BYTES`` of them (one item
-    where one is larger), into one buffer that is hashed before the next
-    block, and the last item read and every zero candidate (an item that is
-    0 mod d) are exported and checked in full.  hashlib is imported on the
-    first call.
+    compared across machines and backends.  The chain writes each block's
+    items, at most ``_BLOCK_BYTES`` of them (one item where one is larger),
+    into one buffer that is hashed before the next block, and the last item
+    read and every zero candidate are exported, which the GMP chain checks
+    in full.  hashlib is imported on the first call.
     """
     if count < 1:
         raise ValueError(f"expected a positive item count, got {count}")
-    _check_operands(x, c, m)
+    chain = _chain(x, c, m)
     import hashlib
 
     width = m.b // 8 + 1
-    trace = hashlib.sha256()
-    gmp = _gmp_for(m)
-    if gmp is None:
-        for read, y in enumerate(islice(_int_chain(x, c, m), count), 1):
-            trace.update(y.to_bytes(width, "little"))
-            if not y:
-                break
-        return f"sha256:{trace.hexdigest()}", read, not y
-    trace.update(x.to_bytes(width, "little"))
+    trace = hashlib.sha256(x.to_bytes(width, "little"))
     read, zero = 1, not x
-    if not zero and count > 1:
-        chain = _GmpChain(x, c, m, *gmp)
-        per_block = max(1, _BLOCK_BYTES // width)
-        buffer = bytearray(min(per_block, count - 1) * width)
-        view, at = memoryview(buffer), _address(buffer)
-        while not zero and read < count:
-            done = chain.run(min(per_block, count - read), at)
-            read += done
-            trace.update(view[: done * width])
-            zero = (read == count or chain.state.x_d == 0) and chain.export() == 0
+    per_block = max(1, _BLOCK_BYTES // width)
+    buffer = bytearray(min(per_block, count - 1) * width)
+    view = memoryview(buffer)
+    while not zero and read < count:
+        done = chain.run(min(per_block, count - read), buffer)
+        read += done
+        trace.update(view[: done * width])
+        zero = (read == count or chain.maybe_zero()) and chain.export() == 0
     return f"sha256:{trace.hexdigest()}", read, zero
 
 
-def _check_operands(x: int, c: int, m: FermatModulus) -> None:
+def _chain(x: int, c: int, m: FermatModulus) -> _IntChain | _GmpChain:
+    """The chain x, x*x - c, ... mod m on the arithmetic ``m.backend`` names: the one place where it is chosen.
+
+    Raises ValueError unless x is canonical and c a small nonnegative constant.
+    """
     if not 0 <= x < m.value:
         raise ValueError(f"expected a canonical residue mod F_{m.n}, got a {x.bit_length()}-bit integer")
     if not 0 <= c < min(m.value, 1 << 32):  # the GMP chain subtracts c as one limb
         raise ValueError(f"expected a small nonnegative constant below F_{m.n}, got {c}")
-
-
-def _int_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
-    value = m.value
-    while True:
-        yield x
-        x = reduce_mod_fermat(x * x, m) - c
-        if x < 0:
-            x += value
+    gmp = _gmp_for(m)
+    return _IntChain(x, c, m) if gmp is None else _GmpChain(x, c, m, *gmp)
 
 
 def _gmp_for(m: FermatModulus):
@@ -328,15 +311,7 @@ def _load_kernel() -> _Kernel | None:
     # Eight steps of the recurrence mod F_6, the smallest whole-limb modulus,
     # against the int chain: a kernel built or linked wrongly is not used,
     # and ctypes makes its one-time set-up for these calls before any clock.
-    m = FermatModulus(6)
-    try:
-        chain = _GmpChain(6, 2, m, kernel, None)
-        chain.run(8)
-        if chain.export() == next(islice(_int_chain(6, 2, m), 8, None)):
-            return kernel
-    except ArithmeticError:
-        pass
-    return None
+    return kernel if _agrees_with_int(6, 2, FermatModulus(6), 8, kernel, None) else None
 
 
 def _build_kernel():
@@ -459,15 +434,17 @@ def _fft_plan(n: int) -> _FftPlan | None:
     table.extend(map(math.cos, twiddles))
     table.extend(-math.sin(angle) for angle in twiddles)
     plan = _FftPlan(bytearray(table), q)
-    for x in (random.Random(n).getrandbits(m.b), 1 << m.b // 2, (1 << m.b) - 1):
-        try:
-            chain = _GmpChain(x, 0, m, _load_kernel(), plan)
-            chain.run(1)
-            if chain.export() != reduce_mod_fermat(x * x, m):
-                return None
-        except ArithmeticError:
-            return None
-    return plan
+    inputs = (random.Random(n).getrandbits(m.b), 1 << m.b // 2, (1 << m.b) - 1)
+    return plan if all(_agrees_with_int(x, 0, m, 1, _load_kernel(), plan) for x in inputs) else None
+
+
+def _agrees_with_int(x: int, c: int, m: FermatModulus, steps: int, kernel: _Kernel, plan: _FftPlan | None) -> bool:
+    """Whether ``steps`` kernel steps from x end on the int chain's item; a step or export that fails its check does not."""
+    try:
+        chain, reference = _GmpChain(x, c, m, kernel, plan), _IntChain(x, c, m)
+        return chain.run(steps) == reference.run(steps) and chain.export() == reference.export()
+    except ArithmeticError:
+        return False
 
 
 def _function_address(function) -> int:
@@ -548,12 +525,12 @@ class _GmpChain:
         )
         self.state_at = ctypes.addressof(self.state)
 
-    def run(self, count: int, trace_at: int | None = None) -> int:
-        """Run up to ``count`` steps, copying each new item's trace bytes to ``trace_at`` when given; the steps run.
+    def run(self, count: int, trace: bytearray | None = None) -> int:
+        """Run up to ``count`` steps, writing each new item's b/8 + 1 bytes into ``trace`` when given; the steps run.
 
         Fewer than ``count`` run only when the last item is 0.
         """
-        done = self.run_block(self.state_at, count, trace_at)
+        done = self.run_block(self.state_at, count, None if trace is None else _address(trace))
         if done == _ABOVE:
             raise ArithmeticError(f"GMP left a residue above 2**{self.m.b} mod F_{self.m.n}")
         if done == _WRONG:
@@ -572,10 +549,44 @@ class _GmpChain:
             raise ArithmeticError(f"GMP exported a residue mod F_{self.m.n} wrongly (mod {self.d} check)")
         return y
 
+    def maybe_zero(self) -> bool:
+        """Whether the current item may be 0: it is 0 mod d."""
+        return self.state.x_d == 0
 
-def _gmp_items(x: int, chain: _GmpChain) -> Iterator[int]:
-    """square_chain's items on the GMP chain: x, then one kernel step and one checked export per item."""
-    yield x
-    while True:
-        chain.run(1)
-        yield chain.export()
+
+class _IntChain:
+    """One chain on a Python int, ``x * x`` and :func:`reduce_mod_fermat`: the reference the kernel is checked against.
+
+    It runs and exports as :class:`_GmpChain` does, a block of steps per call.
+    """
+
+    __slots__ = ("x", "c", "m")
+
+    def __init__(self, x: int, c: int, m: FermatModulus) -> None:
+        self.x, self.c, self.m = x, c, m
+
+    def run(self, count: int, trace: bytearray | None = None) -> int:
+        """As :meth:`_GmpChain.run`: up to ``count`` steps, fewer only after a zero item, each item's bytes written into ``trace``."""
+        x, c, m, width = self.x, self.c, self.m, self.m.b // 8 + 1
+        items = []  # the traced items' bytes, copied at the end: a slice assignment per item costs more
+        done = 0
+        while done < count:
+            x = reduce_mod_fermat(x * x, m) - c
+            if x < 0:
+                x += m.value
+            if trace is not None:
+                items.append(x.to_bytes(width, "little"))
+            done += 1
+            if not x:
+                break
+        if trace is not None:
+            trace[: done * width] = b"".join(items)
+        self.x = x
+        return done
+
+    def export(self) -> int:
+        return self.x
+
+    def maybe_zero(self) -> bool:
+        """Whether the current item may be 0: here, whether it is."""
+        return not self.x

@@ -29,6 +29,7 @@ from .primality import (
     paper_scan,
     pepin_squarings,
     pepin_test,
+    timed,
     trial_factor_search,
     verify_two_order,
 )
@@ -88,24 +89,6 @@ def _scan_fields(scan: ScanResult) -> dict[str, object]:
     }
 
 
-def _timed(test, *args):
-    """The test's result and its wall time in ms."""
-    start = time.perf_counter()
-    result = test(*args)
-    return result, (time.perf_counter() - start) * 1000.0
-
-
-def _timed_on_backend(test, n: int, *args):
-    """The result of ``test(n, *args)``, its wall time in ms and F_n's backend.
-
-    Reading the backend loads GMP and the kernel and makes the FFT plan, so
-    the clock times the squarings alone; a negative n is left to the test to
-    reject.
-    """
-    backend = FermatModulus(n).backend if n >= 0 else None
-    return (*_timed(test, n, *args), backend)
-
-
 def _cross_check_record(report: TestReport) -> ReportRecord:
     return _record(
         "cross-check",
@@ -121,14 +104,14 @@ def _cross_check_record(report: TestReport) -> ReportRecord:
 
 
 def _cmd_pepin(args: argparse.Namespace) -> int:
-    verdict, elapsed_ms, backend = _timed_on_backend(pepin_test, args.n)
+    verdict, elapsed_ms, backend = timed(pepin_test, args.n)
     record = _record("pepin", args.n, **_pepin_fields(args.n, verdict), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
     return EXIT_OK
 
 
 def _cmd_paper_test(args: argparse.Namespace) -> int:
-    scan, elapsed_ms, backend = _timed_on_backend(paper_scan, args.n, args.full_range)
+    scan, elapsed_ms, backend = timed(paper_scan, args.n, args.full_range)
     record = _record("paper-test", args.n, **_scan_fields(scan), backend=backend, elapsed_ms=elapsed_ms)
     _emit([record], args.format)
     return EXIT_OK
@@ -215,7 +198,9 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 def _cmd_factor(args: argparse.Namespace) -> int:
     if args.k_limit < 1:
         raise _UsageError(f"need a positive --k-limit, got {args.k_limit}")
-    witness, elapsed_ms = _timed(trial_factor_search, args.n, args.k_limit)
+    start = time.perf_counter()  # a plain clock: factor runs no chain, and reading a backend would load ctypes
+    witness = trial_factor_search(args.n, args.k_limit)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.format != "table":
         split = {"factor": witness.factor, "cofactor": witness.cofactor} if witness else {}
         _emit([_record("factor", args.n, **split, elapsed_ms=elapsed_ms)], args.format)

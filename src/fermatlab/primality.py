@@ -224,18 +224,25 @@ def cross_check(n: int) -> TestReport:
     """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts."""
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    # Reading the backend loads GMP, builds or loads the kernel and makes the
-    # FFT plan where the tests use them, so the clocks time the squarings alone.
-    FermatModulus(n).backend
-    t0 = time.perf_counter()
-    pepin = pepin_test(n)
-    t1 = time.perf_counter()
-    scan = paper_scan(n)
-    t2 = time.perf_counter()
+    pepin, elapsed_ms_pepin, _ = timed(pepin_test, n)
+    scan, elapsed_ms_scan, _ = timed(paper_scan, n)
     return TestReport(
         n=n,
         pepin=pepin,
         scan=scan,
-        elapsed_ms_pepin=(t1 - t0) * 1000.0,
-        elapsed_ms_scan=(t2 - t1) * 1000.0,
+        elapsed_ms_pepin=elapsed_ms_pepin,
+        elapsed_ms_scan=elapsed_ms_scan,
     )
+
+
+def timed(test, n: int, *args):
+    """The result of ``test(n, *args)``, its wall time in ms and F_n's backend.
+
+    The backend is read first, which loads GMP, builds or loads the kernel
+    and makes the FFT plan where the test uses them, so the clock times the
+    squarings alone; a negative n is left to the test to reject.
+    """
+    backend = FermatModulus(n).backend if n >= 0 else None
+    start = time.perf_counter()
+    result = test(n, *args)
+    return result, (time.perf_counter() - start) * 1000.0, backend

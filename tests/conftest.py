@@ -29,27 +29,17 @@ def gmp():
 def counted_steps(monkeypatch):
     """The list every chain appends one entry to per squaring step, however it is read.
 
-    The int chain appends a step when its item is asked for; a kernel call
+    Each call of a chain's ``run``, on the int chain or in the kernel,
     appends each step it ran, as the number of steps it was asked for.
     """
     steps = []
-    kernel = arith._load_kernel()  # loaded first: its load walks a chain of its own
-    int_chain = arith._int_chain
+    arith._load_kernel()  # loaded first: its load walks chains of its own
+    for chain in (arith._IntChain, arith._GmpChain):
 
-    def counted(x, c, m):
-        items = int_chain(x, c, m)
-        yield next(items)
-        for item in items:  # item k costs step k, taken only when item k is asked for
-            steps.append(item)
-            yield item
-
-    monkeypatch.setattr(arith, "_int_chain", counted)
-    if kernel is not None:
-
-        def counted_run(state, count, trace):
-            done = kernel.run(state, count, trace)
-            steps.extend([count] * max(done, 0))
+        def counted(self, count, trace=None, run=chain.run):
+            done = run(self, count, trace)
+            steps.extend([count] * done)
             return done
 
-        monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=counted_run))
+        monkeypatch.setattr(chain, "run", counted)
     return steps

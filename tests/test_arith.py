@@ -498,6 +498,19 @@ def test_a_kernel_that_fails_its_first_walk_is_not_used(gmp, monkeypatch):
     assert "__gmpn_add_n" in swapped.names
 
 
+def test_a_kernel_or_plan_that_disagrees_with_the_int_chain_is_not_used(gmp, monkeypatch):
+    # Every kernel check passes, but the int chain reads another item: the first walk and the FFT self-test both refuse.
+    class Off(arith._IntChain):
+        __slots__ = ()
+
+        def export(self):
+            return super().export() ^ 1
+
+    monkeypatch.setattr(arith, "_IntChain", Off)
+    assert arith._load_kernel.__wrapped__() is None
+    assert arith._fft_plan.__wrapped__(arith.FFT_MIN_N) is None
+
+
 def assert_falls_back_to_int(monkeypatch):
     """The unmemoised loaders return None, and chains mod every modulus use x * x."""
     monkeypatch.setattr(arith, "_load_gmp", arith._load_gmp.__wrapped__)  # the loader, unmemoised
@@ -601,11 +614,25 @@ def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 6, 11])
 def test_trace_hash_does_not_depend_on_the_block_size(monkeypatch, n):
-    # n = 3 is on the int chain, one item a block; n = 6 and 11 are on the kernel where it loads.
+    # n = 3 is on the int chain, n = 6 and 11 on the kernel where it loads; each is read one and two items a block.
     expected = paper_scan(n).residue_trace_hash
     for items in (1, 2):
         monkeypatch.setattr(arith, "_BLOCK_BYTES", items * ((1 << n) // 8 + 1))
         assert paper_scan(n).residue_trace_hash == expected
+
+
+@pytest.mark.parametrize(("n", "backend"), [(4, "int"), (8, "gmp"), (15, "gmp-fft")])
+def test_trace_hash_reads_a_zero_that_ends_a_block(monkeypatch, n, backend):
+    # From a square root of 2, item 1 of x -> x*x - 2 is 0.  With one-item blocks it is
+    # a block's last item, so the chain does not stop early there; the zero is found
+    # by the zero-candidate check alone.
+    m, x = FermatModulus(n), sqrt2_mod_fermat(n)
+    assert m.backend == backend or arith._load_kernel() is None
+    width = m.b // 8 + 1
+    digest = hashlib.sha256(x.to_bytes(width, "little") + bytes(width)).hexdigest()
+    for items in (1, 2, 8):
+        monkeypatch.setattr(arith, "_BLOCK_BYTES", items * width)
+        assert arith.trace_hash(x, 2, m, 8) == (f"sha256:{digest}", 2, True)
 
 
 def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
