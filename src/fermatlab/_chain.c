@@ -38,13 +38,17 @@ struct chain {
 
 enum { ABOVE = -1, WRONG = -2, INEXACT = -3 };
 
-/* The FFT's clones for x86-64-v3 (AVX2 and FMA) and the baseline, picked
-   once at load time through an ifunc, where GCC and glibc provide one; any
-   other target builds the one plain version. */
+/* The FFT's clones for x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and
+   the baseline, picked once at load time through an ifunc, where GCC and
+   glibc provide one; any other target builds the one plain version, as does
+   -DCLONED= (with a -march of its own, one ISA level alone).  Every load
+   is unaligned-safe: Python aligns the buffers to 64 bytes for speed only. */
+#ifndef CLONED
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
-#define CLONED __attribute__((target_clones("arch=x86-64-v3", "default")))
+#define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #else
 #define CLONED
+#endif
 #endif
 
 static int is_zero(const limb *r, long n)

@@ -46,10 +46,11 @@ GMP_MIN_N = 6
 # The smallest n whose kernel chains square with the kernel's FFT, which
 # returns x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n
 # is known (F_14 has none).  Kernel time per step with mpn_sqr vs the FFT,
-# walked as above, best of 7, range of three runs: 31-51 vs 8.5-14 us at
-# n = 15; 80-108 vs 17-22 us at n = 16 (same machine, gcc 12 -O3, the
-# x86-64-v3 clone).  GMP's undocumented mpn_mul_fft takes 24-32 and
-# 50-84 us, so the kernel has its own.
+# walked as above, best of 7, range of three runs: 30 vs 5.3 us at n = 15;
+# 75-83 vs 13-13.4 us at n = 16 (same machine, gcc 12 -O3, the x86-64-v4
+# clone, buffers 64-byte aligned; the x86-64-v3 clone alone takes 8.1-8.4
+# and 17 us).  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us, so
+# the kernel has its own.
 FFT_MIN_N = 15
 # The largest n whose chains square with the FFT.  Its 16-bit digits keep the
 # worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
@@ -395,9 +396,9 @@ def _compile(source: str, directory: str, path: str):
 
 
 class _FftPlan(NamedTuple):
-    """The kernel's FFT plan mod F_n: its weights and twiddles, and the check factor q."""
+    """The kernel's FFT plan mod F_n: its weights and twiddles, as doubles, and the check factor q."""
 
-    table: bytearray
+    table: memoryview
     q: int
 
 
@@ -411,10 +412,11 @@ def _fft_plan(n: int) -> _FftPlan | None:
     points: the weights exp(i*pi*j / 2M), j < M, then each stage's twiddles
     exp(-i*pi*j / h), j < h, at h - 1 for h = 1, 2, .. M/2, each as M real
     parts and M imaginary.  ``math`` computes them, so the kernel needs no
-    libm.  The plan is used only after a self-test against the reference
-    fold: one kernel step, checked mod q, from a random x, from 2**(b/2),
-    whose square 2**b is the one residue with a top limb, and from 2**b - 1,
-    every digit 0xFFFF, whose rounding error is the largest.
+    libm, and the table is aligned once, here (see ``_aligned``).  The plan
+    is used only after a self-test against the reference fold: one kernel
+    step, checked mod q, from a random x, from 2**(b/2), whose square 2**b
+    is the one residue with a top limb, and from 2**b - 1, every digit
+    0xFFFF, whose rounding error is the largest.
     """
     q = _FACTORS.get(n)
     if q is None:
@@ -433,7 +435,8 @@ def _fft_plan(n: int) -> _FftPlan | None:
     table.extend(map(math.sin, weights))
     table.extend(map(math.cos, twiddles))
     table.extend(-math.sin(angle) for angle in twiddles)
-    plan = _FftPlan(bytearray(table), q)
+    plan = _FftPlan(_aligned(len(table) * table.itemsize).cast("d"), q)
+    plan.table[:] = table
     inputs = (random.Random(n).getrandbits(m.b), 1 << m.b // 2, (1 << m.b) - 1)
     return plan if all(_agrees_with_int(x, 0, m, 1, _load_kernel(), plan) for x in inputs) else None
 
@@ -458,9 +461,25 @@ def _function_address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
-def _to_limbs(x: int, count: int) -> bytearray:
-    """x as ``count`` 64-bit little-endian limbs in a new buffer."""
-    return bytearray(x.to_bytes(8 * count, "little"))
+def _to_limbs(x: int, count: int) -> memoryview:
+    """x as ``count`` 64-bit little-endian limbs in a new aligned buffer."""
+    limbs = _aligned(8 * count)
+    limbs[:] = x.to_bytes(8 * count, "little")
+    return limbs
+
+
+def _aligned(size: int) -> memoryview:
+    """A new zeroed buffer of ``size`` bytes whose first byte is on a 64-byte boundary.
+
+    A bytearray starts 16 to 48 bytes past one, so the FFT's 512-bit loads
+    would mostly cross a cache line; this is the aligned part of a larger
+    one, which the view holds and keeps from being resized.  The kernel's
+    loads do not require alignment: a buffer without it runs and is checked
+    the same, only slower.
+    """
+    buffer = bytearray(size + 63)
+    start = -_address(buffer) % 64
+    return memoryview(buffer)[start : start + size]
 
 
 def _from_limbs(limbs) -> int:
@@ -468,12 +487,12 @@ def _from_limbs(limbs) -> int:
     return int.from_bytes(limbs, "little")
 
 
-def _address(buffer: bytearray) -> int:
+def _address(buffer: bytearray | memoryview) -> int:
     """The address of a buffer's first byte, for the kernel.
 
-    Buffers are bytearrays, so no ctypes type is made per size (each new
-    one is a reference cycle), and none is ever resized, so the address
-    holds while the buffer lives.
+    Buffers are bytearrays or views of them, so no ctypes type is made per
+    size (each new one is a reference cycle), and none is ever resized, so
+    the address holds while the buffer lives.
     """
     import ctypes  # already loaded by _load_gmp; this is a lookup
 
@@ -513,7 +532,7 @@ class _GmpChain:
         size = m.b // _LIMB_BITS
         self.m, self.run_block, self.d, self.width, self.plan = m, kernel.run, d, m.b // 8 + 1, plan
         self.r = _to_limbs(x, size + 1)
-        self.work = bytearray((16 if plan is None else 32) * size)
+        self.work = _aligned((16 if plan is None else 32) * size)
         r_at = _address(self.r)
         x_d = x % d
         if kernel.prototypes["mod_1"](kernel.gmp.mod_1)(r_at, size + 1, d) != x_d:

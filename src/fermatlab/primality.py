@@ -239,10 +239,13 @@ def timed(test, n: int, *args):
     """The result of ``test(n, *args)``, its wall time in ms and F_n's backend.
 
     The backend is read first, which loads GMP, builds or loads the kernel
-    and makes the FFT plan where the test uses them, so the clock times the
-    squarings alone; a negative n is left to the test to reject.
+    and makes the FFT plan where the test uses them, and a scan's hashlib is
+    imported, so the clock times the squarings alone; Pépin, which hashes
+    nothing, never imports it.  A negative n is left to the test to reject.
     """
     backend = FermatModulus(n).backend if n >= 0 else None
+    if test is paper_scan:
+        import hashlib  # trace_hash's, which imports it on its first call
     start = time.perf_counter()
     result = test(n, *args)
     return result, (time.perf_counter() - start) * 1000.0, backend

@@ -2,7 +2,9 @@ import ctypes
 import gc
 import hashlib
 import math
+import os
 import pathlib
+import platform
 import random
 import subprocess
 import sys
@@ -812,6 +814,80 @@ def test_one_fft_step_matches_the_fold(fft, monkeypatch, n, edge):
     assert chain.state.error <= 1 / 16
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_kernel_buffers_start_on_a_cache_line(gmp, n):
+    chain = arith._chain(6, 2, FermatModulus(n))
+    buffers = [chain.r, chain.work] + ([chain.plan.table] if n >= arith.FFT_MIN_N else [])
+    assert [arith._address(buffer) % 64 for buffer in buffers] == [0] * len(buffers)
+
+
+@pytest.mark.parametrize("n", range(15, 20))
+def test_unaligned_fft_buffers_step_as_aligned_ones(fft, monkeypatch, n):
+    # Alignment is a speed property only: with the residue, the work space
+    # and the plan table each 8 bytes past a cache line, every edge still
+    # steps to the fold's square.
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 19))
+    aligned = arith._aligned
+    monkeypatch.setattr(arith, "_aligned", lambda size: aligned(size + 8)[8:])
+    m = FermatModulus(n)
+    plan = arith._fft_plan.__wrapped__(n)
+    assert plan is not None and arith._address(plan.table) % 64 == 8
+    for edge, make in FFT_EDGES.items():
+        x = make(m.b)
+        chain = arith._GmpChain(x, 0, m, arith._load_kernel(), plan)
+        assert [arith._address(buffer) % 64 for buffer in (chain.r, chain.work)] == [8, 8]
+        assert chain.run(1) == 1, edge
+        assert chain.export() == reduce_mod_fermat(x * x, m), edge
+        assert chain.state.error <= 1 / 16, edge
+
+
+# The flags /proc/cpuinfo lists for each x86-64 ISA level the kernel can be
+# built for alone; v3 includes v2's, and v4 includes v3's.
+X86_64_LEVELS = {"x86-64": ()}
+X86_64_LEVELS["x86-64-v3"] = (
+    *("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3"),
+    *("avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"),
+)
+X86_64_LEVELS["x86-64-v4"] = (*X86_64_LEVELS["x86-64-v3"], "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl")
+
+
+def cpu_flags():
+    """The flags of the first CPU in /proc/cpuinfo, or None where there is none."""
+    try:
+        with open("/proc/cpuinfo") as file:
+            return next((set(line.split(":", 1)[1].split()) for line in file if line.startswith("flags")), None)
+    except OSError:
+        return None
+
+
+@pytest.mark.parametrize("level", X86_64_LEVELS)
+def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch, tmp_path, level):
+    # The loaded kernel runs only the clone that this CPU picks; a kernel
+    # built for one level alone (-DCLONED=) runs that level's code.
+    flags = cpu_flags()
+    if platform.machine() != "x86_64" or flags is None:
+        pytest.skip("the ISA levels are x86-64's, read from /proc/cpuinfo")
+    missing = sorted(set(X86_64_LEVELS[level]) - flags)
+    if missing:
+        pytest.skip(f"this CPU lacks {level}'s {' '.join(missing)}")
+    march = f"-march={level}"
+    if subprocess.run([arith._COMPILER, march, "-x", "c", "-E", os.devnull], capture_output=True).returncode:
+        pytest.skip(f"{arith._COMPILER} does not take {march}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(arith, "_CFLAGS", (*arith._CFLAGS, "-DCLONED=", march))
+    kernel = arith._load_kernel.__wrapped__()
+    assert kernel is not None
+    (built,) = (tmp_path / "fermatlab").iterdir()
+    assert b"fft_square.arch_" not in built.read_bytes()  # no clones: this level's code alone
+    for n in (15, 16):
+        m, steps, width = FermatModulus(n), 256, (1 << n) // 8 + 1
+        chain, reference = arith._GmpChain(6, 2, m, kernel, arith._fft_plan(n)), arith._IntChain(6, 2, m)
+        assert chain.plan is not None
+        items, expected = bytearray(steps * width), bytearray(steps * width)
+        assert chain.run(steps, items) == reference.run(steps, expected) == steps
+        assert items == expected and chain.export() == reference.export()
+
+
 def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
     chain = fft_chain(random.Random(16).getrandbits(1 << 16), 2, FermatModulus(16))
     assert chain.run(1000) == 1000
@@ -909,12 +985,8 @@ def test_the_round_off_guard_raises(fft, monkeypatch):
 
 def test_fft_check_survives_optimized_python(fft):
     corruption = (
-        "from array import array\n"
         "if arith.FermatModulus(arith.FFT_MIN_N).backend != 'gmp-fft':\n"
         "    sys.exit('no FFT plan')\n"
-        "plan = arith._fft_plan(arith.FFT_MIN_N)\n"
-        "table = array('d', plan.table)\n"
-        "table[0] = 2.0\n"
-        "plan.table[:] = bytearray(table)\n"
+        "arith._fft_plan(arith.FFT_MIN_N).table[0] = 2.0\n"
     )
     assert run_optimized(corruption, f"a_mod_fermat({arith.FFT_MIN_N + 2}, {arith.FFT_MIN_N})") == ["caught", "False"]

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import fermatlab.primality as primality
@@ -236,6 +240,25 @@ def test_cross_check_counts():
     assert report.squarings_pepin == (1 << 6) - 1
     assert report.squarings_scan == (1 << 6) - 2
     assert report.elapsed_ms_pepin >= 0 and report.elapsed_ms_scan >= 0
+
+
+def test_a_fresh_scan_clock_starts_after_hashlib_loads():
+    # trace_hash imports hashlib on its first call; timed imports it first,
+    # for the scan only, so a fresh process's first scan record does not time
+    # that import and Pépin's never loads it.  Each clock read records
+    # whether hashlib is loaded.
+    code = (
+        "import sys, time\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fermatlab.primality import cross_check\n"
+        "clock, loaded = time.perf_counter, []\n"
+        "time.perf_counter = lambda: loaded.append('hashlib' in sys.modules) or clock()\n"
+        "cross_check(2)\n"
+        "print(*loaded)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False", "True", "True"]  # Pépin's start and stop, then the scan's
 
 
 def test_certificate_soundness_across_range():
