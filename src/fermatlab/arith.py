@@ -9,19 +9,19 @@ item k alone and :func:`trace_hash` returns the sha256 of the items'
 fixed-width bytes up to the first zero, the scan's trace.
 
 ``_chain`` alone chooses the chain's arithmetic, per modulus, when a chain
-starts.  Below ``GMP_MIN_N`` it is ``_IntChain``, CPython's ``x * x`` and
-:func:`reduce_mod_fermat`, which is also the reference.  From ``GMP_MIN_N``
-up it is ``_GmpChain``: the residue lives in 64-bit limbs for the whole
-chain, and a small compiled kernel, ``_chain.c``, runs a block of steps per
-call on them, squaring and folding with GMP's ``mpn`` functions from
-``libgmp.so.10``.  From ``FFT_MIN_N`` to ``FFT_MAX_N``, where a factor of
-the modulus is known, the kernel squares mod 2**b + 1 directly with its own
-weighted double-precision FFT, about 4x faster per step than ``mpn_sqr``
-(see ``FFT_MIN_N``).  Every step is checked modulo a prime or that factor,
-and only an item that is returned or checked in full becomes an int.  The
-kernel is built once with the system C compiler into a per-user cache and
-loaded, with libgmp, through ``ctypes``.  When the library does not load or
-the kernel cannot be built, every modulus uses ``x * x``.
+starts.  Below one 64-bit limb, n <= 5, it is ``_IntChain``, CPython's
+``x * x`` and :func:`reduce_mod_fermat`, which is also the reference.  On
+every modulus of whole limbs it is ``_GmpChain``: the residue lives in
+64-bit limbs for the whole chain, and a small compiled kernel, ``_chain.c``,
+runs a block of steps per call on them, squaring and folding with GMP's
+``mpn`` functions from ``libgmp.so.10``.  For each n whose factor
+``_FACTORS`` lists, the kernel squares mod 2**b + 1 directly with its own
+weighted double-precision FFT, about 6x faster per step than ``mpn_sqr``.
+Every step is checked modulo a prime or that factor, and only an item that
+is returned or checked in full becomes an int.  The kernel is built once
+with the system C compiler into a per-user cache and loaded, with libgmp,
+through ``ctypes``.  When the library does not load or the kernel cannot be
+built, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Iterator, NamedTuple
 
 from .budget import check_pow2_bits
 
-# The smallest n whose chains run in the kernel: b = 2**n is a whole number of
-# 64-bit limbs from here, and the kernel already wins.  Time per step of the
+# GMP chains need 64-bit limbs, and the kernel serves every modulus whose b is
+# a whole number of them, n >= 6, where it already wins.  Time per step of the
 # int chain (x * x and the fold) against the kernel (one call for the walk),
 # us, in a walk of 1024 steps of x -> x*x - 2, best of 7, range of three runs:
 # 0.31-0.57 vs 0.047-0.077 at n = 6; 0.32-0.52 vs 0.052-0.084 at 7;
@@ -42,23 +42,7 @@ from .budget import check_pow2_bits
 # 0.19-0.28 at 10; 2.6-4.7 vs 0.50-0.72 at 11; 9.1-15 vs 1.3-2.2 at 12; 29-46
 # vs 3.6-5.7 at 13; 87-137 vs 10-18 at 14 (mpn_sqr) (2-CPU Xeon, CPython
 # 3.11.7, GMP 6.2.1, gcc 12 -O2).  The int chain below is also the reference.
-GMP_MIN_N = 6
-# The smallest n whose kernel chains square with the kernel's FFT, which
-# returns x*x mod 2**b + 1 without the 2L-limb product, where a factor of F_n
-# is known (F_14 has none).  Kernel time per step with mpn_sqr vs the FFT,
-# walked as above, best of 7, range of three runs: 30 vs 5.3 us at n = 15;
-# 75-83 vs 13-13.4 us at n = 16 (same machine, gcc 12 -O3, the x86-64-v4
-# clone, buffers 64-byte aligned; the x86-64-v3 clone alone takes 8.1-8.4
-# and 17 us).  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us, so
-# the kernel has its own.
-FFT_MIN_N = 15
-# The largest n whose chains square with the FFT.  Its 16-bit digits keep the
-# worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
-# and 0.0625 for n = 15..19, well inside the 1/4 each step checks, but it
-# reaches 0.19 at n = 20 and 0.31 at n = 21, so larger n square with mpn_sqr.
-# Percival (Math. Comp. 72, 2003) bounds this error from the transform length
-# and the digit size.
-FFT_MAX_N = 19
+_LIMB_BITS = 64
 GMP_SONAME = "libgmp.so.10"
 # The compiler that builds the kernel, and its flags; without one, every modulus uses x * x.
 _COMPILER = "cc"
@@ -69,9 +53,22 @@ _BLOCK_BYTES = 1 << 16
 _MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
-# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n the FFT
-# serves: an FFT step gives no k, but with q | F it must satisfy
-# x*x = y + c modulo q.
+# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n whose kernel
+# chains square with the kernel's FFT, which returns x*x mod 2**b + 1 without
+# the 2L-limb product: an FFT step gives no k, but with q | F it must satisfy
+# x*x = y + c modulo q.  Kernel time per step with mpn_sqr vs the FFT, walked
+# as above, best of 7, range of three runs: 30 vs 5.3 us at n = 15; 75-83 vs
+# 13-13.4 us at n = 16 (same machine, gcc 12 -O3, the x86-64-v4 clone,
+# buffers 64-byte aligned; the x86-64-v3 clone alone takes 8.1-8.4 and 17 us).
+# GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us, so the kernel has
+# its own.  The 16-bit digits keep the worst rounding error (every digit
+# 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well
+# inside the 1/4 each step checks; test_one_fft_step_matches_the_fold holds
+# every listed n to 1/16.  Percival (Math. Comp. 72, 2003) bounds this error
+# from the transform length and the digit size.  It reaches 0.19 at n = 20
+# (no factor of F_20 is known) and 0.31 at n = 21, so F_21's factor
+# 4485296422913 is not listed and n = 21 squares with mpn_sqr; the plan's
+# self-test would refuse it.  F_14 has no known factor.
 _FACTORS = {
     15: 1214251009,
     16: 825753601,
@@ -79,8 +76,6 @@ _FACTORS = {
     18: 13631489,
     19: 70525124609,
 }
-# GMP chains need 64-bit limbs and b a whole number of them, so n >= 6.
-_LIMB_BITS = 64
 # What fermat_chain_run returns for a failed step: _chain.c's ABOVE, WRONG and INEXACT.
 _ABOVE, _WRONG, _INEXACT = -1, -2, -3
 
@@ -218,10 +213,8 @@ def _chain(x: int, c: int, m: FermatModulus) -> _IntChain | _GmpChain:
 
 def _gmp_for(m: FermatModulus):
     """The kernel and the FFT plan (None for mpn_sqr) when chains mod m run in GMP, else None."""
-    kernel = _load_kernel() if m.n >= GMP_MIN_N and m.b >= _LIMB_BITS else None
-    if kernel is None:
-        return None
-    return kernel, _fft_plan(m.n) if FFT_MIN_N <= m.n <= FFT_MAX_N else None
+    kernel = _load_kernel() if m.b >= _LIMB_BITS else None
+    return None if kernel is None else (kernel, _fft_plan(m.n))
 
 
 @cache
@@ -320,7 +313,8 @@ def _build_kernel():
 
     The library is cached per user, in $XDG_CACHE_HOME/fermatlab or
     ~/.cache/fermatlab, under the sha256 of the compile command and the
-    source, so a changed source, compiler or flag is built anew.  On a miss
+    source, so a changed source, compiler name or flag is built anew (not a
+    compiler upgraded in place under the same name).  On a miss
     the compiler writes a temporary file that ``os.replace`` moves into
     place, so no process loads a partial one; where the cache directory
     cannot be written, the kernel is built in a temporary directory instead
@@ -406,8 +400,10 @@ class _FftPlan(NamedTuple):
 def _fft_plan(n: int) -> _FftPlan | None:
     """The FFT plan of GMP chains mod F_n, or None to square with mpn_sqr.
 
-    Made once per n, when the first chain mod F_n starts.  A listed factor
-    must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is raised.
+    None where ``_FACTORS`` lists no factor of F_n or the self-test below
+    fails.  Made once per n, when the first chain mod F_n starts.  A listed
+    factor must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is
+    raised.
     The table is what ``_chain.c``'s ``fft_square`` reads for M = b / 32
     points: the weights exp(i*pi*j / 2M), j < M, then each stage's twiddles
     exp(-i*pi*j / h), j < h, at h - 1 for h = 1, 2, .. M/2, each as M real

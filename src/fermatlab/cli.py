@@ -71,7 +71,7 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _record(command: str, n: int, **fields: object) -> ReportRecord:
-    return ReportRecord(command=command, n=n, bits=FermatModulus(n).b, **fields)
+    return ReportRecord(command=command, n=n, bits=1 << n, **fields)  # each command has built F_n by now, within budget
 
 
 def _pepin_fields(n: int, verdict: Verdict) -> dict[str, object]:
@@ -96,7 +96,7 @@ def _cross_check_record(report: TestReport) -> ReportRecord:
         **_pepin_fields(report.n, report.pepin),
         **_scan_fields(report.scan),
         consistent=report.consistent,
-        backend=FermatModulus(report.n).backend,
+        backend=report.backend,
         elapsed_ms=report.elapsed_ms_pepin + report.elapsed_ms_scan,
         elapsed_ms_pepin=report.elapsed_ms_pepin,
         elapsed_ms_scan=report.elapsed_ms_scan,

@@ -85,9 +85,10 @@ class FactorWitness(NamedTuple):
 class TestReport(NamedTuple):
     """Both procedures on one modulus, as :func:`cross_check` measured them.
 
-    It stores the two results and their wall times; the scan's verdict, both
-    squaring counts and the agreement flag are read from them, so no report
-    can carry a verdict or a count that contradicts its own scan.
+    It stores the two results, their wall times and F_n's backend, as
+    :func:`timed` read it; the scan's verdict, both squaring counts and the
+    agreement flag are read from them, so no report can carry a verdict or
+    a count that contradicts its own scan.
     """
 
     __test__ = False  # keeps pytest from collecting this despite the name
@@ -97,6 +98,7 @@ class TestReport(NamedTuple):
     scan: ScanResult
     elapsed_ms_pepin: float
     elapsed_ms_scan: float
+    backend: str
 
     @property
     def paper(self) -> Verdict:
@@ -224,7 +226,7 @@ def cross_check(n: int) -> TestReport:
     """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts."""
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    pepin, elapsed_ms_pepin, _ = timed(pepin_test, n)
+    pepin, elapsed_ms_pepin, backend = timed(pepin_test, n)
     scan, elapsed_ms_scan, _ = timed(paper_scan, n)
     return TestReport(
         n=n,
@@ -232,6 +234,7 @@ def cross_check(n: int) -> TestReport:
         scan=scan,
         elapsed_ms_pepin=elapsed_ms_pepin,
         elapsed_ms_scan=elapsed_ms_scan,
+        backend=backend,
     )
 
 

@@ -25,6 +25,22 @@ def gmp():
     return kernel
 
 
+def force_backend(backend, patch):
+    """Make every chain started from here on square with ``backend``, where its modulus allows it, through the MonkeyPatch ``patch``.
+
+    It patches the two seams that choose a chain's arithmetic: "int" hides
+    the kernel, so every modulus squares with ``x * x``; "gmp" hides every
+    FFT plan, so the kernel squares with ``mpn_sqr``; "gmp-fft" patches
+    nothing, so the FFT serves the n that ``arith._FACTORS`` lists.  The
+    kernel serves only moduli of whole 64-bit limbs, n >= 6.  A test that
+    forces "gmp" or "gmp-fft" asks for the ``gmp`` fixture too.
+    """
+    if backend == "int":
+        patch.setattr(arith, "_load_kernel", lambda: None)
+    elif backend == "gmp":
+        patch.setattr(arith, "_fft_plan", lambda n: None)
+
+
 @pytest.fixture
 def counted_steps(monkeypatch):
     """The list every chain appends one entry to per squaring step, however it is read.

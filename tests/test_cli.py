@@ -180,6 +180,7 @@ def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
         scan=paper_scan(2),
         elapsed_ms_pepin=0.0,
         elapsed_ms_scan=0.0,
+        backend="int",
     )
     monkeypatch.setattr(cli_module, "cross_check", lambda n: broken)
     code, out, _ = run(capsys, "cross-check", "--from", "2", "--to", "2")
@@ -389,6 +390,24 @@ def test_cross_check_table_has_a_backend_column(capsys):
     assert {"n", "bits", "backend"} | timing <= set(columns)
     i = columns.index("backend")
     assert first.split()[i] == second.split()[i] == "int"
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [(["cross-check", "--from", "8", "--to", "8"], 5), (["pepin", "8"], 2), (["paper-test", "8"], 2)],
+    ids=["cross-check", "pepin", "paper-test"],
+)
+def test_a_record_builds_no_modulus_of_its_own(gmp, capsys, monkeypatch, argv, builds):
+    # Each build of F_n reads and parses the budget.  The record takes bits
+    # from n and a cross-check's backend from its report: what is left is
+    # _checked_range's build, and one per test in timed and in the test.
+    checks = []
+    check = arith.check_pow2_bits
+    monkeypatch.setattr(arith, "check_pow2_bits", lambda *args: checks.append(args) or check(*args))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (record,) = json_records(out)
+    assert code == 0 and record["bits"] == 256 and record["backend"] == "gmp"
+    assert len(checks) == builds
 
 
 def test_from_json_rejects_unknown_fields():

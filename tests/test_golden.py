@@ -7,9 +7,10 @@ produced by an independent plain ``%`` loop and agree with the benchmark's
 own golden file; they are copied rather than loaded so the unit tests do not
 depend on the benchmark directory.
 
-Every case runs on both squaring kernels: "int" hides the GMP library so
-every modulus squares with ``x * x``, and "gmp" runs the compiled kernel
-with ``mpn_sqr`` from n = 6 up, where b is a whole number of 64-bit limbs.
+Every case runs on both squaring kernels, forced by conftest's
+``force_backend``: "int" hides the kernel so every modulus squares with
+``x * x``, and "gmp" hides the FFT plans so the compiled kernel squares with
+``mpn_sqr`` from n = 6 up, where b is a whole number of 64-bit limbs.
 Below that the "gmp" cases stay on ``x * x``.  The walk also runs on
 "gmp-fft", the kernel's FFT step.  The cases n = 2..11 also run at default
 settings, where Pépin's power is one kernel call from n = 6 up, and with
@@ -21,6 +22,7 @@ from functools import cache
 
 import pytest
 
+from conftest import force_backend
 from fermatlab import arith
 from fermatlab.arith import FermatModulus
 from fermatlab.primality import cross_check
@@ -60,16 +62,6 @@ GOLDEN = [
 WALK = (16, 1025, "c1054078ce03677dc2ab70a4b1a5b7f83815bc7a8786cfeedfaf9346ba4d5ff3")
 
 
-def force_backend(backend, request, monkeypatch):
-    """Make every modulus built from here on square with ``backend``; "gmp-fft" only where a factor is known."""
-    if backend == "int":
-        monkeypatch.setattr(arith, "_load_kernel", lambda: None)
-        return
-    request.getfixturevalue("gmp")  # skips, or fails, where there is no kernel
-    if backend == "gmp":
-        monkeypatch.setattr(arith, "FFT_MIN_N", 99)
-
-
 # The int cases are the reference and carry the plain ids n2..n14.
 CASES = [("int", *row) for row in GOLDEN] + [("gmp", *row) for row in GOLDEN]
 
@@ -82,7 +74,9 @@ CASES = [("int", *row) for row in GOLDEN] + [("gmp", *row) for row in GOLDEN]
 def test_cross_check_matches_golden(
     request, monkeypatch, backend, n, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash
 ):
-    force_backend(backend, request, monkeypatch)
+    if backend != "int":
+        request.getfixturevalue("gmp")  # skips, or fails, where there is no kernel
+    force_backend(backend, monkeypatch)
     assert FermatModulus(n).backend == (backend if 1 << n >= arith._LIMB_BITS else "int")
     assert_report_matches(cross_check(n), verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash)
 
@@ -113,7 +107,7 @@ def test_power_route_matches_golden(gmp, monkeypatch, row):
         return kernel.run(state, count, trace)
 
     monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied))
-    routed = n >= arith.GMP_MIN_N
+    routed = 1 << n >= arith._LIMB_BITS
     assert FermatModulus(n).backend == ("gmp" if routed else "int")
     assert_report_matches(cross_check(n), *row[1:])
     assert [count for c, count in calls if c == 0] == ([squarings_pepin] if routed else [])
@@ -132,7 +126,9 @@ def test_without_a_compiler_the_golden_rows_pass_on_int(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("backend", ["int", "gmp", "gmp-fft"])
 def test_walk_matches_golden(request, monkeypatch, backend):
-    force_backend(backend, request, monkeypatch)
+    if backend != "int":
+        request.getfixturevalue("gmp")
+    force_backend(backend, monkeypatch)
     n, q, digest = WALK
     assert FermatModulus(n).backend == backend
     residue = a_mod_fermat(q, n)

@@ -276,7 +276,9 @@ def test_report_derives_its_verdict_counts_and_agreement():
         (VerdictKind.COMPOSITE_BY_PEPIN, witness, False),
         (VerdictKind.COMPOSITE_BY_PEPIN, certified, True),
     ):
-        report = TestReport(n=scan.n, pepin=Verdict(pepin), scan=scan, elapsed_ms_pepin=0.0, elapsed_ms_scan=0.0)
+        report = TestReport(
+            n=scan.n, pepin=Verdict(pepin), scan=scan, elapsed_ms_pepin=0.0, elapsed_ms_scan=0.0, backend="int"
+        )
         assert report.consistent is agree, (pepin, scan.verdict)
     for n in range(2, 13):
         report = cross_check(n)
@@ -309,7 +311,12 @@ def _scan_result():
 
 def _test_report():
     return TestReport(
-        n=3, pepin=Verdict(VerdictKind.PRIME_BY_PEPIN), scan=_scan_result(), elapsed_ms_pepin=0.5, elapsed_ms_scan=0.5
+        n=3,
+        pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
+        scan=_scan_result(),
+        elapsed_ms_pepin=0.5,
+        elapsed_ms_scan=0.5,
+        backend="int",
     )
 
 
