@@ -29,7 +29,7 @@ struct chain {
     long size;     /* L = b / 64 */
     long width;    /* trace bytes per item, b / 8 + 1 */
     limb c;        /* the constant subtracted each step */
-    limb d;        /* the check divisor: a prime p, or with the FFT a factor q of F */
+    limb d;        /* the check divisor: a prime p, or with the FFT a divisor q of F, which may be composite */
     limb f_d;      /* F mod d */
     limb top_k_d;  /* (F - 2) mod d: (2**b)**2 = (F - 2)*F + 1 */
     limb x_d;      /* the current item mod d */

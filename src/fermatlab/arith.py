@@ -14,14 +14,14 @@ starts.  Below one 64-bit limb, n <= 5, it is ``_IntChain``, CPython's
 every modulus of whole limbs it is ``_GmpChain``: the residue lives in
 64-bit limbs for the whole chain, and a small compiled kernel, ``_chain.c``,
 runs a block of steps per call on them, squaring and folding with GMP's
-``mpn`` functions from ``libgmp.so.10``.  For each n whose factor
-``_FACTORS`` lists, the kernel squares mod 2**b + 1 directly with its own
-weighted double-precision FFT, about 6x faster per step than ``mpn_sqr``.
-Every step is checked modulo a prime or that factor, and only an item that
-is returned or checked in full becomes an int.  The kernel is built once
-with the system C compiler into a per-user cache and loaded, with libgmp,
-through ``ctypes``.  When the library does not load or the kernel cannot be
-built, every modulus uses ``x * x``.
+``mpn`` functions from ``libgmp.so.10``.  For each n that ``_FACTORS``
+lists with a divisor of F_n, the kernel squares mod 2**b + 1 directly with
+its own weighted double-precision FFT, 1.2-6x faster per step than
+``mpn_sqr``.  Every step is checked modulo a prime or that divisor, and
+only an item that is returned or checked in full becomes an int.  The
+kernel is built once with the system C compiler into a per-user cache and
+loaded, with libgmp, through ``ctypes``.  When the library does not load
+or the kernel cannot be built, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -53,23 +53,33 @@ _BLOCK_BYTES = 1 << 16
 _MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
-# A prime factor q < 2**64 of F_n (W. Keller's tables) for each n whose kernel
-# chains square with the kernel's FFT, which returns x*x mod 2**b + 1 without
-# the 2L-limb product: an FFT step gives no k, but with q | F it must satisfy
-# x*x = y + c modulo q.  Kernel time per step with mpn_sqr vs the FFT, walked
-# as above, best of 7, range of three runs: 30 vs 5.3 us at n = 15; 75-83 vs
-# 13-13.4 us at n = 16 (same machine, gcc 12 -O3, the x86-64-v4 clone,
-# buffers 64-byte aligned; the x86-64-v3 clone alone takes 8.1-8.4 and 17 us).
-# GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us, so the kernel has
-# its own.  The 16-bit digits keep the worst rounding error (every digit
-# 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well
-# inside the 1/4 each step checks; test_one_fft_step_matches_the_fold holds
-# every listed n to 1/16.  Percival (Math. Comp. 72, 2003) bounds this error
-# from the transform length and the digit size.  It reaches 0.19 at n = 20
-# (no factor of F_20 is known) and 0.31 at n = 21, so F_21's factor
-# 4485296422913 is not listed and n = 21 squares with mpn_sqr; the plan's
-# self-test would refuse it.  F_14 has no known factor.
+# A divisor q < 2**64 of F_n for each n whose kernel chains square with the
+# kernel's FFT, which returns x*x mod 2**b + 1 without the 2L-limb product:
+# an FFT step gives no k, but with q | F it must satisfy x*x = y + c modulo
+# q.  Each q is a known prime factor of F_n (W. Keller's tables) or a
+# product of known prime factors, which divides F_n as well and checks more
+# bits: 39 at n = 11 (319489 * 974849), 64 at n = 12 (63766529 *
+# 190274191361) and 62 at n = 13, against 17 and 42 for the single factors
+# 114689 and 2710954639361.  Kernel time per step with mpn_sqr vs the FFT,
+# walked as above, best of 7, range of three runs: 0.24-0.27 vs 0.28-0.33 us
+# at n = 10; 0.47-0.73 vs 0.35-0.61 at 11; 1.3-2.1 vs 0.84-1.2 at 12;
+# 3.6-5.8 vs 1.4-2.3 at 13; 30 vs 5.3 at 15; 75-83 vs 13-13.4 at 16 (same
+# machine, gcc 12 -O3, the x86-64-v4 clone, buffers 64-byte aligned; the
+# x86-64-v3 clone alone takes 8.1-8.4 and 17 us at n = 15 and 16).  So F_10's
+# factor 45592577 is not listed, since mpn_sqr is faster there, and F_14 has
+# no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
+# at n = 15 and 16, so the kernel has its own.  The 16-bit digits keep the
+# worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
+# and 0.0625 for n = 15..19, well inside the 1/4 each step checks;
+# test_one_fft_step_matches_the_fold holds every listed n to 1/16.  Percival
+# (Math. Comp. 72, 2003) bounds this error from the transform length and the
+# digit size.  It reaches 0.19 at n = 20 (no factor of F_20 is known) and
+# 0.31 at n = 21, so F_21's factor 4485296422913 is not listed and n = 21
+# squares with mpn_sqr; the plan's self-test would refuse it.
 _FACTORS = {
+    11: 311453532161,
+    12: 12133124741372755969,
+    13: 3603109844542291969,
     15: 1214251009,
     16: 825753601,
     17: 31065037602817,
@@ -390,7 +400,7 @@ def _compile(source: str, directory: str, path: str):
 
 
 class _FftPlan(NamedTuple):
-    """The kernel's FFT plan mod F_n: its weights and twiddles, as doubles, and the check factor q."""
+    """The kernel's FFT plan mod F_n: its weights and twiddles, as doubles, and the check divisor q."""
 
     table: memoryview
     q: int
@@ -400,9 +410,9 @@ class _FftPlan(NamedTuple):
 def _fft_plan(n: int) -> _FftPlan | None:
     """The FFT plan of GMP chains mod F_n, or None to square with mpn_sqr.
 
-    None where ``_FACTORS`` lists no factor of F_n or the self-test below
+    None where ``_FACTORS`` lists no divisor of F_n or the self-test below
     fails.  Made once per n, when the first chain mod F_n starts.  A listed
-    factor must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is
+    q must divide F_n (2**(2**n) = -1 mod q), or ArithmeticError is
     raised.
     The table is what ``_chain.c``'s ``fft_square`` reads for M = b / 32
     points: the weights exp(i*pi*j / 2M), j < M, then each stage's twiddles
@@ -505,13 +515,14 @@ class _GmpChain:
     and x*x = hi * 2**b + lo is folded to lo - hi, adding F on a borrow,
     with x*x = k*F + r and k mod d from ``mpn_mod_1``; d is the prime p.
     With an FFT plan, the kernel's FFT writes x*x mod F over x in place, a
-    final carry e folded in as -e, and d is the plan's q: F = 0 mod q, so k
-    is not needed; a step that rounds a coefficient more than 1/4 from an
-    integer fails.  Every step checks that the top limb is canonical and
-    that x*x = k*F + y + c - w*F (mod d), w = 1 on a wrap, with x mod d
-    carried from the step before.  The import and every export (y <= F - 1)
-    are checked mod d too.  ctypes checks no ABI, so a wrong import, square,
-    fold, wrap or export raises ArithmeticError.
+    final carry e folded in as -e, and d is the plan's q, a divisor of F
+    that may be composite: F = 0 mod q, so k is not needed; a step that
+    rounds a coefficient more than 1/4 from an integer fails.  Every step
+    checks that the top limb is canonical and that x*x = k*F + y + c - w*F
+    (mod d), w = 1 on a wrap, with x mod d carried from the step before.
+    The import and every export (y <= F - 1) are checked mod d too.  ctypes
+    checks no ABI, so a wrong import, square, fold, wrap or export raises
+    ArithmeticError.
 
     Python owns every buffer the kernel writes, and this object holds the
     residue, the step's work space (mpn_sqr's square or the FFT's points),

@@ -97,7 +97,7 @@ def _cross_check_record(report: TestReport) -> ReportRecord:
         **_scan_fields(report.scan),
         consistent=report.consistent,
         backend=report.backend,
-        elapsed_ms=report.elapsed_ms_pepin + report.elapsed_ms_scan,
+        elapsed_ms=report.elapsed_ms,
         elapsed_ms_pepin=report.elapsed_ms_pepin,
         elapsed_ms_scan=report.elapsed_ms_scan,
     )

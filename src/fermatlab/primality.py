@@ -18,6 +18,7 @@ and for n = 0 the scan window is degenerate.
 from __future__ import annotations
 
 import enum
+import threading
 import time
 from typing import NamedTuple
 
@@ -85,10 +86,13 @@ class FactorWitness(NamedTuple):
 class TestReport(NamedTuple):
     """Both procedures on one modulus, as :func:`cross_check` measured them.
 
-    It stores the two results, their wall times and F_n's backend, as
+    It stores the two results, the timings and F_n's backend, as
     :func:`timed` read it; the scan's verdict, both squaring counts and the
     agreement flag are read from them, so no report can carry a verdict or
-    a count that contradicts its own scan.
+    a count that contradicts its own scan.  ``elapsed_ms_pepin`` and
+    ``elapsed_ms_scan`` are each test's own wall time and ``elapsed_ms`` the
+    pair's: their sum where one test follows the other, and less where they
+    run at once, from ``CONCURRENT_MIN_N``.
     """
 
     __test__ = False  # keeps pytest from collecting this despite the name
@@ -96,6 +100,7 @@ class TestReport(NamedTuple):
     n: int
     pepin: Verdict
     scan: ScanResult
+    elapsed_ms: float
     elapsed_ms_pepin: float
     elapsed_ms_scan: float
     backend: str
@@ -222,20 +227,77 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
     return None
 
 
+# From this n on, cross_check runs Pépin on a second thread beside the scan
+# when F_n's chains run in the kernel, whose calls release the GIL; on the
+# int chain the two tests would only take turns.  Wall time of cross_check(n)
+# one after the other vs at once, ms, medians of 60-200 alternating runs, the
+# range over series: 0.17-0.25 vs 0.22-0.34 at n = 9; 0.51-0.81 vs 0.52-0.71
+# at 10, where the pair won in 2 of 5 series and lost in 3; 2.0-3.2 vs
+# 1.5-2.2 at 11; 8.1-12 vs 5.2-7.4 at 12; 29-31 vs 19-21 at 13 (2-CPU Xeon,
+# CPython 3.11.7, n = 11..13 on the kernel's FFT).  A thread's start and join
+# cost about 65 us.
+CONCURRENT_MIN_N = 11
+
+
 def cross_check(n: int) -> TestReport:
-    """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts."""
+    """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts.
+
+    From ``CONCURRENT_MIN_N`` on, on the kernel, Pépin runs on a second
+    thread while this one scans; below it, or on the int chain, the scan
+    follows Pépin.  Either way an exception raised is the one the serial
+    order raises, Pépin's before the scan's.
+    """
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    pepin, elapsed_ms_pepin, backend = timed(pepin_test, n)
-    scan, elapsed_ms_scan, _ = timed(paper_scan, n)
+    if n < CONCURRENT_MIN_N or FermatModulus(n).backend == "int":
+        pepin, elapsed_ms_pepin, backend = timed(pepin_test, n)
+        scan, elapsed_ms_scan, _ = timed(paper_scan, n)
+        elapsed_ms = elapsed_ms_pepin + elapsed_ms_scan
+    else:
+        (pepin, elapsed_ms_pepin, backend), (scan, elapsed_ms_scan, _), elapsed_ms = _pepin_beside_the_scan(n)
     return TestReport(
         n=n,
         pepin=pepin,
         scan=scan,
+        elapsed_ms=elapsed_ms,
         elapsed_ms_pepin=elapsed_ms_pepin,
         elapsed_ms_scan=elapsed_ms_scan,
         backend=backend,
     )
+
+
+def _pepin_beside_the_scan(n: int):
+    """``timed(pepin_test, n)`` run on a new thread while this one runs ``timed(paper_scan, n)``, and the pair's wall time in ms.
+
+    The caller has read F_n's backend, which loads the kernel and makes the
+    FFT plan once per process, so the two threads never race to make them,
+    and hashlib is imported before the pair's clock starts, as ``timed``
+    imports it before the scan's.  The worker keeps its result or its
+    exception and is joined even when the scan raises, so no thread
+    outlives the call; Pépin's exception is raised in preference to the
+    scan's.  A Ctrl-C is raised once Pépin's kernel call, its whole power,
+    returns.
+    """
+    import hashlib  # noqa: F401  (trace_hash's)
+
+    outcome = []
+
+    def pepin() -> None:
+        try:
+            outcome.append(timed(pepin_test, n))
+        except BaseException as err:  # raised again on the calling thread
+            outcome.append(err)
+
+    worker = threading.Thread(target=pepin, name=f"pepin-{n}")
+    start = time.perf_counter()
+    worker.start()
+    try:
+        scanned = timed(paper_scan, n)
+    finally:
+        worker.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+    return outcome[0], scanned, (time.perf_counter() - start) * 1000.0
 
 
 def timed(test, n: int, *args):

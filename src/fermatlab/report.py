@@ -13,6 +13,15 @@ from typing import NamedTuple
 SCHEMA_VERSION = "3"
 
 class ReportRecord(NamedTuple):
+    """One command's result on one modulus, as one JSON line or CSV row.
+
+    ``elapsed_ms`` is the wall time of the command's work on n.  A
+    cross-check record also carries ``elapsed_ms_pepin`` and
+    ``elapsed_ms_scan``, each test's own wall time; its ``elapsed_ms`` is
+    the pair's, their sum where the scan follows Pépin and less where the
+    two run at once, from ``primality.CONCURRENT_MIN_N`` on the kernel.
+    """
+
     command: str
     n: int
     bits: int

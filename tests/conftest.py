@@ -41,6 +41,17 @@ def force_backend(backend, patch):
         patch.setattr(arith, "_fft_plan", lambda n: None)
 
 
+def backend_of(n, backend="gmp-fft"):
+    """The backend of chains mod F_n under ``force_backend(backend)``, where the kernel loads.
+
+    "int" below n = 6, where b is not a whole number of 64-bit limbs; on the
+    kernel, "gmp-fft" exactly where ``arith._FACTORS`` lists n, else "gmp".
+    """
+    if backend == "int" or n < 6:
+        return "int"
+    return "gmp-fft" if backend == "gmp-fft" and n in arith._FACTORS else "gmp"
+
+
 @pytest.fixture
 def counted_steps(monkeypatch):
     """The list every chain appends one entry to per squaring step, however it is read.

@@ -15,7 +15,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import force_backend
+from conftest import backend_of, force_backend
 from fermatlab import arith
 from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, square_chain
 from fermatlab.budget import BudgetExceededError
@@ -559,16 +559,18 @@ def spy_kernel(patch):
     return calls
 
 
-def assert_power_matches_plain(n, k, x, calls):
+def assert_power_matches_plain(n, k, x, calls, backend="gmp-fft"):
     """chain_item(x, 0, k, F_n), the power x**(2**k), against a plain % loop, and its kernel calls.
 
     From n = 6, the first modulus of whole limbs, all k steps are one call,
     or one per step from x = 0, since a call stops after a zero item; below
-    it no call is made.
+    it no call is made.  The kernel squares with its FFT exactly where
+    ``_FACTORS`` lists n, unless ``backend`` is the "gmp" that
+    ``force_backend`` has forced.
     """
     m = FermatModulus(n)
     routed = n >= 6
-    assert m.backend == ("gmp" if routed else "int")
+    assert m.backend == backend_of(n, backend)
     calls.clear()
     assert chain_item(x, 0, k, m) == plain_chain(x, 0, m.value, k + 1)[k]
     if not routed or not k:
@@ -577,7 +579,7 @@ def assert_power_matches_plain(n, k, x, calls):
         assert calls == ([(0, k - i, 1) for i in range(k)] if x == 0 else [(0, k, k)])
 
 
-@pytest.mark.parametrize("n", range(12))  # the int chain below n = 6, the kernel from it
+@pytest.mark.parametrize("n", range(12))  # the int chain below n = 6, the kernel from it, its FFT at n = 11
 def test_power_route_edges(gmp, monkeypatch, n):
     calls = spy_kernel(monkeypatch)
     for x in (0, 1, fermat_value(n) - 1):
@@ -585,11 +587,28 @@ def test_power_route_edges(gmp, monkeypatch, n):
             assert_power_matches_plain(n, k, x, calls)
 
 
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_power_route_edges_on_mpn_sqr(gmp, monkeypatch, n):
+    # The moduli that _FACTORS puts on the FFT keep mpn_sqr where a test forces it.
+    force_backend("gmp", monkeypatch)
+    calls = spy_kernel(monkeypatch)
+    for x in (0, 1, fermat_value(n) - 1):
+        for k in (0, 1, 64):
+            assert_power_matches_plain(n, k, x, calls, "gmp")
+
+
 @settings(deadline=None)
-@given(n=st.integers(min_value=0, max_value=11), k=st.integers(min_value=0, max_value=64), seed=st.integers(min_value=0))
-def test_chain_item_matches_plain(gmp, n, k, seed):
+@given(
+    n=st.integers(min_value=0, max_value=11),
+    k=st.integers(min_value=0, max_value=64),
+    seed=st.integers(min_value=0),
+    backend=st.sampled_from(["gmp-fft", "gmp"]),
+)
+def test_chain_item_matches_plain(gmp, n, k, seed, backend):
     with pytest.MonkeyPatch.context() as patch:
-        assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), spy_kernel(patch))
+        force_backend(backend, patch)
+        calls = spy_kernel(patch)
+        assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), calls, backend)
 
 
 def test_chain_readers_check_their_operands(gmp):
@@ -722,7 +741,7 @@ def fft(gmp):
 
 
 def test_listed_factors_divide_their_fermat_numbers():
-    assert sorted(arith._FACTORS) == [15, 16, 17, 18, 19]
+    assert sorted(arith._FACTORS) == [11, 12, 13, 15, 16, 17, 18, 19]
     for n, q in arith._FACTORS.items():
         assert 1 < q < 1 << 64
         assert pow(2, 1 << n, q) == q - 1  # 2**(2**n) = -1, so q | F_n
@@ -738,10 +757,10 @@ def test_the_fft_serves_fft_min_n_to_fft_max_n(gmp, monkeypatch):
 
 
 def test_listing_a_factor_puts_its_modulus_on_the_fft(gmp, monkeypatch):
-    # F_12's factor 114689 is known but not listed; listing it is all the FFT needs to serve n = 12.
-    monkeypatch.setitem(arith._FACTORS, 12, 114689)
+    # F_10's factor 45592577 is known but not listed; listing it is all the FFT needs to serve n = 10.
+    monkeypatch.setitem(arith._FACTORS, 10, 45592577)
     monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
-    m, steps = FermatModulus(12), 64
+    m, steps = FermatModulus(10), 64
     assert m.backend == "gmp-fft"
     for x, c in ((3, 0), (6, 2)):
         chain, reference = arith._chain(x, c, m), arith._IntChain(x, c, m)

@@ -77,22 +77,25 @@ def slow_cold_start(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, backend",
     [
-        ["pepin", "8"],
-        ["paper-test", "12"],
-        ["cross-check", "--from", "6", "--to", "6"],
-        ["cross-check", "--from", "12", "--to", "12"],
+        (["pepin", "8"], "gmp"),
+        (["paper-test", "10"], "gmp"),
+        (["cross-check", "--from", "6", "--to", "6"], "gmp"),
+        (["cross-check", "--from", "10", "--to", "10"], "gmp"),
+        (["cross-check", "--from", "12", "--to", "12"], "gmp-fft"),
     ],
-    ids=["pepin", "paper-test", "cross-check-n6", "cross-check-gmp"],
+    ids=["pepin", "paper-test", "cross-check-n6", "cross-check-gmp", "cross-check-fft"],
 )
-def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_cold_start, argv):
-    # The kernel is built into the empty cache, and both loads sleep, before the clock starts.
+def test_elapsed_ms_leaves_out_the_library_load(capsys, slow_cold_start, argv, backend):
+    # The kernel is built into the empty cache, and both loads sleep, before the
+    # clock starts; at n = 12 Pépin runs beside the scan, on a thread started
+    # after the loads.
     slept, built = slow_cold_start
     code, out, _ = run(capsys, *argv, "--format", "json")
     (record,) = json_records(out)
     assert code == 0 and sorted(slept) == ["gmp", "kernel"]
-    assert record["backend"] == "gmp" and len(list(built.glob("chain-*.so"))) == 1
+    assert record["backend"] == backend and len(list(built.glob("chain-*.so"))) == 1
     assert record["elapsed_ms"] < 500
 
 
@@ -178,6 +181,7 @@ def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
         n=2,
         pepin=Verdict(VerdictKind.COMPOSITE_BY_PEPIN),
         scan=paper_scan(2),
+        elapsed_ms=0.0,
         elapsed_ms_pepin=0.0,
         elapsed_ms_scan=0.0,
         backend="int",

@@ -11,19 +11,23 @@ Every case runs on both squaring kernels, forced by conftest's
 ``force_backend``: "int" hides the kernel so every modulus squares with
 ``x * x``, and "gmp" hides the FFT plans so the compiled kernel squares with
 ``mpn_sqr`` from n = 6 up, where b is a whole number of 64-bit limbs.
-Below that the "gmp" cases stay on ``x * x``.  The walk also runs on
-"gmp-fft", the kernel's FFT step.  The cases n = 2..11 also run at default
-settings, where Pépin's power is one kernel call from n = 6 up, and with
-no C compiler, where the kernel cannot be built and every case is "int".
+Below that the "gmp" cases stay on ``x * x``.  The cases whose n
+``arith._FACTORS`` lists, and the walk, also run on "gmp-fft", the kernel's
+FFT step.  The cases n = 2..11 also run at default settings, where Pépin's
+power is one kernel call from n = 6 up, and with no C compiler, where the
+kernel cannot be built and every case is "int".  The cases n = 10..13 run
+once more on either side of ``primality.CONCURRENT_MIN_N``, with Pépin
+beside the scan and after it.
 """
 
 import hashlib
+import threading
 from functools import cache
 
 import pytest
 
-from conftest import force_backend
-from fermatlab import arith
+from conftest import backend_of, force_backend
+from fermatlab import arith, primality
 from fermatlab.arith import FermatModulus
 from fermatlab.primality import cross_check
 from fermatlab.sequences import a_mod_fermat
@@ -64,6 +68,7 @@ WALK = (16, 1025, "c1054078ce03677dc2ab70a4b1a5b7f83815bc7a8786cfeedfaf9346ba4d5
 
 # The int cases are the reference and carry the plain ids n2..n14.
 CASES = [("int", *row) for row in GOLDEN] + [("gmp", *row) for row in GOLDEN]
+CASES += [("gmp-fft", *row) for row in GOLDEN if row[0] in arith._FACTORS]
 
 
 @pytest.mark.parametrize(
@@ -77,8 +82,41 @@ def test_cross_check_matches_golden(
     if backend != "int":
         request.getfixturevalue("gmp")  # skips, or fails, where there is no kernel
     force_backend(backend, monkeypatch)
-    assert FermatModulus(n).backend == (backend if 1 << n >= arith._LIMB_BITS else "int")
+    assert FermatModulus(n).backend == backend_of(n, backend)
     assert_report_matches(cross_check(n), verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash)
+
+
+# n = 10..13 on every backend that force_backend gives each n, with the
+# threshold at n (Pépin beside the scan, except on "int") and at n + 1 (Pépin
+# first); on "int" the two tests never run at once, so n alone is enough.
+THRESHOLD_CASES = [
+    (backend, threshold, row)
+    for row in GOLDEN
+    if 10 <= row[0] <= 13
+    for backend in ("int", "gmp", "gmp-fft")
+    if backend_of(row[0], backend) == backend
+    for threshold in ((row[0],) if backend == "int" else (row[0], row[0] + 1))
+]
+
+
+@pytest.mark.parametrize(
+    "backend, threshold, row",
+    THRESHOLD_CASES,
+    ids=[f"{backend}-n{row[0]}-{'at' if threshold == row[0] else 'below'}" for backend, threshold, row in THRESHOLD_CASES],
+)
+def test_cross_check_matches_golden_on_either_side_of_the_threshold(request, monkeypatch, backend, threshold, row):
+    if backend != "int":
+        request.getfixturevalue("gmp")
+    force_backend(backend, monkeypatch)
+    monkeypatch.setattr(primality, "CONCURRENT_MIN_N", threshold)
+    pairs, beside = [], primality._pepin_beside_the_scan
+    monkeypatch.setattr(primality, "_pepin_beside_the_scan", lambda n: pairs.append(n) or beside(n))
+    threads = threading.active_count()
+    report = cross_check(row[0])
+    assert threading.active_count() == threads
+    assert_report_matches(report, *row[1:])
+    assert report.backend == backend
+    assert pairs == ([row[0]] if threshold == row[0] and backend != "int" else [])
 
 
 def assert_report_matches(report, verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash):
@@ -108,7 +146,7 @@ def test_power_route_matches_golden(gmp, monkeypatch, row):
 
     monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied))
     routed = 1 << n >= arith._LIMB_BITS
-    assert FermatModulus(n).backend == ("gmp" if routed else "int")
+    assert FermatModulus(n).backend == backend_of(n)
     assert_report_matches(cross_check(n), *row[1:])
     assert [count for c, count in calls if c == 0] == ([squarings_pepin] if routed else [])
 

@@ -1,6 +1,8 @@
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -261,6 +263,46 @@ def test_a_fresh_scan_clock_starts_after_hashlib_loads():
     assert done.stdout.split() == ["False", "False", "True", "True"]  # Pépin's start and stop, then the scan's
 
 
+def failing(name):
+    """A stand-in for ``primality.<name>`` that raises ArithmeticError after 50 ms.
+
+    The pause outlasts the other test at n = 12, so a cross_check that did
+    not wait for its thread would return or raise before this one ends.
+    """
+
+    def fail(n, *args):
+        time.sleep(0.05)
+        raise ArithmeticError(f"{name} failed at n={n}")
+
+    return fail
+
+
+@pytest.mark.parametrize("threshold", [12, 13], ids=["beside", "serial"])
+@pytest.mark.parametrize(
+    "broken, raised",
+    [(["pepin_test"], "pepin_test"), (["paper_scan"], "paper_scan"), (["pepin_test", "paper_scan"], "pepin_test")],
+    ids=["pepin", "scan", "both"],
+)
+def test_a_failing_test_raises_as_in_the_serial_order_and_leaves_no_thread(gmp, monkeypatch, threshold, broken, raised):
+    # Pépin runs first in the serial order, so its exception is the one raised when both fail.
+    monkeypatch.setattr(primality, "CONCURRENT_MIN_N", threshold)
+    for name in broken:
+        monkeypatch.setattr(primality, name, failing(name))
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"{raised} failed at n=12"):
+        cross_check(12)
+    assert threading.active_count() == threads
+
+
+def test_beside_the_scan_elapsed_ms_is_the_pairs_wall_time(gmp):
+    # Each test's own time lies inside the pair's; the serial path sums them instead.
+    assert primality.CONCURRENT_MIN_N <= 12
+    report = cross_check(12)
+    assert 0 < max(report.elapsed_ms_pepin, report.elapsed_ms_scan) <= report.elapsed_ms
+    serial = cross_check(primality.CONCURRENT_MIN_N - 1)
+    assert serial.elapsed_ms == serial.elapsed_ms_pepin + serial.elapsed_ms_scan
+
+
 def test_certificate_soundness_across_range():
     # No witness in the window exactly when the oracle says composite.
     for n in range(2, 13):
@@ -277,7 +319,13 @@ def test_report_derives_its_verdict_counts_and_agreement():
         (VerdictKind.COMPOSITE_BY_PEPIN, certified, True),
     ):
         report = TestReport(
-            n=scan.n, pepin=Verdict(pepin), scan=scan, elapsed_ms_pepin=0.0, elapsed_ms_scan=0.0, backend="int"
+            n=scan.n,
+            pepin=Verdict(pepin),
+            scan=scan,
+            elapsed_ms=0.0,
+            elapsed_ms_pepin=0.0,
+            elapsed_ms_scan=0.0,
+            backend="int",
         )
         assert report.consistent is agree, (pepin, scan.verdict)
     for n in range(2, 13):
@@ -314,6 +362,7 @@ def _test_report():
         n=3,
         pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
         scan=_scan_result(),
+        elapsed_ms=1.0,
         elapsed_ms_pepin=0.5,
         elapsed_ms_scan=0.5,
         backend="int",
