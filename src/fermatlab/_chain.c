@@ -24,7 +24,7 @@ struct gmp {
 struct chain {
     const struct gmp *gmp;
     limb *r;       /* L + 1 limbs, the current item; the top limb is 1 only for 2**b */
-    void *work;    /* mpn_sqr's 2L-limb square, or the FFT's 2L points: 2L real parts, then 2L imaginary */
+    void *work;    /* mpn_sqr's 2L-limb square, or the FFT's 2L points (2L real parts, then 2L imaginary) and 2L carry limbs */
     const double *plan;  /* the FFT's 2L weights and its twiddles, or NULL to square with mpn_sqr */
     long size;     /* L = b / 64 */
     long width;    /* trace bytes per item, b / 8 + 1 */
@@ -46,8 +46,23 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3 };
 #ifndef CLONED
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
 #else
 #define CLONED
+#endif
+#endif
+
+/* Whether fft_square carries in vector passes: where its code is AVX2 or
+   wider, in the v4 and v3 clones, which the ifunc picks on a CPU that
+   __builtin_cpu_supports calls x86-64-v3, or in a build for such a level
+   alone.  At n = 16 the carry takes 1.8k cycles against the serial loop's
+   4.8k in v4 code and 3.9k against 5.8k in v3 code, but 7.0k against 5.4k
+   in SSE2 code, where the serial loop stays. */
+#ifndef VECTOR_CARRY
+#ifdef __AVX2__
+#define VECTOR_CARRY 1
+#else
+#define VECTOR_CARRY 0
 #endif
 #endif
 
@@ -154,6 +169,43 @@ static inline void square_fours(double *restrict re, double *restrict im, long m
     }
 }
 
+/* fft_square's carry: the serial loop, through a signed carry, and the
+   passes, which return 0 when a u_i ripples. */
+static inline long long carry_serially(limb *r, long size, const int64_t *c)
+{
+    __int128 e = 0;
+    for (long i = 0; i < size; i++, c += 4) {
+        e += (__int128)c[0] + (__int128)c[1] * 0x10000 + (__int128)c[2] * 0x100000000 + (__int128)c[3] * 0x1000000000000;
+        r[i] = (limb)e;
+        e >>= 64;  /* arithmetic: the carry keeps its sign */
+    }
+    return (long long)e;
+}
+
+static inline int carry_in_passes(limb *restrict r, long size, const int64_t *restrict c, limb *restrict split,
+                                  long long *carry)
+{
+    limb *restrict lo = split, *restrict hi = split + size;
+    for (long i = 0; i < size; i++) {
+        const int64_t *k = c + 4 * i;
+        uint64_t x = (uint64_t)k[0] + (((uint64_t)k[1] & 0xFFFF) << 16);
+        uint64_t y = (uint64_t)((int64_t)x >> 32) + (uint64_t)(k[1] >> 16) + (uint64_t)k[2] + (((uint64_t)k[3] & 0xFFFF) << 16);
+        lo[i] = (x & 0xFFFFFFFF) | y << 32;
+        hi[i] = (uint64_t)((int64_t)y >> 32) + (uint64_t)(k[3] >> 16);
+    }
+    r[0] = lo[0];
+    r[1] = lo[1] + hi[0];
+    limb ripples = 0;
+    for (long i = 2; i < size; i++) {
+        limb below = lo[i - 1] + hi[i - 2], u = lo[i] + hi[i - 1];
+        r[i] = u + (below < lo[i - 1]) + (limb)((int64_t)hi[i - 2] >> 63);
+        ripples |= u + 1 <= 1;
+    }
+    limb below = lo[size - 1] + hi[size - 2];
+    *carry = (long long)(hi[size - 1] + (below < lo[size - 1]) + (limb)((int64_t)hi[size - 2] >> 63));
+    return !ripples;
+}
+
 /* x*x mod 2**b + 1 by a weighted transform (Crandall and Fagin, 1994), for
    x in the low L limbs of r.  With N = b / 16 digits a_j of 16 bits and
    theta = exp(i*pi/N), the M = N/2 = 2L points (a_j + i*a_{j+M}) * theta**j
@@ -164,7 +216,27 @@ static inline void square_fours(double *restrict re, double *restrict im, long m
    twiddles: exp(-i*pi*j/h) for j < h at h - 1, M real parts then M
    imaginary.  Writes the digits with their carries, D < 2**b, over the low
    L limbs and the final carry e to *carry, so x*x = D - e (mod F); returns
-   the largest distance of a c_k from its rounded integer. */
+   the largest distance of a c_k from its rounded integer.
+
+   The carry goes to limb i with s_i = c_{4i} + c_{4i+1} * 2**16 +
+   c_{4i+2} * 2**32 + c_{4i+3} * 2**48.  One signed 128-bit sum per limb
+   is a serial chain, so where VECTOR_CARRY holds two passes that vectorize
+   carry instead, through L limbs lo and L hi after the points.  The first
+   writes s_i = lo_i + hi_i * 2**64, lo_i unsigned and hi_i signed, through
+   x = c_{4i} + (c_{4i+1} mod 2**16) * 2**16 and y = floor(x / 2**32) +
+   floor(c_{4i+1} / 2**16) + c_{4i+2} + (c_{4i+3} mod 2**16) * 2**16,
+   which are exact in 64 bits for |c| < 2**62; a rounded coefficient has
+   |c_k| < N * 2**32 = 2**(n+28), at most 2**47 up to n = 19.  Its
+   arithmetic is unsigned, so the garbage of a step that the round-off
+   guard rejects gives wrong words, never a signed overflow, and |hi_i| <
+   2**48 whatever the coefficients.  With u_i = lo_i + hi_{i-1} (hi_{-1} =
+   0) and w_i = floor(u_i / 2**64), which is -1, 0 or 1, the carry into
+   limb i is hi_{i-1} + w_{i-1}, so the second pass writes limb i as u_i +
+   w_{i-1} mod 2**64 and e = hi_{L-1} + w_{L-1}.  That fails only where
+   adding w_{i-1} to u_i crosses a multiple of 2**64, which needs u_i = 0
+   or 2**64 - 1 mod 2**64 (i >= 2, as w_0 = 0).  The pass flags every such
+   u_i, and on a flag the serial loop carries again: the short items at a
+   chain's start, whose limbs are mostly 0, take that path. */
 CLONED static double fft_square(limb *r, long size, double *re, const double *plan, long long *carry)
 {
     const long m = 2 * size;
@@ -222,15 +294,9 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
         error = cb > error ? cb : error;
     }
     /* c_0 .. c_{2M-1} now run on from re through im, four to a limb. */
-    __int128 e = 0;
-    for (long i = 0; i < size; i++) {
-        int64_t c[4];
-        memcpy(c, re + 4 * i, sizeof c);
-        e += (__int128)c[0] + (__int128)c[1] * 0x10000 + (__int128)c[2] * 0x100000000 + (__int128)c[3] * 0x1000000000000;
-        r[i] = (limb)e;
-        e >>= 64;  /* arithmetic: the carry keeps its sign */
-    }
-    *carry = (long long)e;
+    const int64_t *c = (const int64_t *)re;
+    if (!(VECTOR_CARRY && carry_in_passes(r, size, c, (limb *)(re + 2 * m), carry)))
+        *carry = carry_serially(r, size, c);
     error = error < one_bits ? error : one_bits;
     double distance;
     memcpy(&distance, &error, sizeof distance);

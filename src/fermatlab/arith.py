@@ -16,12 +16,12 @@ every modulus of whole limbs it is ``_GmpChain``: the residue lives in
 runs a block of steps per call on them, squaring and folding with GMP's
 ``mpn`` functions from ``libgmp.so.10``.  For each n that ``_FACTORS``
 lists with a divisor of F_n, the kernel squares mod 2**b + 1 directly with
-its own weighted double-precision FFT, 1.2-6x faster per step than
-``mpn_sqr``.  Every step is checked modulo a prime or that divisor, and
-only an item that is returned or checked in full becomes an int.  The
-kernel is built once with the system C compiler into a per-user cache and
-loaded, with libgmp, through ``ctypes``.  When the library does not load
-or the kernel cannot be built, every modulus uses ``x * x``.
+its own weighted double-precision FFT, 1.4-9x faster per step than
+``mpn_sqr`` at n = 11..19.  Every step is checked modulo a prime or that
+divisor, and only an item that is returned or checked in full becomes an
+int.  The kernel is built once with the system C compiler into a per-user
+cache and loaded, with libgmp, through ``ctypes``.  When the library does
+not load or the kernel cannot be built, every modulus uses ``x * x``.
 """
 
 from __future__ import annotations
@@ -61,13 +61,14 @@ _CHECK_PRIME = (1 << 30) - 35
 # bits: 39 at n = 11 (319489 * 974849), 64 at n = 12 (63766529 *
 # 190274191361) and 62 at n = 13, against 17 and 42 for the single factors
 # 114689 and 2710954639361.  Kernel time per step with mpn_sqr vs the FFT,
-# walked as above, best of 7, range of three runs: 0.24-0.27 vs 0.28-0.33 us
-# at n = 10; 0.47-0.73 vs 0.35-0.61 at 11; 1.3-2.1 vs 0.84-1.2 at 12;
-# 3.6-5.8 vs 1.4-2.3 at 13; 30 vs 5.3 at 15; 75-83 vs 13-13.4 at 16 (same
-# machine, gcc 12 -O3, the x86-64-v4 clone, buffers 64-byte aligned; the
-# x86-64-v3 clone alone takes 8.1-8.4 and 17 us at n = 15 and 16).  So F_10's
-# factor 45592577 is not listed, since mpn_sqr is faster there, and F_14 has
-# no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
+# walked as above, best of 7, range of three or more runs: 0.18-0.26 vs
+# 0.20-0.30 us at n = 10; 0.47-0.70 vs 0.33-0.52 at 11; 1.3-2.0 vs
+# 0.67-0.96 at 12; 3.4-5.5 vs 1.05-1.54 at 13; 30-45 vs 4.5-4.9 at 15; 75 vs
+# 11.5-12.8 at 16 (same machine, gcc 12 -O3, the x86-64-v4 clone, buffers
+# 64-byte aligned, the carry in vector passes; the x86-64-v3 clone alone
+# takes 7.2-7.5 and 15.3-15.9 us at n = 15 and 16).  So F_10's factor
+# 45592577 is not listed, since mpn_sqr is faster there, and F_14 has no
+# known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
 # at n = 15 and 16, so the kernel has its own.  The 16-bit digits keep the
 # worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
 # and 0.0625 for n = 15..19, well inside the 1/4 each step checks;
@@ -525,9 +526,10 @@ class _GmpChain:
     ArithmeticError.
 
     Python owns every buffer the kernel writes, and this object holds the
-    residue, the step's work space (mpn_sqr's square or the FFT's points),
-    the plan and the kernel's chain struct for the chain's whole life; a
-    trace buffer is held by its reader.
+    residue, the step's work space (mpn_sqr's 2L-limb square, 16 bytes a
+    limb, or the FFT's 2L complex points and its carry's 2L words, 48), the
+    plan and the kernel's chain struct for the chain's whole life; a trace
+    buffer is held by its reader.
     """
 
     __slots__ = ("m", "run_block", "d", "width", "r", "work", "plan", "state", "state_at")
@@ -539,7 +541,7 @@ class _GmpChain:
         size = m.b // _LIMB_BITS
         self.m, self.run_block, self.d, self.width, self.plan = m, kernel.run, d, m.b // 8 + 1, plan
         self.r = _to_limbs(x, size + 1)
-        self.work = _aligned((16 if plan is None else 32) * size)
+        self.work = _aligned((16 if plan is None else 48) * size)
         r_at = _address(self.r)
         x_d = x % d
         if kernel.prototypes["mod_1"](kernel.gmp.mod_1)(r_at, size + 1, d) != x_d:

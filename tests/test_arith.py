@@ -816,12 +816,15 @@ def fft_chain(x, c, m):
     return arith._GmpChain(x, c, m, arith._load_kernel(), arith._fft_plan(m.n))
 
 
-# Every 16-bit digit 0xFFFF (2**b - 1) rounds worst; 2**(b/2) squares to 2**b.
+# Every 16-bit digit 0xFFFF (2**b - 1) rounds worst; 2**(b/2) squares to
+# 2**b = -1, whose carry borrows down through limbs of 0, and 2**(b/2) - 1
+# to 2**b - 2**(b/2+1) + 1, whose carry ripples up through limbs of ones.
 FFT_EDGES = {
     "0": lambda b: 0,
     "1": lambda b: 1,
     "2": lambda b: 2,
     "2**(b/2)": lambda b: 1 << b // 2,
+    "2**(b/2)-1": lambda b: (1 << b // 2) - 1,
     "2**b-1": lambda b: (1 << b) - 1,
     "2**b-2": lambda b: (1 << b) - 2,
     "0x8000s": lambda b: int.from_bytes(b"\x00\x80" * (b // 16), "little"),
@@ -841,6 +844,47 @@ def test_one_fft_step_matches_the_fold(fft, monkeypatch, n, edge):
     assert chain.run(1) == 1
     assert chain.export() == reduce_mod_fermat(x * x, m)
     assert chain.state.error <= 1 / 16
+
+
+def carry_ripples(x, b):
+    """Whether the FFT's carry passes flag the square of x mod 2**b + 1, so the serial loop carries it.
+
+    A model of ``fft_square``'s flag, from the exact coefficients c_k of the
+    negacyclic square of x's 16-bit digits: some u_i = lo_i + hi_{i-1}, i >= 2,
+    is 0 or -1 mod 2**64, where s_i = lo_i + hi_i * 2**64 is limb i's sum.
+    """
+    digits, data = b // 16, x.to_bytes(b // 8, "little")
+    spread = bytearray(8 * digits)  # each digit in a 64-bit slot, so x(t)**2 at t = 2**64 keeps every term apart
+    spread[0::8], spread[1::8] = data[0::2], data[1::2]
+    square = int.from_bytes(spread, "little") ** 2
+    terms = memoryview(square.to_bytes(16 * digits, "little")).cast("Q")
+    c = [terms[k] - terms[k + digits] for k in range(digits)]
+    sums = [c[k] + (c[k + 1] << 16) + (c[k + 2] << 32) + (c[k + 3] << 48) for k in range(0, digits, 4)]
+    return any((s % 2**64 + sums[i - 1] // 2**64) % 2**64 in (0, 2**64 - 1) for i, s in enumerate(sums) if i >= 2)
+
+
+@pytest.mark.parametrize("n", [n for n in sorted(arith._FACTORS) if n <= 17])
+def test_fft_walks_match_the_int_chain_item_by_item(fft, monkeypatch, n):
+    # The first items of both walks are short, with limbs of 0, so the carry
+    # passes flag them and the serial loop carries; the later ones take the
+    # passes (test_the_fft_walks_take_both_carries).
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    m, steps = FermatModulus(n), 64
+    width = m.b // 8 + 1
+    assert m.backend == "gmp-fft"
+    for x, c in ((3, 0), (6, 2)):
+        items, expected = bytearray(steps * width), bytearray(steps * width)
+        assert arith._chain(x, c, m).run(steps, items) == arith._IntChain(x, c, m).run(steps, expected) == steps
+        wrong = [q for q in range(steps) if items[q * width : (q + 1) * width] != expected[q * width : (q + 1) * width]]
+        assert wrong == [], f"items {[q + 1 for q in wrong]} of ({x}, {c}) differ"
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])  # the model costs seconds from n = 15
+def test_the_fft_walks_take_both_carries(n):
+    m = FermatModulus(n)
+    for x, c in ((3, 0), (6, 2)):
+        ripples = [carry_ripples(y, m.b) for y in plain_chain(x, c, m.value, 64)]
+        assert ripples[0] and not ripples[-1] and ripples.index(False) < 16, (x, c)
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -908,13 +952,15 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     assert kernel is not None
     (built,) = (tmp_path / "fermatlab").iterdir()
     assert b"fft_square.arch_" not in built.read_bytes()  # no clones: this level's code alone
+    # Both walks start on the serial carry; from x86-64-v3 up, their later items take the carry passes.
     for n in (15, 16):
         m, steps, width = FermatModulus(n), 256, (1 << n) // 8 + 1
-        chain, reference = arith._GmpChain(6, 2, m, kernel, arith._fft_plan(n)), arith._IntChain(6, 2, m)
-        assert chain.plan is not None
-        items, expected = bytearray(steps * width), bytearray(steps * width)
-        assert chain.run(steps, items) == reference.run(steps, expected) == steps
-        assert items == expected and chain.export() == reference.export()
+        for x, c in ((3, 0), (6, 2)):
+            chain, reference = arith._GmpChain(x, c, m, kernel, arith._fft_plan(n)), arith._IntChain(x, c, m)
+            assert chain.plan is not None
+            items, expected = bytearray(steps * width), bytearray(steps * width)
+            assert chain.run(steps, items) == reference.run(steps, expected) == steps
+            assert items == expected and chain.export() == reference.export()
 
 
 def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
