@@ -1,15 +1,20 @@
 /* The checked squaring chain x -> x*x - c mod F = 2**b + 1 on GMP limbs,
-   run a block of steps per call.
+   run a block of steps per call, or as a job on a thread of its own.
 
    fermatlab.arith compiles this file with the system C compiler and calls
    it through ctypes.  It includes no GMP header: GMP is reached through the
    function pointers of struct gmp, which arith fills from the loaded
    libgmp.  It links no libm and keeps no static state.  Every buffer it
-   reads or writes (the residue, the step's work space, the FFT plan and the
-   trace) belongs to Python for the chain's whole life. */
+   reads or writes (the residue, the step's work space, the FFT plan, the
+   trace and a job) belongs to Python for the chain's whole life.  A job is
+   the one thing that starts a thread: a POSIX thread that runs a chain's
+   steps in blocks, which its join ends, and which calls no Python. */
 
+#include <pthread.h>
+#include <semaphore.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 typedef uint64_t limb;
 
@@ -36,7 +41,7 @@ struct chain {
     double error;  /* the largest distance from an integer that an FFT step of this chain rounded */
 };
 
-enum { ABOVE = -1, WRONG = -2, INEXACT = -3 };
+enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 
 /* The FFT's clones for x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and
    the baseline, picked once at load time through an ifunc, where GCC and
@@ -370,4 +375,106 @@ long fermat_chain_run(struct chain *ch, long count, unsigned char *trace)
             break;
     }
     return done;
+}
+
+/* A job: count steps of a chain, run on a thread of its own as calls of
+   fermat_chain_run of at most block steps each.  Python allocates
+   fermat_job_size() zeroed bytes and reads seconds, the job's first member,
+   once it is joined.  Between two blocks the thread reads cancel, and after
+   the last it posts ended, so a join can wait with a time limit and
+   return to Python, which then takes its signals. */
+struct job {
+    double seconds;       /* CLOCK_MONOTONIC time from the first step to the end */
+    struct chain *ch;
+    long count, block;
+    long result;          /* the steps run, CANCELLED or the chain's error code */
+    int cancel, joined;
+    sem_t ended;
+    pthread_t thread;
+};
+
+long fermat_job_size(void)
+{
+    return sizeof(struct job);
+}
+
+static double now(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return t.tv_sec + t.tv_nsec * 1e-9;
+}
+
+static void *job_main(void *arg)
+{
+    struct job *job = arg;
+    double start = now();
+    long done = 0;
+    while (done < job->count) {
+        if (done && __atomic_load_n(&job->cancel, __ATOMIC_RELAXED)) {
+            done = CANCELLED;
+            break;
+        }
+        long left = job->count - done, ran = fermat_chain_run(job->ch, left < job->block ? left : job->block, NULL);
+        if (ran < 0) {
+            done = ran;
+            break;
+        }
+        done += ran;
+    }
+    job->seconds = now() - start;
+    job->result = done;
+    sem_post(&job->ended);  /* a barrier: the joiner sees what was written above */
+    return NULL;
+}
+
+/* Starts count steps of ch as a job; 0, or an error number when no thread
+   starts, and then the chain is untouched and the job needs no join. */
+int fermat_job_start(struct job *job, struct chain *ch, long count, long block)
+{
+    job->ch = ch;
+    job->count = count;
+    job->block = block;
+    if (sem_init(&job->ended, 0, 0))
+        return -1;
+    int failed = pthread_create(&job->thread, NULL, job_main, job);
+    if (failed)
+        sem_destroy(&job->ended);
+    return failed;
+}
+
+/* Asks a started job to stop before its next block. */
+void fermat_job_cancel(struct job *job)
+{
+    __atomic_store_n(&job->cancel, 1, __ATOMIC_RELAXED);
+}
+
+/* Waits for a started job, at most timeout_ms milliseconds when that is not
+   negative, and returns RUNNING if it has not ended then or a signal came
+   first; otherwise the job's result, the steps run (count), CANCELLED or
+   the error code of the step that failed.  Once it has returned a result,
+   each later call returns it again at once. */
+long fermat_job_join(struct job *job, long timeout_ms)
+{
+    if (!job->joined) {
+        if (timeout_ms < 0) {
+            while (sem_wait(&job->ended))  /* interrupted by a signal */
+                ;
+        } else {
+            struct timespec until;
+            clock_gettime(CLOCK_REALTIME, &until);
+            until.tv_sec += timeout_ms / 1000;
+            until.tv_nsec += timeout_ms % 1000 * 1000000;
+            if (until.tv_nsec >= 1000000000) {
+                until.tv_sec++;
+                until.tv_nsec -= 1000000000;
+            }
+            if (sem_timedwait(&job->ended, &until))
+                return RUNNING;
+        }
+        pthread_join(job->thread, NULL);
+        sem_destroy(&job->ended);
+        job->joined = 1;
+    }
+    return job->result;
 }

@@ -6,7 +6,9 @@ point of working with this modulus shape.  Every test runs one squaring
 chain x, x*x - c, ... mod the modulus, one chain object read in one of three
 ways: :func:`square_chain` yields every item, :func:`chain_item` returns
 item k alone and :func:`trace_hash` returns the sha256 of the items'
-fixed-width bytes up to the first zero, the scan's trace.
+fixed-width bytes up to the first zero, the scan's trace.  On the kernel,
+:func:`start_chain_item` runs chain_item's steps on a thread of the
+kernel's own, beside the caller.
 
 ``_chain`` alone chooses the chain's arithmetic, per modulus, when a chain
 starts.  Below one 64-bit limb, n <= 5, it is ``_IntChain``, CPython's
@@ -46,9 +48,15 @@ _LIMB_BITS = 64
 GMP_SONAME = "libgmp.so.10"
 # The compiler that builds the kernel, and its flags; without one, every modulus uses x * x.
 _COMPILER = "cc"
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-pthread")
 # The trace bytes one kernel call may write: a block holds as many items as fit, and at least one.
 _BLOCK_BYTES = 1 << 16
+# The squared bits one kernel call of chain_item or of a job may run: 2**24 / b
+# steps, and at least one.  That is one call for any k up to n = 11 and 256
+# steps, about 3 ms, at n = 16, the longest a Ctrl-C or a cancel waits.
+_BLOCK_BITS = 1 << 24
+# How long one wait of a job's join may last, ms, before it returns to Python to take its signals.
+_JOIN_MS = 10
 # The mpn entry points every kernel chain calls.
 _MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
@@ -87,8 +95,9 @@ _FACTORS = {
     18: 13631489,
     19: 70525124609,
 }
-# What fermat_chain_run returns for a failed step: _chain.c's ABOVE, WRONG and INEXACT.
-_ABOVE, _WRONG, _INEXACT = -1, -2, -3
+# What fermat_chain_run returns for a failed step, _chain.c's ABOVE, WRONG and
+# INEXACT, and what a job's join returns for a cancelled or a running job.
+_ABOVE, _WRONG, _INEXACT, _CANCELLED, _RUNNING = -1, -2, -3, -4, -5
 
 
 class FermatModulus:
@@ -150,16 +159,35 @@ def chain_item(x: int, c: int, k: int, m: FermatModulus) -> int:
     """Item k of ``square_chain(x, c, m)``, after k squarings.
 
     Only item k is converted to an int.  On the GMP chain the items before
-    it stay limbs, each checked as it is computed, and all k steps are one
-    kernel call (one more after each zero item).  With c = 0 the item is the
-    power x**(2**k) that Pépin reads.
+    it stay limbs, each checked as it is computed, and the k steps are
+    kernel calls of ``_block_steps(m)`` steps (one more after each zero
+    item), so a Ctrl-C is raised within one block.  With c = 0 the item is
+    the power x**(2**k) that Pépin reads.
+    """
+    if k < 0:
+        raise ValueError(f"expected a nonnegative item index, got {k}")
+    chain, block = _chain(x, c, m), _block_steps(m)
+    while k:
+        k -= chain.run(min(k, block))
+    return chain.export()
+
+
+def start_chain_item(x: int, c: int, k: int, m: FermatModulus) -> _GmpChain | None:
+    """``chain_item(x, c, k, m)`` started on a kernel thread, or None where none starts: on the int chain, or when the system starts no thread.
+
+    Returns the chain, whose :meth:`~_GmpChain.join` ends the job and whose
+    ``export`` then reads item k.  The chain is made, and its import
+    checked, on the calling thread.
     """
     if k < 0:
         raise ValueError(f"expected a nonnegative item index, got {k}")
     chain = _chain(x, c, m)
-    while k:
-        k -= chain.run(k)
-    return chain.export()
+    return chain if isinstance(chain, _GmpChain) and chain.start(k) else None
+
+
+def _block_steps(m: FermatModulus) -> int:
+    """The steps of one kernel call of chain_item or of a job mod m: ``_BLOCK_BITS`` squared bits, and at least one step."""
+    return max(1, _BLOCK_BITS // m.b)
 
 
 def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
@@ -251,12 +279,20 @@ def _load_gmp():
 
 
 class _Kernel(NamedTuple):
-    """The loaded kernel: ``fermat_chain_run``, the GMP table it calls through, the table's entry types and its chain type."""
+    """The loaded kernel: ``fermat_chain_run``, the GMP table it calls through, the table's entry types, its chain type and its job functions.
+
+    ``job_size`` is the bytes of a job; ``start``, ``cancel`` and ``join``
+    are ``fermat_job_start``, ``fermat_job_cancel`` and ``fermat_job_join``.
+    """
 
     run: object
     gmp: object
     prototypes: dict
     chain_type: type
+    job_size: int
+    start: object
+    cancel: object
+    join: object
 
 
 @cache
@@ -310,9 +346,13 @@ def _load_kernel() -> _Kernel | None:
     table = Gmp()
     for name in _MPN:
         setattr(table, name, _function_address(getattr(lib, f"__gmpn_{name}")))
-    run = shared.fermat_chain_run
+    run, start, cancel, join = shared.fermat_chain_run, shared.fermat_job_start, shared.fermat_job_cancel, shared.fermat_job_join
     run.argtypes, run.restype = [ptr, size, ptr], size
-    kernel = _Kernel(run, table, prototypes, Chain)
+    start.argtypes, start.restype = [ptr, ptr, size, size], ctypes.c_int
+    cancel.argtypes, cancel.restype = [ptr], None
+    join.argtypes, join.restype = [ptr, size], size
+    shared.fermat_job_size.argtypes, shared.fermat_job_size.restype = [], size
+    kernel = _Kernel(run, table, prototypes, Chain, shared.fermat_job_size(), start, cancel, join)
     # Eight steps of the recurrence mod F_6, the smallest whole-limb modulus,
     # against the int chain: a kernel built or linked wrongly is not used,
     # and ctypes makes its one-time set-up for these calls before any clock.
@@ -528,18 +568,20 @@ class _GmpChain:
     Python owns every buffer the kernel writes, and this object holds the
     residue, the step's work space (mpn_sqr's 2L-limb square, 16 bytes a
     limb, or the FFT's 2L complex points and its carry's 2L words, 48), the
-    plan and the kernel's chain struct for the chain's whole life; a trace
-    buffer is held by its reader.
+    plan, the kernel's chain struct and a job for the chain's whole life; a
+    trace buffer is held by its reader.  A chain dropped while its job runs
+    cancels the job and waits for it first, so no thread writes into a freed
+    buffer.
     """
 
-    __slots__ = ("m", "run_block", "d", "width", "r", "work", "plan", "state", "state_at")
+    __slots__ = ("m", "kernel", "d", "width", "r", "work", "plan", "state", "state_at", "job")
 
     def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan: _FftPlan | None) -> None:
         import ctypes  # already loaded by _load_gmp; this is a lookup
 
         d = _CHECK_PRIME if plan is None else plan.q
         size = m.b // _LIMB_BITS
-        self.m, self.run_block, self.d, self.width, self.plan = m, kernel.run, d, m.b // 8 + 1, plan
+        self.m, self.kernel, self.d, self.width, self.plan, self.job = m, kernel, d, m.b // 8 + 1, plan, None
         self.r = _to_limbs(x, size + 1)
         self.work = _aligned((16 if plan is None else 48) * size)
         r_at = _address(self.r)
@@ -558,7 +600,52 @@ class _GmpChain:
 
         Fewer than ``count`` run only when the last item is 0.
         """
-        done = self.run_block(self.state_at, count, None if trace is None else _address(trace))
+        return self._checked(self.kernel.run(self.state_at, count, None if trace is None else _address(trace)))
+
+    def start(self, count: int) -> bool:
+        """Start ``count`` steps as a job on a kernel thread, in blocks of ``_block_steps(m)``; whether a thread started.
+
+        Until :meth:`join` has returned, the chain must not be run or
+        exported.  Where the system starts no thread, a resource limit and
+        not a fault, nothing runs and False is returned.
+        """
+        self.job = _aligned(self.kernel.job_size)
+        job_at = _address(self.job)
+        if self.kernel.start(job_at, self.state_at, count, _block_steps(self.m)):
+            self.job = None
+            return False
+        return True
+
+    def cancel(self) -> None:
+        """Ask the started job to stop before its next block."""
+        self.kernel.cancel(_address(self.job))
+
+    def join(self) -> float | None:
+        """Wait for the started job: the seconds its steps took on its own clock, or None when it was cancelled first.
+
+        Raises ArithmeticError as :meth:`run` does when a step failed.  The
+        wait returns to Python every ``_JOIN_MS`` ms and at each signal, so
+        a Ctrl-C is raised at once; the job is then cancelled and waited
+        for, which takes at most one block.  A later join returns at once.
+        """
+        job_at = _address(self.job)
+        try:
+            while (done := self.kernel.join(job_at, _JOIN_MS)) == _RUNNING:
+                pass
+        except BaseException:  # a signal's exception, raised between two waits
+            self.kernel.cancel(job_at)
+            self.kernel.join(job_at, -1)
+            raise
+        return None if self._checked(done) == _CANCELLED else self.job.cast("d")[0]
+
+    def __del__(self) -> None:
+        if self.job is not None:
+            job_at = _address(self.job)
+            self.kernel.cancel(job_at)
+            self.kernel.join(job_at, -1)
+
+    def _checked(self, done: int) -> int:
+        """``done``, a kernel call's or a job's result, unless it is a failed step's code: that raises ArithmeticError."""
         if done == _ABOVE:
             raise ArithmeticError(f"GMP left a residue above 2**{self.m.b} mod F_{self.m.n}")
         if done == _WRONG:

@@ -18,11 +18,10 @@ and for n = 0 the scan window is degenerate.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from typing import NamedTuple
 
-from .arith import FermatModulus, chain_item, fermat_value
+from .arith import FermatModulus, chain_item, fermat_value, start_chain_item
 from .sequences import residue_trace, residues
 
 
@@ -144,8 +143,12 @@ def pepin_test(n: int) -> Verdict:
     if n < 1:
         raise NotApplicableError(f"the base-3 criterion applies from index 1, got n={n}")
     m = FermatModulus(n)
-    x = chain_item(3, 0, pepin_squarings(n), m)
-    if x == m.value - 1:
+    return _pepin_verdict(chain_item(3, 0, pepin_squarings(n), m), m)
+
+
+def _pepin_verdict(power: int, m: FermatModulus) -> Verdict:
+    """Pépin's verdict on F_n from the power 3**((F_n - 1)/2) mod F_n."""
+    if power == m.value - 1:
         return Verdict(VerdictKind.PRIME_BY_PEPIN)
     return Verdict(VerdictKind.COMPOSITE_BY_PEPIN)
 
@@ -227,34 +230,54 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
     return None
 
 
-# From this n on, cross_check runs Pépin on a second thread beside the scan
-# when F_n's chains run in the kernel, whose calls release the GIL; on the
-# int chain the two tests would only take turns.  Wall time of cross_check(n)
-# one after the other vs at once, ms, medians of 60-200 alternating runs, the
-# range over series: 0.17-0.25 vs 0.22-0.34 at n = 9; 0.51-0.81 vs 0.52-0.71
-# at 10, where the pair won in 2 of 5 series and lost in 3; 2.0-3.2 vs
-# 1.5-2.2 at 11; 8.1-12 vs 5.2-7.4 at 12; 29-31 vs 19-21 at 13 (2-CPU Xeon,
-# CPython 3.11.7, n = 11..13 on the kernel's FFT).  A thread's start and join
-# cost about 65 us.
-CONCURRENT_MIN_N = 11
+# From this n on, cross_check runs Pépin as a job on a kernel thread beside the
+# scan when F_n's chains run in the kernel; on the int chain the two tests
+# would only take turns for the GIL.  Wall time of cross_check(n) one after
+# the other vs at once, ms, means of 300 alternating runs, the range over six
+# series: 0.052-0.089 vs 0.065-0.110 at n = 7; 0.074-0.124 vs 0.078-0.126 at
+# 8, where the pair lost 4 series, tied 1 and won 1; 0.185-0.256 vs
+# 0.161-0.227 at 9, won in all 6; 0.62-0.83 vs 0.46-0.61 at 10; 2.1-2.9 vs
+# 1.5-1.8 at 11; 7.9-11.0 vs 5.0-6.7 at 12 (2-CPU Xeon, CPython 3.11.7,
+# n = 11 and 12 on the kernel's FFT).  A job's start and join cost about
+# 30 us, where a Python thread's cost about 80.
+CONCURRENT_MIN_N = 9
 
 
 def cross_check(n: int) -> TestReport:
     """Run both procedures on one modulus and time each; ``consistent`` compares their verdicts.
 
-    From ``CONCURRENT_MIN_N`` on, on the kernel, Pépin runs on a second
-    thread while this one scans; below it, or on the int chain, the scan
-    follows Pépin.  Either way an exception raised is the one the serial
-    order raises, Pépin's before the scan's.
+    From ``CONCURRENT_MIN_N`` on, on the kernel, Pépin's power runs as a job
+    on a kernel thread while this one scans, and its time is the job's own;
+    below it, on the int chain, or where no thread starts, the scan follows
+    Pépin.  Either way an exception raised is the one the serial order
+    raises, Pépin's before the scan's.  When the scan raises, a Ctrl-C
+    included, Pépin's job is cancelled and stops within one block.
     """
     if n < 2:
         raise NotApplicableError(f"cross-checking needs n >= 2, got n={n}")
-    if n < CONCURRENT_MIN_N or FermatModulus(n).backend == "int":
+    job = None
+    if n >= CONCURRENT_MIN_N:
+        m = FermatModulus(n)
+        backend = m.backend  # loads the kernel and makes the plan before the clock
+        import hashlib  # noqa: F401  (trace_hash's, imported before the pair's clock as timed imports it before the scan's)
+
+        start = time.perf_counter()
+        job = start_chain_item(3, 0, pepin_squarings(n), m)
+    if job is None:
         pepin, elapsed_ms_pepin, backend = timed(pepin_test, n)
         scan, elapsed_ms_scan, _ = timed(paper_scan, n)
         elapsed_ms = elapsed_ms_pepin + elapsed_ms_scan
     else:
-        (pepin, elapsed_ms_pepin, backend), (scan, elapsed_ms_scan, _), elapsed_ms = _pepin_beside_the_scan(n)
+        try:
+            scan, elapsed_ms_scan, _ = timed(paper_scan, n)
+        except BaseException:
+            job.cancel()
+            raise
+        finally:
+            seconds = job.join()  # a failed Pépin raises here, in place of the scan's exception
+        pepin = _pepin_verdict(job.export(), m)
+        elapsed_ms_pepin = seconds * 1000.0
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
     return TestReport(
         n=n,
         pepin=pepin,
@@ -264,40 +287,6 @@ def cross_check(n: int) -> TestReport:
         elapsed_ms_scan=elapsed_ms_scan,
         backend=backend,
     )
-
-
-def _pepin_beside_the_scan(n: int):
-    """``timed(pepin_test, n)`` run on a new thread while this one runs ``timed(paper_scan, n)``, and the pair's wall time in ms.
-
-    The caller has read F_n's backend, which loads the kernel and makes the
-    FFT plan once per process, so the two threads never race to make them,
-    and hashlib is imported before the pair's clock starts, as ``timed``
-    imports it before the scan's.  The worker keeps its result or its
-    exception and is joined even when the scan raises, so no thread
-    outlives the call; Pépin's exception is raised in preference to the
-    scan's.  A Ctrl-C is raised once Pépin's kernel call, its whole power,
-    returns.
-    """
-    import hashlib  # noqa: F401  (trace_hash's)
-
-    outcome = []
-
-    def pepin() -> None:
-        try:
-            outcome.append(timed(pepin_test, n))
-        except BaseException as err:  # raised again on the calling thread
-            outcome.append(err)
-
-    worker = threading.Thread(target=pepin, name=f"pepin-{n}")
-    start = time.perf_counter()
-    worker.start()
-    try:
-        scanned = timed(paper_scan, n)
-    finally:
-        worker.join()
-        if isinstance(outcome[0], BaseException):
-            raise outcome[0]
-    return outcome[0], scanned, (time.perf_counter() - start) * 1000.0
 
 
 def timed(test, n: int, *args):

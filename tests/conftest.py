@@ -1,6 +1,8 @@
+import os
 import pathlib
 import shutil
 import sys
+import threading
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -52,12 +54,22 @@ def backend_of(n, backend="gmp-fft"):
     return "gmp-fft" if backend == "gmp-fft" and n in arith._FACTORS else "gmp"
 
 
+def thread_counts():
+    """(Python threads, threads of this process): a pthread that a kernel job starts counts only in the second.
+
+    The second is None where there is no ``/proc/self/task`` to count.
+    """
+    tasks = pathlib.Path("/proc/self/task")
+    return threading.active_count(), len(os.listdir(tasks)) if tasks.is_dir() else None
+
+
 @pytest.fixture
 def counted_steps(monkeypatch):
     """The list every chain appends one entry to per squaring step, however it is read.
 
     Each call of a chain's ``run``, on the int chain or in the kernel,
-    appends each step it ran, as the number of steps it was asked for.
+    appends each step it ran, as the number of steps it was asked for.  A
+    kernel job's steps, which no ``run`` makes, are not counted.
     """
     steps = []
     arith._load_kernel()  # loaded first: its load walks chains of its own

@@ -611,6 +611,20 @@ def test_chain_item_matches_plain(gmp, n, k, seed, backend):
         assert_power_matches_plain(n, k, random.Random(seed).randrange(fermat_value(n)), calls, backend)
 
 
+@pytest.mark.parametrize("n, k, blocks", [(11, 2047, [2047]), (16, 1000, [256, 256, 256, 232])], ids=["n11", "n16"])
+def test_chain_item_runs_in_blocks_of_two_to_the_24_squared_bits(gmp, monkeypatch, n, k, blocks):
+    # One kernel call per block, so a Ctrl-C waits for one block, not the whole power; up to n = 11 it is one call.
+    calls = spy_kernel(monkeypatch)
+    m = FermatModulus(n)
+    x = random.Random(n).randrange(m.value)
+    reference = arith._IntChain(x, 2, m)
+    assert reference.run(k) == k
+    assert m.backend == backend_of(n)  # made first: the FFT plan's self-test calls the kernel
+    calls.clear()
+    assert chain_item(x, 2, k, m) == reference.export()
+    assert calls == [(2, block, block) for block in blocks]
+
+
 def test_chain_readers_check_their_operands(gmp):
     with pytest.raises(ValueError, match="canonical"):
         chain_item(fermat_value(4), 0, 3, FermatModulus(4))

@@ -15,18 +15,17 @@ Below that the "gmp" cases stay on ``x * x``.  The cases whose n
 ``arith._FACTORS`` lists, and the walk, also run on "gmp-fft", the kernel's
 FFT step.  The cases n = 2..11 also run at default settings, where Pépin's
 power is one kernel call from n = 6 up, and with no C compiler, where the
-kernel cannot be built and every case is "int".  The cases n = 10..13 run
+kernel cannot be built and every case is "int".  The cases n = 9..13 run
 once more on either side of ``primality.CONCURRENT_MIN_N``, with Pépin
-beside the scan and after it.
+beside the scan, as a job on a kernel thread, and after it.
 """
 
 import hashlib
-import threading
 from functools import cache
 
 import pytest
 
-from conftest import backend_of, force_backend
+from conftest import backend_of, force_backend, thread_counts
 from fermatlab import arith, primality
 from fermatlab.arith import FermatModulus
 from fermatlab.primality import cross_check
@@ -86,13 +85,13 @@ def test_cross_check_matches_golden(
     assert_report_matches(cross_check(n), verdict_pepin, verdict_paper, found_q, squarings_pepin, squarings_scan, trace_hash)
 
 
-# n = 10..13 on every backend that force_backend gives each n, with the
+# n = 9..13 on every backend that force_backend gives each n, with the
 # threshold at n (Pépin beside the scan, except on "int") and at n + 1 (Pépin
 # first); on "int" the two tests never run at once, so n alone is enough.
 THRESHOLD_CASES = [
     (backend, threshold, row)
     for row in GOLDEN
-    if 10 <= row[0] <= 13
+    if 9 <= row[0] <= 13
     for backend in ("int", "gmp", "gmp-fft")
     if backend_of(row[0], backend) == backend
     for threshold in ((row[0],) if backend == "int" else (row[0], row[0] + 1))
@@ -109,11 +108,11 @@ def test_cross_check_matches_golden_on_either_side_of_the_threshold(request, mon
         request.getfixturevalue("gmp")
     force_backend(backend, monkeypatch)
     monkeypatch.setattr(primality, "CONCURRENT_MIN_N", threshold)
-    pairs, beside = [], primality._pepin_beside_the_scan
-    monkeypatch.setattr(primality, "_pepin_beside_the_scan", lambda n: pairs.append(n) or beside(n))
-    threads = threading.active_count()
+    pairs, start = [], arith._GmpChain.start
+    monkeypatch.setattr(arith._GmpChain, "start", lambda chain, count: pairs.append(chain.m.n) or start(chain, count))
+    threads = thread_counts()
     report = cross_check(row[0])
-    assert threading.active_count() == threads
+    assert thread_counts() == threads
     assert_report_matches(report, *row[1:])
     assert report.backend == backend
     assert pairs == ([row[0]] if threshold == row[0] and backend != "int" else [])
@@ -136,6 +135,7 @@ POWER_ROWS = [row for row in GOLDEN if row[0] < 12]  # n = 2..11, the rows of th
 def test_power_route_matches_golden(gmp, monkeypatch, row):
     # At default settings Pépin's power, all its 2**n - 1 squarings, is one kernel call
     # from n = 6, where b is a whole number of 64-bit limbs; below that it runs on the int chain.
+    # From primality.CONCURRENT_MIN_N it is a job, whose calls are those of its blocks.
     kernel = gmp
     n, squarings_pepin = row[0], row[4]
     calls = []
@@ -144,7 +144,11 @@ def test_power_route_matches_golden(gmp, monkeypatch, row):
         calls.append((kernel.chain_type.from_address(state).c, count))
         return kernel.run(state, count, trace)
 
-    monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied))
+    def spied_start(job, state, count, block):
+        calls.extend((kernel.chain_type.from_address(state).c, min(block, count - i)) for i in range(0, count, block))
+        return kernel.start(job, state, count, block)
+
+    monkeypatch.setattr(arith, "_load_kernel", lambda: kernel._replace(run=spied, start=spied_start))
     routed = 1 << n >= arith._LIMB_BITS
     assert FermatModulus(n).backend == backend_of(n)
     assert_report_matches(cross_check(n), *row[1:])

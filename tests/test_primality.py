@@ -1,13 +1,16 @@
+import contextlib
 import pathlib
+import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
 import fermatlab.primality as primality
-from fermatlab.arith import FermatModulus, fermat_value
+from conftest import thread_counts
+from fermatlab import arith
+from fermatlab.arith import FermatModulus, fermat_value, start_chain_item
 from fermatlab.budget import BudgetExceededError
 from fermatlab.primality import (
     FactorWitness,
@@ -266,8 +269,8 @@ def test_a_fresh_scan_clock_starts_after_hashlib_loads():
 def failing(name):
     """A stand-in for ``primality.<name>`` that raises ArithmeticError after 50 ms.
 
-    The pause outlasts the other test at n = 12, so a cross_check that did
-    not wait for its thread would return or raise before this one ends.
+    The pause outlasts Pépin at n = 12, so a cross_check that did not wait
+    for Pépin's job would return or raise before this one ends.
     """
 
     def fail(n, *args):
@@ -277,21 +280,149 @@ def failing(name):
     return fail
 
 
+# Every callback put in the kernel's table; the kernel may call one until its test ends.
+CALLBACKS = []
+
+
+def break_pepin(gmp, patch):
+    """Make every step of Pépin's chains, those from 3, fail its check, through the kernel's GMP table.
+
+    mpn_mod_1 of such a chain's residue is one too large after the import
+    check's, so each step's y mod q is wrong; the chain raises
+    ArithmeticError whether it runs on this thread or as a job.
+    """
+    residues, to_limbs = {}, arith._to_limbs  # each residue of a chain from 3, by address: the remainders taken of it
+
+    def tracked(x, count):
+        limbs = to_limbs(x, count)
+        if x == 3:
+            residues[arith._address(limbs)] = 0
+        return limbs
+
+    mod_1 = gmp.prototypes["mod_1"](gmp.gmp.mod_1)
+
+    def corrupted(up, size, d):
+        if up not in residues:
+            return mod_1(up, size, d)
+        residues[up] += 1
+        return mod_1(up, size, d) + (residues[up] > 1)
+
+    CALLBACKS.append(gmp.prototypes["mod_1"](corrupted))
+    patch.setattr(arith, "_to_limbs", tracked)
+    patch.setattr(gmp.gmp, "mod_1", arith._function_address(CALLBACKS[-1]))
+
+
 @pytest.mark.parametrize("threshold", [12, 13], ids=["beside", "serial"])
 @pytest.mark.parametrize(
     "broken, raised",
-    [(["pepin_test"], "pepin_test"), (["paper_scan"], "paper_scan"), (["pepin_test", "paper_scan"], "pepin_test")],
+    [(["pepin"], "pepin"), (["scan"], "scan"), (["pepin", "scan"], "pepin")],
     ids=["pepin", "scan", "both"],
 )
 def test_a_failing_test_raises_as_in_the_serial_order_and_leaves_no_thread(gmp, monkeypatch, threshold, broken, raised):
     # Pépin runs first in the serial order, so its exception is the one raised when both fail.
+    # Pépin fails in the kernel, on its job's thread beside the scan; the scan fails in Python.
     monkeypatch.setattr(primality, "CONCURRENT_MIN_N", threshold)
-    for name in broken:
-        monkeypatch.setattr(primality, name, failing(name))
-    threads = threading.active_count()
-    with pytest.raises(ArithmeticError, match=f"{raised} failed at n=12"):
+    if "pepin" in broken:
+        break_pepin(gmp, monkeypatch)
+    if "scan" in broken:
+        monkeypatch.setattr(primality, "paper_scan", failing("paper_scan"))
+    message = "the FFT squared a residue mod F_12 wrongly" if raised == "pepin" else "paper_scan failed at n=12"
+    threads = thread_counts()
+    with pytest.raises(ArithmeticError, match=message):
         cross_check(12)
-    assert threading.active_count() == threads
+    assert thread_counts() == threads
+
+
+def test_a_failed_pepin_job_raises_under_optimized_python(gmp):
+    # python -O strips assert statements; a job's failed step must still raise on the calling thread.
+    code = (
+        "import sys, threading\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fermatlab import arith, primality\n"
+        "kernel, main = arith._load_kernel(), threading.get_ident()\n"
+        "mod_1 = kernel.prototypes['mod_1'](kernel.gmp.mod_1)\n"
+        "held = kernel.prototypes['mod_1'](lambda up, n, d: mod_1(up, n, d) + (threading.get_ident() != main))\n"
+        "kernel.gmp.mod_1 = arith._function_address(held)\n"
+        "assert primality.CONCURRENT_MIN_N <= 12\n"
+        "try:\n"
+        "    primality.cross_check(12)\n"
+        "except ArithmeticError as err:\n"
+        "    print('caught', __debug__, err)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("caught False the FFT squared a residue mod F_12 wrongly"), done.stdout
+
+
+def test_a_cancelled_job_stops_within_one_block(gmp):
+    # Pépin's power at n = 16 runs about a second; a cancel ends it after the block it is in, 256 steps.
+    m = FermatModulus(16)
+    assert arith._block_steps(m) == 256
+    threads = thread_counts()
+    chain = start_chain_item(3, 0, pepin_squarings(16), m)
+    assert chain is not None
+    time.sleep(0.02)
+    begin = time.perf_counter()
+    chain.cancel()
+    assert chain.join() is None
+    assert time.perf_counter() - begin < 0.2
+    assert chain.join() is None  # a second join returns at once
+    assert thread_counts() == threads
+
+
+def test_a_chain_dropped_while_its_job_runs_waits_for_it(gmp):
+    # Its buffers are freed only after the job's thread has ended, within one block.
+    threads = thread_counts()
+    chain = start_chain_item(3, 0, pepin_squarings(16), FermatModulus(16))
+    assert chain is not None and thread_counts() != threads
+    begin = time.perf_counter()
+    del chain
+    assert time.perf_counter() - begin < 0.2
+    assert thread_counts() == threads
+
+
+def test_where_no_thread_starts_pepin_runs_before_the_scan(gmp, monkeypatch):
+    # pthread_create failing is a resource limit, not a fault: the pair falls back to the serial order.
+    monkeypatch.setattr(arith, "_load_kernel", lambda: gmp._replace(start=lambda *args: 11))  # EAGAIN
+    assert primality.CONCURRENT_MIN_N <= 12
+    assert start_chain_item(3, 0, 7, FermatModulus(12)) is None
+    report = cross_check(12)
+    assert report.consistent and report.pepin.kind is VerdictKind.COMPOSITE_BY_PEPIN
+    assert report.elapsed_ms == report.elapsed_ms_pepin + report.elapsed_ms_scan
+
+
+@contextlib.contextmanager
+def interrupt_after(seconds):
+    """Raise KeyboardInterrupt on this thread in ``seconds``, as a Ctrl-C would, through SIGALRM; undone on exit."""
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+@pytest.mark.parametrize("where", ["join", "scan"])
+def test_a_ctrl_c_stops_pepins_job_within_one_block(gmp, where):
+    # A signal taken while the caller waits in join, or while it scans in
+    # cross_check, cancels the job, which ends after its block: the
+    # exception comes well before Pépin's power of about a second would end.
+    threads = thread_counts()
+    begin = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        with interrupt_after(0.1):
+            if where == "join":
+                start_chain_item(3, 0, pepin_squarings(16), FermatModulus(16)).join()
+            else:
+                cross_check(16)
+    assert time.perf_counter() - begin < 0.4
+    assert thread_counts() == threads
 
 
 def test_beside_the_scan_elapsed_ms_is_the_pairs_wall_time(gmp):
