@@ -47,11 +47,13 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    the baseline, picked once at load time through an ifunc, where GCC and
    glibc provide one; any other target builds the one plain version, as does
    -DCLONED= (with a -march of its own, one ISA level alone).  Every load
-   is unaligned-safe: Python aligns the buffers to 64 bytes for speed only. */
+   is unaligned-safe: Python places the buffers on page boundaries, or a
+   fixed distance past one, for speed only. */
 #ifndef CLONED
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
+#define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
 #else
 #define CLONED
 #endif
@@ -68,6 +70,29 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 #define VECTOR_CARRY 1
 #else
 #define VECTOR_CARRY 0
+#endif
+#endif
+
+/* Whether fft_square ends its forward transform in square_leaf, which runs
+   the stages below h = 16, the pointwise square and their inverses in
+   registers: in AVX-512 code, the v4 clone, which the ifunc picks on a CPU
+   that __builtin_cpu_supports calls x86-64-v4, or in a build for such a
+   level alone.  The old stages below h = 8 and the pair passes at q = 4 run
+   loops of 4 or fewer points, which GCC vectorizes poorly.  fft_square
+   alone, TSC cycles, best of 3,000, AVX-512 code, old stages against the
+   leaf: n = 11 384-392 -> 328, 15 6.2-6.5k -> 5.7k, 16 15.3k -> 13.2k.  A
+   step of the v4 clone, us, walks of 1024, best of 7 (2-CPU Xeon, gcc 12):
+   n = 11 0.24 -> 0.20, 12 0.49 -> 0.42, 13 0.78-0.81 -> 0.70, 15 3.2-3.3 ->
+   2.95, 16 8.0 -> 6.8, 17 17.7 -> 16.5, 18 43-44 -> 38, 19 84-85 -> 80.  In
+   v3 code the leaf took 0.35 against 0.31 us at n = 11 and 11.9-12.0
+   against 11.3-11.4 at n = 16, and gained at most 4% at n = 13 and 15; in
+   SSE2 code it took 2-12% longer at n = 11..16.  So those keep the old
+   stages. */
+#ifndef VECTOR_LEAF
+#ifdef __AVX512F__
+#define VECTOR_LEAF 1
+#else
+#define VECTOR_LEAF 0
 #endif
 #endif
 
@@ -174,6 +199,129 @@ static inline void square_fours(double *restrict re, double *restrict im, long m
     }
 }
 
+/* The leaf: a block of 8 points as two vectors of 8 doubles, real parts r
+   and imaginary i, whose stage h pairs lane l with lane l ^ h.  The helpers
+   take every vector through a pointer, so none is passed by value (no psABI
+   question in SSE2 or AVX2 code), and are always inlined, so the constants
+   stay in registers.  pair swaps each lane with its partner, and sign is +1
+   on the lane of x and -1 on that of y, so x + y and x - y come out as
+   sign * lane + partner; w (wr, wi) is 1 on x's lanes. */
+typedef double v8 __attribute__((vector_size(64)));
+typedef int64_t lanes8 __attribute__((vector_size(64)));
+#define LEAF static inline __attribute__((always_inline))
+
+LEAF void leaf_load(v8 *r, v8 *i, const double *xr, const double *xi)
+{
+    memcpy(r, xr, sizeof *r);
+    memcpy(i, xi, sizeof *i);
+}
+
+LEAF void leaf_store(double *xr, double *xi, const v8 *r, const v8 *i)
+{
+    memcpy(xr, r, sizeof *r);
+    memcpy(xi, i, sizeof *i);
+}
+
+LEAF void leaf_forward(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign, const v8 *wr, const v8 *wi)
+{
+    v8 ur = *sign * *r + __builtin_shuffle(*r, *pair), ui = *sign * *i + __builtin_shuffle(*i, *pair);
+    *r = ur * *wr - ui * *wi;
+    *i = ur * *wi + ui * *wr;
+}
+
+LEAF void leaf_inverse(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign, const v8 *wr, const v8 *wi)
+{
+    v8 ur = *r * *wr + *i * *wi, ui = *i * *wr - *r * *wi;
+    *r = *sign * ur + __builtin_shuffle(ur, *pair);
+    *i = *sign * ui + __builtin_shuffle(ui, *pair);
+}
+
+/* Stage 1, whose one twiddle is 1, forward and back. */
+LEAF void leaf_ones(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign)
+{
+    *r = *sign * *r + __builtin_shuffle(*r, *pair);
+    *i = *sign * *i + __builtin_shuffle(*i, *pair);
+}
+
+LEAF void leaf_square(v8 *r, v8 *i)
+{
+    v8 sr = *r * *r - *i * *i;
+    *i = (*r + *r) * *i;
+    *r = sr;
+}
+
+/* Stage 8 between the two halves x and y of a block of 16 points, forward
+   (x + y, (x - y) * w) and back (x + y * w', x - y * w'). */
+LEAF void leaf_forward_halves(v8 *xr, v8 *xi, v8 *yr, v8 *yi, const v8 *wr, const v8 *wi)
+{
+    v8 dr = *xr - *yr, di = *xi - *yi;
+    *xr += *yr;
+    *xi += *yi;
+    *yr = dr * *wr - di * *wi;
+    *yi = dr * *wi + di * *wr;
+}
+
+LEAF void leaf_inverse_halves(v8 *xr, v8 *xi, v8 *yr, v8 *yi, const v8 *wr, const v8 *wi)
+{
+    v8 br = *yr * *wr + *yi * *wi, bi = *yi * *wr - *yr * *wi;
+    *yr = *xr - br;
+    *yi = *xi - bi;
+    *xr += br;
+    *xi += bi;
+}
+
+/* The forward stages from h down to 1 (h = 4 or 8), the pointwise square
+   and the inverse stages back up to h, over every block of 2h points.  The
+   twiddles of stages 4 and 2 are exp(-i*pi*j/h) on y's lanes. */
+LEAF void square_leaf(double *restrict xr, double *restrict xi, long m, long h, const double *tr,
+                     const double *ti)
+{
+    const lanes8 p4 = {4, 5, 6, 7, 0, 1, 2, 3}, p2 = {2, 3, 0, 1, 6, 7, 4, 5}, p1 = {1, 0, 3, 2, 5, 4, 7, 6};
+    const v8 s4 = {1, 1, 1, 1, -1, -1, -1, -1}, s2 = {1, 1, -1, -1, 1, 1, -1, -1}, s1 = {1, -1, 1, -1, 1, -1, 1, -1};
+    const v8 w4r = {1, 1, 1, 1, tr[3], tr[4], tr[5], tr[6]}, w4i = {0, 0, 0, 0, ti[3], ti[4], ti[5], ti[6]};
+    const v8 w2r = {1, 1, tr[1], tr[2], 1, 1, tr[1], tr[2]}, w2i = {0, 0, ti[1], ti[2], 0, 0, ti[1], ti[2]};
+    if (h == 4) {
+        for (long s = 0; s < m; s += 8) {
+            v8 r, i;
+            leaf_load(&r, &i, xr + s, xi + s);
+            leaf_forward(&r, &i, &p4, &s4, &w4r, &w4i);
+            leaf_forward(&r, &i, &p2, &s2, &w2r, &w2i);
+            leaf_ones(&r, &i, &p1, &s1);
+            leaf_square(&r, &i);
+            leaf_ones(&r, &i, &p1, &s1);
+            leaf_inverse(&r, &i, &p2, &s2, &w2r, &w2i);
+            leaf_inverse(&r, &i, &p4, &s4, &w4r, &w4i);
+            leaf_store(xr + s, xi + s, &r, &i);
+        }
+        return;
+    }
+    v8 w8r, w8i;
+    leaf_load(&w8r, &w8i, tr + 7, ti + 7);
+    for (long s = 0; s < m; s += 16) {
+        v8 r, i, yr, yi;
+        leaf_load(&r, &i, xr + s, xi + s);
+        leaf_load(&yr, &yi, xr + s + 8, xi + s + 8);
+        leaf_forward_halves(&r, &i, &yr, &yi, &w8r, &w8i);
+        leaf_forward(&r, &i, &p4, &s4, &w4r, &w4i);
+        leaf_forward(&yr, &yi, &p4, &s4, &w4r, &w4i);
+        leaf_forward(&r, &i, &p2, &s2, &w2r, &w2i);
+        leaf_forward(&yr, &yi, &p2, &s2, &w2r, &w2i);
+        leaf_ones(&r, &i, &p1, &s1);
+        leaf_ones(&yr, &yi, &p1, &s1);
+        leaf_square(&r, &i);
+        leaf_square(&yr, &yi);
+        leaf_ones(&r, &i, &p1, &s1);
+        leaf_ones(&yr, &yi, &p1, &s1);
+        leaf_inverse(&r, &i, &p2, &s2, &w2r, &w2i);
+        leaf_inverse(&yr, &yi, &p2, &s2, &w2r, &w2i);
+        leaf_inverse(&r, &i, &p4, &s4, &w4r, &w4i);
+        leaf_inverse(&yr, &yi, &p4, &s4, &w4r, &w4i);
+        leaf_inverse_halves(&r, &i, &yr, &yi, &w8r, &w8i);
+        leaf_store(xr + s, xi + s, &r, &i);
+        leaf_store(xr + s + 8, xi + s + 8, &yr, &yi);
+    }
+}
+
 /* fft_square's carry: the serial loop, through a signed carry, and the
    passes, which return 0 when a u_i ripples. */
 static inline long long carry_serially(limb *r, long size, const int64_t *c)
@@ -223,6 +371,15 @@ static inline int carry_in_passes(limb *restrict r, long size, const int64_t *re
    L limbs and the final carry e to *carry, so x*x = D - e (mod F); returns
    the largest distance of a c_k from its rounded integer.
 
+   The forward stages run two at a time, h and h/2 in one pair pass, from
+   h = M/2 down.  Where VECTOR_LEAF holds they run while h >= 16, and
+   square_leaf does the rest on blocks of 2h points in registers: stage 8
+   where log2 M is even (h = 8), then 4, 2 and 1, the pointwise square and
+   the inverse stages back up to h.  Otherwise they run while h >= 8, a
+   radix-2 stage runs at h = 4 where log2 M is odd, and square_fours does
+   stages 2 and 1, the square and their inverses.  Either way the inverse
+   pair passes then run from q = 2h up.
+
    The carry goes to limb i with s_i = c_{4i} + c_{4i+1} * 2**16 +
    c_{4i+2} * 2**32 + c_{4i+3} * 2**48.  One signed 128-bit sum per limb
    is a serial chain, so where VECTOR_CARRY holds two passes that vectorize
@@ -256,18 +413,23 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
         xr[j] = a * wr[j] - b * wi[j];
         xi[j] = a * wi[j] + b * wr[j];
     }
+    const int leaf = VECTOR_LEAF;
     long h = m / 2;
-    for (; h >= 8; h /= 4)
+    for (; h >= (leaf ? 16 : 8); h /= 4)
         for (long s = 0, q = h / 2; s < m; s += 4 * q)
             forward_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q, xi + s + 2 * q,
                                xi + s + 3 * q, tr + h - 1, ti + h - 1, tr + q - 1, ti + q - 1, q);
-    if (h == 4)
-        for (long s = 0; s < m; s += 8)
-            forward_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
-    square_fours(xr, xi, m);
-    if (h == 4)
-        for (long s = 0; s < m; s += 8)
-            inverse_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+    if (leaf) {
+        square_leaf(xr, xi, m, h, tr, ti);
+    } else {
+        if (h == 4)
+            for (long s = 0; s < m; s += 8)
+                forward_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+        square_fours(xr, xi, m);
+        if (h == 4)
+            for (long s = 0; s < m; s += 8)
+                inverse_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+    }
     for (long q = 2 * h; q < m; q *= 4)
         for (long s = 0; s < m; s += 4 * q)
             inverse_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q, xi + s + 2 * q,

@@ -18,7 +18,7 @@ every modulus of whole limbs it is ``_GmpChain``: the residue lives in
 runs a block of steps per call on them, squaring and folding with GMP's
 ``mpn`` functions from ``libgmp.so.10``.  For each n that ``_FACTORS``
 lists with a divisor of F_n, the kernel squares mod 2**b + 1 directly with
-its own weighted double-precision FFT, 1.4-9x faster per step than
+its own weighted double-precision FFT, 1.7-11x faster per step than
 ``mpn_sqr`` at n = 11..19.  Every step is checked modulo a prime or that
 divisor, and only an item that is returned or checked in full becomes an
 int.  The kernel is built once with the system C compiler into a per-user
@@ -69,22 +69,24 @@ _CHECK_PRIME = (1 << 30) - 35
 # bits: 39 at n = 11 (319489 * 974849), 64 at n = 12 (63766529 *
 # 190274191361) and 62 at n = 13, against 17 and 42 for the single factors
 # 114689 and 2710954639361.  Kernel time per step with mpn_sqr vs the FFT,
-# walked as above, best of 7, range of three or more runs: 0.18-0.26 vs
-# 0.20-0.30 us at n = 10; 0.47-0.70 vs 0.33-0.52 at 11; 1.3-2.0 vs
-# 0.67-0.96 at 12; 3.4-5.5 vs 1.05-1.54 at 13; 30-45 vs 4.5-4.9 at 15; 75 vs
-# 11.5-12.8 at 16 (same machine, gcc 12 -O3, the x86-64-v4 clone, buffers
-# 64-byte aligned, the carry in vector passes; the x86-64-v3 clone alone
-# takes 7.2-7.5 and 15.3-15.9 us at n = 15 and 16).  So F_10's factor
-# 45592577 is not listed, since mpn_sqr is faster there, and F_14 has no
-# known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
-# at n = 15 and 16, so the kernel has its own.  The 16-bit digits keep the
-# worst rounding error (every digit 0xFFFF) at 0.0049, 0.0098, 0.012, 0.047
-# and 0.0625 for n = 15..19, well inside the 1/4 each step checks;
-# test_one_fft_step_matches_the_fold holds every listed n to 1/16.  Percival
-# (Math. Comp. 72, 2003) bounds this error from the transform length and the
-# digit size.  It reaches 0.19 at n = 20 (no factor of F_20 is known) and
-# 0.31 at n = 21, so F_21's factor 4485296422913 is not listed and n = 21
-# squares with mpn_sqr; the plan's self-test would refuse it.
+# walked as above, best of 7, two runs in a calm spell of the host: 0.134 vs
+# 0.125 us at n = 10; 0.354 vs 0.20 at 11; 0.96 vs 0.42 at 12; 2.6 vs 0.70
+# at 13; 22.5 vs 2.95 at 15; 56 vs 6.8 at 16; 149 vs 16.5 at 17; 416 vs 38
+# at 18; 800 vs 80 at 19 (same machine, gcc 12 -O3, the x86-64-v4 clone
+# with the carry in vector passes and the short stages in one leaf pass,
+# buffers placed per _WORK_OFFSET; the x86-64-v3 clone alone takes 5.3 and
+# 11.2-11.4 us at n = 15 and 16).  F_10's factor 45592577 is not listed:
+# the FFT gains only 7% there, and listing it moves n = 10 to the other
+# backend.  F_14 has no known factor.  GMP's undocumented mpn_mul_fft
+# takes 24-32 and 50-84 us at n = 15 and 16, so the kernel has its own.
+# The 16-bit digits keep the worst rounding error (every digit 0xFFFF) at
+# 0.0049, 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well inside the
+# 1/4 each step checks; test_one_fft_step_matches_the_fold holds every
+# listed n to 1/16.  Percival (Math. Comp. 72, 2003) bounds this error from
+# the transform length and the digit size.  It reaches 0.19 at n = 20 (no
+# factor of F_20 is known) and 0.31 at n = 21, so F_21's factor
+# 4485296422913 is not listed and n = 21 squares with mpn_sqr; the plan's
+# self-test would refuse it.
 _FACTORS = {
     11: 311453532161,
     12: 12133124741372755969,
@@ -95,6 +97,15 @@ _FACTORS = {
     18: 13631489,
     19: 70525124609,
 }
+# Where a kernel chain's work space starts, bytes past a page boundary; the
+# plan and the residue start on one (``_aligned``).  The FFT reads the plan
+# and writes the work space at the same index, and a store whose address
+# matches a load's mod 4096 holds that load back.  At n = 16 a step took
+# 7.6-8.2 us where (work - plan) mod 4096 was below 512 bytes and 7.1-7.2
+# elsewhere; at n = 17..19 one at 0 took 4-7% longer than one at 2048, and
+# n = 11..15 moved less than the host's noise (walks of 2**22 squared bits,
+# best of 3 or 5, plans at page offsets 0, 1024 and 2176).
+_WORK_OFFSET = 2048
 # What fermat_chain_run returns for a failed step, _chain.c's ABOVE, WRONG and
 # INEXACT, and what a job's join returns for a cancelled or a running job.
 _ABOVE, _WRONG, _INEXACT, _CANCELLED, _RUNNING = -1, -2, -3, -4, -5
@@ -516,16 +527,18 @@ def _to_limbs(x: int, count: int) -> memoryview:
 
 
 def _aligned(size: int) -> memoryview:
-    """A new zeroed buffer of ``size`` bytes whose first byte is on a 64-byte boundary.
+    """A new zeroed buffer of ``size`` bytes whose first byte is on a page (4096-byte) boundary.
 
-    A bytearray starts 16 to 48 bytes past one, so the FFT's 512-bit loads
-    would mostly cross a cache line; this is the aligned part of a larger
-    one, which the view holds and keeps from being resized.  The kernel's
+    A bytearray starts 16 to 48 bytes past a cache line, so the FFT's
+    512-bit loads would mostly cross one; this is the aligned part of a
+    larger one, which the view holds and keeps from being resized.  A page
+    boundary, not only a cache line, pins where the FFT's plan and work
+    space land relative to each other (``_WORK_OFFSET``).  The kernel's
     loads do not require alignment: a buffer without it runs and is checked
     the same, only slower.
     """
-    buffer = bytearray(size + 63)
-    start = -_address(buffer) % 64
+    buffer = bytearray(size + 4095)
+    start = -_address(buffer) % 4096
     return memoryview(buffer)[start : start + size]
 
 
@@ -583,7 +596,7 @@ class _GmpChain:
         size = m.b // _LIMB_BITS
         self.m, self.kernel, self.d, self.width, self.plan, self.job = m, kernel, d, m.b // 8 + 1, plan, None
         self.r = _to_limbs(x, size + 1)
-        self.work = _aligned((16 if plan is None else 48) * size)
+        self.work = _aligned(_WORK_OFFSET + (16 if plan is None else 48) * size)[_WORK_OFFSET:]
         r_at = _address(self.r)
         x_d = x % d
         if kernel.prototypes["mod_1"](kernel.gmp.mod_1)(r_at, size + 1, d) != x_d:

@@ -908,6 +908,15 @@ def test_kernel_buffers_start_on_a_cache_line(gmp, n):
     assert [arith._address(buffer) % 64 for buffer in buffers] == [0] * len(buffers)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_work_space_lands_half_a_page_past_the_plan(gmp, n):
+    # The FFT reads the plan and writes the work space at the same index, so
+    # where the two land mod 4096 sets how often a store holds a load back.
+    chain = arith._chain(6, 2, FermatModulus(n))
+    pages = [chain.r, chain.work] + ([] if chain.plan is None else [chain.plan.table])
+    assert [arith._address(buffer) % 4096 for buffer in pages] == [0, 2048, 0][: len(pages)]
+
+
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
 def test_unaligned_fft_buffers_step_as_aligned_ones(fft, monkeypatch, n):
     # Alignment is a speed property only: with the residue, the work space
@@ -947,10 +956,34 @@ def cpu_flags():
         return None
 
 
-@pytest.mark.parametrize("level", X86_64_LEVELS)
-def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch, tmp_path, level):
+@cache
+def int_chain_digests(x, c, n, steps):
+    """The sha256 of each of items 1 .. steps of ``_IntChain(x, c, F_n)``: the reference, walked once a session."""
+    m = FermatModulus(n)
+    width = m.b // 8 + 1
+    items = bytearray(steps * width)
+    assert arith._IntChain(x, c, m).run(steps, items) == steps
+    return [hashlib.sha256(items[q * width : (q + 1) * width]).digest() for q in range(steps)]
+
+
+# Kernels built for one ISA level alone, each with the defines it adds: the
+# level's own code, the AVX-512 leaf in SSE2 code, where the CPU needs no
+# AVX-512 to check its arithmetic, and the v4 code with the old stages.
+FFT_BUILDS = [
+    pytest.param("x86-64", (), id="x86-64"),
+    pytest.param("x86-64-v3", (), id="x86-64-v3"),
+    pytest.param("x86-64-v4", (), id="x86-64-v4"),
+    pytest.param("x86-64", ("-DVECTOR_LEAF=1",), id="x86-64,VECTOR_LEAF=1"),
+    pytest.param("x86-64-v4", ("-DVECTOR_LEAF=0",), id="x86-64-v4,VECTOR_LEAF=0"),
+]
+
+
+@pytest.mark.parametrize("level, defines", FFT_BUILDS)
+def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch, tmp_path, level, defines):
     # The loaded kernel runs only the clone that this CPU picks; a kernel
-    # built for one level alone (-DCLONED=) runs that level's code.
+    # built for one level alone (-DCLONED=) runs that level's code.  Every
+    # listed n walks, so each leaf meets the int chain: 8 points where
+    # log2 M is odd (n even), 16 where it is even, and M = 64 at n = 11.
     flags = cpu_flags()
     if platform.machine() != "x86_64" or flags is None:
         pytest.skip("the ISA levels are x86-64's, read from /proc/cpuinfo")
@@ -961,20 +994,26 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     if subprocess.run([arith._COMPILER, march, "-x", "c", "-E", os.devnull], capture_output=True).returncode:
         pytest.skip(f"{arith._COMPILER} does not take {march}")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(arith, "_CFLAGS", (*arith._CFLAGS, "-DCLONED=", march))
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    monkeypatch.setattr(arith, "_CFLAGS", (*arith._CFLAGS, "-DCLONED=", march, *defines))
     kernel = arith._load_kernel.__wrapped__()
     assert kernel is not None
     (built,) = (tmp_path / "fermatlab").iterdir()
     assert b"fft_square.arch_" not in built.read_bytes()  # no clones: this level's code alone
-    # Both walks start on the serial carry; from x86-64-v3 up, their later items take the carry passes.
-    for n in (15, 16):
-        m, steps, width = FermatModulus(n), 256, (1 << n) // 8 + 1
+    # Both walks start on the serial carry; from x86-64-v3 up, their later
+    # items take the carry passes.  From n = 17 the int chain costs a tenth
+    # of a second a walk and more, so the walks there are shorter.
+    for n in sorted(arith._FACTORS):
+        m, steps, width = FermatModulus(n), 256 if n <= 16 else 64, (1 << n) // 8 + 1
         for x, c in ((3, 0), (6, 2)):
-            chain, reference = arith._GmpChain(x, c, m, kernel, arith._fft_plan(n)), arith._IntChain(x, c, m)
+            chain = arith._GmpChain(x, c, m, kernel, arith._fft_plan(n))
             assert chain.plan is not None
-            items, expected = bytearray(steps * width), bytearray(steps * width)
-            assert chain.run(steps, items) == reference.run(steps, expected) == steps
-            assert items == expected and chain.export() == reference.export()
+            items = bytearray(steps * width)
+            assert chain.run(steps, items) == steps
+            digests = [hashlib.sha256(items[q * width : (q + 1) * width]).digest() for q in range(steps)]
+            wrong = [q + 1 for q, (a, b) in enumerate(zip(digests, int_chain_digests(x, c, n, steps))) if a != b]
+            assert wrong == [], f"items {wrong} of ({x}, {c}) differ mod F_{n}"
+            chain.export()
 
 
 def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
