@@ -46,14 +46,19 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 /* The FFT's clones for x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and
    the baseline, picked once at load time through an ifunc, where GCC and
    glibc provide one; any other target builds the one plain version, as does
-   -DCLONED= (with a -march of its own, one ISA level alone).  Every load
-   is unaligned-safe: Python places the buffers on page boundaries, or a
-   fixed distance past one, for speed only. */
+   -DCLONED= (with a -march of its own, one ISA level alone).  A
+   -DVECTOR_CARRY= or -DVECTOR_LEAF= on the compile line holds in every
+   clone.  Every load is unaligned-safe: Python places the buffers on page
+   boundaries, or a fixed distance past one, for speed only. */
 #ifndef CLONED
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#ifndef VECTOR_CARRY
 #define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
+#endif
+#ifndef VECTOR_LEAF
 #define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
+#endif
 #else
 #define CLONED
 #endif
@@ -73,21 +78,24 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 #endif
 #endif
 
-/* Whether fft_square ends its forward transform in square_leaf, which runs
-   the stages below h = 16, the pointwise square and their inverses in
-   registers: in AVX-512 code, the v4 clone, which the ifunc picks on a CPU
-   that __builtin_cpu_supports calls x86-64-v4, or in a build for such a
-   level alone.  The old stages below h = 8 and the pair passes at q = 4 run
-   loops of 4 or fewer points, which GCC vectorizes poorly.  fft_square
-   alone, TSC cycles, best of 3,000, AVX-512 code, old stages against the
-   leaf: n = 11 384-392 -> 328, 15 6.2-6.5k -> 5.7k, 16 15.3k -> 13.2k.  A
-   step of the v4 clone, us, walks of 1024, best of 7 (2-CPU Xeon, gcc 12):
-   n = 11 0.24 -> 0.20, 12 0.49 -> 0.42, 13 0.78-0.81 -> 0.70, 15 3.2-3.3 ->
-   2.95, 16 8.0 -> 6.8, 17 17.7 -> 16.5, 18 43-44 -> 38, 19 84-85 -> 80.  In
-   v3 code the leaf took 0.35 against 0.31 us at n = 11 and 11.9-12.0
-   against 11.3-11.4 at n = 16, and gained at most 4% at n = 13 and 15; in
-   SSE2 code it took 2-12% longer at n = 11..16.  So those keep the old
-   stages. */
+/* Whether fft_square runs its pair passes as conjugate-pair vector code and
+   squares eight leaves at once in transposed registers (square_leaves), or
+   a leaf alone (square_leaf) below 64 points: in AVX-512 code, the v4
+   clone, which the ifunc picks on a CPU that __builtin_cpu_supports calls
+   x86-64-v4, or in a build for such a level alone.  The old stages below
+   h = 8 and the pair passes at q = 4 run loops of 4 or fewer points, which
+   GCC vectorizes poorly.  fft_square alone, TSC cycles, best of 3,000 or
+   more, AVX-512 code, for three versions: the old stages; plain-C pair
+   passes and a leaf that squared one block at a time with lane shuffles;
+   and today's code: n = 11 384-392, 328 and 280-282; n = 15 6.2-6.5k, 5.7k
+   and 4.9-5.5k; n = 16 15.3k, 13.2k and 11.8-11.9k.  A step of the v4
+   clone, us, walks of 1024, best of 7 (2-CPU Xeon, gcc 12), the second
+   version against today's: n = 11 0.203 -> 0.186, 12 0.416 -> 0.363, 13
+   0.70 -> 0.60, 15 2.95 -> 2.54, 16 6.8 -> 6.2, 17 16.6 -> 15.5, 18 39.8 ->
+   38.6-39.0, 19 83 -> 78.6.  In v3 code the one-block leaf took 0.35
+   against 0.31 us at n = 11 and 11.9-12.0 against 11.3-11.4 at n = 16, and
+   gained at most 4% at n = 13 and 15; in SSE2 code it took 2-12% longer at
+   n = 11..16.  So those keep the old stages. */
 #ifndef VECTOR_LEAF
 #ifdef __AVX512F__
 #define VECTOR_LEAF 1
@@ -322,6 +330,204 @@ LEAF void square_leaf(double *restrict xr, double *restrict xi, long m, long h, 
     }
 }
 
+/* Multiplies (r, i) by w, and by w', its conjugate. */
+LEAF void leaf_times(v8 *r, v8 *i, const v8 *wr, const v8 *wi)
+{
+    v8 t = *r * *wr - *i * *wi;
+    *i = *r * *wi + *i * *wr;
+    *r = t;
+}
+
+LEAF void leaf_times_conj(v8 *r, v8 *i, const v8 *wr, const v8 *wi)
+{
+    v8 t = *r * *wr + *i * *wi;
+    *i = *i * *wr - *r * *wi;
+    *r = t;
+}
+
+/* A pair pass in vectors, over the points x0 .. x3 at j < q of each block
+   of 4q, q a multiple of 8: stages 2q and q as one conjugate-pair radix-4
+   (Kamar and Elcherif, 1989).  With a = x0 + x2, b = x1 + x3, c = x0 - x2
+   and d = x1 - x3, forward writes a + b, (a - b) * v, (c - i*d) * w and
+   (c + i*d) * w', where forward_pair_block writes (c + i*d) * w**3; back
+   undoes each. */
+LEAF void pair_pass(double *restrict xr, double *restrict xi, long m, long q, const double *tr, const double *ti,
+                    int forward)
+{
+    const double *wr = tr + 2 * q - 1, *wi = ti + 2 * q - 1, *vr = tr + q - 1, *vi = ti + q - 1;
+    for (long s = 0; s < m; s += 4 * q)
+        for (long j = 0; j < q; j += 8) {
+            double *r = xr + s + j, *i = xi + s + j;
+            v8 r0, r1, r2, r3, i0, i1, i2, i3, w_r, w_i, v_r, v_i;
+            leaf_load(&r0, &i0, r, i);
+            leaf_load(&r1, &i1, r + q, i + q);
+            leaf_load(&r2, &i2, r + 2 * q, i + 2 * q);
+            leaf_load(&r3, &i3, r + 3 * q, i + 3 * q);
+            leaf_load(&w_r, &w_i, wr + j, wi + j);
+            leaf_load(&v_r, &v_i, vr + j, vi + j);
+            if (forward) {
+                v8 ar = r0 + r2, ai = i0 + i2, br = r1 + r3, bi = i1 + i3;
+                v8 cr = r0 - r2, ci = i0 - i2, dr = r1 - r3, di = i1 - i3;
+                r0 = ar + br, i0 = ai + bi, r1 = ar - br, i1 = ai - bi;
+                r2 = cr + di, i2 = ci - dr, r3 = cr - di, i3 = ci + dr;
+                leaf_times(&r1, &i1, &v_r, &v_i);
+                leaf_times(&r2, &i2, &w_r, &w_i);
+                leaf_times_conj(&r3, &i3, &w_r, &w_i);
+            } else {
+                leaf_times_conj(&r1, &i1, &v_r, &v_i);
+                leaf_times_conj(&r2, &i2, &w_r, &w_i);
+                leaf_times(&r3, &i3, &w_r, &w_i);
+                v8 ar = r0 + r1, ai = i0 + i1, br = r0 - r1, bi = i0 - i1;
+                v8 cr = r2 + r3, ci = i2 + i3, dr = i3 - i2, di = r2 - r3;  /* d = i * (x2 - x3) */
+                r0 = ar + cr, i0 = ai + ci, r2 = ar - cr, i2 = ai - ci;
+                r1 = br + dr, i1 = bi + di, r3 = br - dr, i3 = bi - di;
+            }
+            leaf_store(r, i, &r0, &i0);
+            leaf_store(r + q, i + q, &r1, &i1);
+            leaf_store(r + 2 * q, i + 2 * q, &r2, &i2);
+            leaf_store(r + 3 * q, i + 3 * q, &r3, &i3);
+        }
+}
+
+/* Eight leaves at once: rows x[0] .. x[7] of 8 points each, transposed so
+   that x[k] holds point k of every row, take each stage as butterflies
+   between whole vectors.  leaf_swap exchanges lane l + d of a with lane l
+   of b for every lane l without bit d, through masks whose lanes 0..7 pick
+   from a and 8..15 from b; three such rounds, d = 4, 2 and 1, transpose
+   the rows, and transpose them back. */
+LEAF void leaf_swap(v8 *a, v8 *b, const lanes8 *lo, const lanes8 *hi)
+{
+    v8 t = __builtin_shuffle(*a, *b, *lo);
+    *b = __builtin_shuffle(*a, *b, *hi);
+    *a = t;
+}
+
+LEAF void leaf_transpose(v8 *x)
+{
+    const lanes8 lo4 = {0, 1, 2, 3, 8, 9, 10, 11}, hi4 = {4, 5, 6, 7, 12, 13, 14, 15};
+    const lanes8 lo2 = {0, 1, 8, 9, 4, 5, 12, 13}, hi2 = {2, 3, 10, 11, 6, 7, 14, 15};
+    const lanes8 lo1 = {0, 8, 2, 10, 4, 12, 6, 14}, hi1 = {1, 9, 3, 11, 5, 13, 7, 15};
+    for (int k = 0; k < 4; k++)
+        leaf_swap(x + k, x + k + 4, &lo4, &hi4);
+    for (int k = 0; k < 8; k++)
+        if (!(k & 2))
+            leaf_swap(x + k, x + k + 2, &lo2, &hi2);
+    for (int k = 0; k < 8; k += 2)
+        leaf_swap(x + k, x + k + 1, &lo1, &hi1);
+}
+
+/* The butterflies between points x and y: x + y and x - y; the same with
+   y * -i = (yi, -yr), a forward twiddle of -i that the stage before left on
+   y; and its inverse, x + y and i * (x - y). */
+LEAF void leaf_add_sub(v8 *xr, v8 *xi, v8 *yr, v8 *yi)
+{
+    v8 dr = *xr - *yr, di = *xi - *yi;
+    *xr += *yr;
+    *xi += *yi;
+    *yr = dr;
+    *yi = di;
+}
+
+LEAF void leaf_add_sub_minus_i(v8 *xr, v8 *xi, v8 *yr, v8 *yi)
+{
+    v8 dr = *xr - *yi, di = *xi + *yr;
+    *xr += *yi;
+    *xi -= *yr;
+    *yr = dr;
+    *yi = di;
+}
+
+LEAF void leaf_add_sub_times_i(v8 *xr, v8 *xi, v8 *yr, v8 *yi)
+{
+    v8 dr = *yi - *xi, di = *xr - *yr;
+    *xr += *yr;
+    *xi += *yi;
+    *yr = dr;
+    *yi = di;
+}
+
+/* Stage 4's twiddles other than 1 and -i: sqrt(1/2) * (1 - i) on point 5
+   and -sqrt(1/2) * (1 + i) on point 7, forward, and their conjugates back. */
+#define ROOT_HALF 0.70710678118654752440
+LEAF void leaf_twiddle(v8 *r5, v8 *i5, v8 *r7, v8 *i7)
+{
+    v8 t = (*r5 + *i5) * ROOT_HALF;
+    *i5 = (*i5 - *r5) * ROOT_HALF;
+    *r5 = t;
+    t = (*i7 - *r7) * ROOT_HALF;
+    *i7 = (*r7 + *i7) * -ROOT_HALF;
+    *r7 = t;
+}
+
+LEAF void leaf_untwiddle(v8 *r5, v8 *i5, v8 *r7, v8 *i7)
+{
+    v8 t = (*r5 - *i5) * ROOT_HALF;
+    *i5 = (*r5 + *i5) * ROOT_HALF;
+    *r5 = t;
+    t = (*r7 + *i7) * -ROOT_HALF;
+    *i7 = (*r7 - *i7) * ROOT_HALF;
+    *r7 = t;
+}
+
+/* Stages 4, 2 and 1 of eight transposed leaves, the pointwise square and
+   the inverse stages.  Stage 4's -i on point 6 and stage 2's on points 3
+   and 7 are taken in the next stage's butterflies. */
+LEAF void leaf_stages(v8 *r, v8 *i)
+{
+    for (int j = 0; j < 4; j++)
+        leaf_add_sub(r + j, i + j, r + j + 4, i + j + 4);
+    leaf_twiddle(r + 5, i + 5, r + 7, i + 7);
+    leaf_add_sub(r, i, r + 2, i + 2);
+    leaf_add_sub(r + 1, i + 1, r + 3, i + 3);
+    leaf_add_sub_minus_i(r + 4, i + 4, r + 6, i + 6);
+    leaf_add_sub(r + 5, i + 5, r + 7, i + 7);
+    for (int j = 0; j < 8; j += 4) {
+        leaf_add_sub(r + j, i + j, r + j + 1, i + j + 1);
+        leaf_add_sub_minus_i(r + j + 2, i + j + 2, r + j + 3, i + j + 3);
+    }
+    for (int j = 0; j < 8; j++)
+        leaf_square(r + j, i + j);
+    for (int j = 0; j < 8; j += 4) {
+        leaf_add_sub(r + j, i + j, r + j + 1, i + j + 1);
+        leaf_add_sub_times_i(r + j + 2, i + j + 2, r + j + 3, i + j + 3);
+    }
+    leaf_add_sub(r, i, r + 2, i + 2);
+    leaf_add_sub(r + 1, i + 1, r + 3, i + 3);
+    leaf_add_sub_times_i(r + 4, i + 4, r + 6, i + 6);
+    leaf_add_sub(r + 5, i + 5, r + 7, i + 7);
+    leaf_untwiddle(r + 5, i + 5, r + 7, i + 7);
+    for (int j = 0; j < 4; j++)
+        leaf_add_sub(r + j, i + j, r + j + 4, i + j + 4);
+}
+
+/* square_leaf's work on blocks of 64 points, m a multiple of 64: eight
+   blocks of 8 (h = 4) or four of 16 (h = 8), whose halves first take stage
+   8 as there. */
+LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h, const double *tr,
+                        const double *ti)
+{
+    v8 w8r, w8i;
+    leaf_load(&w8r, &w8i, tr + 7, ti + 7);
+    for (long s = 0; s < m; s += 64) {
+        v8 r[8], i[8];
+        for (int k = 0; k < 8; k++)
+            leaf_load(r + k, i + k, xr + s + 8 * k, xi + s + 8 * k);
+        if (h == 8)
+            for (int k = 0; k < 8; k += 2)
+                leaf_forward_halves(r + k, i + k, r + k + 1, i + k + 1, &w8r, &w8i);
+        leaf_transpose(r);
+        leaf_transpose(i);
+        leaf_stages(r, i);
+        leaf_transpose(r);
+        leaf_transpose(i);
+        if (h == 8)
+            for (int k = 0; k < 8; k += 2)
+                leaf_inverse_halves(r + k, i + k, r + k + 1, i + k + 1, &w8r, &w8i);
+        for (int k = 0; k < 8; k++)
+            leaf_store(xr + s + 8 * k, xi + s + 8 * k, r + k, i + k);
+    }
+}
+
 /* fft_square's carry: the serial loop, through a signed carry, and the
    passes, which return 0 when a u_i ripples. */
 static inline long long carry_serially(limb *r, long size, const int64_t *c)
@@ -372,13 +578,27 @@ static inline int carry_in_passes(limb *restrict r, long size, const int64_t *re
    the largest distance of a c_k from its rounded integer.
 
    The forward stages run two at a time, h and h/2 in one pair pass, from
-   h = M/2 down.  Where VECTOR_LEAF holds they run while h >= 16, and
-   square_leaf does the rest on blocks of 2h points in registers: stage 8
-   where log2 M is even (h = 8), then 4, 2 and 1, the pointwise square and
-   the inverse stages back up to h.  Otherwise they run while h >= 8, a
-   radix-2 stage runs at h = 4 where log2 M is odd, and square_fours does
-   stages 2 and 1, the square and their inverses.  Either way the inverse
-   pair passes then run from q = 2h up.
+   h = M/2 down.  Where VECTOR_LEAF holds they run while h >= 16, as
+   pair_pass: a conjugate-pair radix-4 in vectors of 8, three twiddle
+   multiplies where forward_pair_block has four.  Its fourth quarter takes
+   w' = w**-1 in place of w**3 = w**-1 * exp(-2*pi*i*j/q), so the length-q
+   transform of that quarter comes out with its bins rotated by one place:
+   bin k holds what bin k - 1 would.  The square is pointwise and ignores
+   the order of the bins, and pair_pass back multiplies that quarter by w
+   where inverse_pair_block multiplies by w**-3, which undoes the rotation,
+   so the convolution, and every residue, is the same.  square_leaves then
+   does the rest 64 points at a time: eight blocks of 8 (h = 4), or four of
+   16 (h = 8, where log2 M is even) whose halves first take stage 8 as in
+   square_leaf, transposed so that each vector holds one point of eight
+   blocks.  Stages 4, 2 and 1 are then butterflies between whole vectors,
+   whose only twiddle multiplies are by sqrt(1/2) * (1 - i) and
+   -sqrt(1/2) * (1 + i), with -i taken as a swap; then come the pointwise
+   square, the inverse stages and the transpose back.  Below 64 points,
+   M = 32 at n = 10, square_leaf does that work one block at a time, with
+   lane shuffles.  Otherwise the pair passes run while h >= 8, a radix-2
+   stage runs at h = 4 where log2 M is odd, and square_fours does stages 2
+   and 1, the square and their inverses.  Either way the inverse pair
+   passes then run from q = 2h up.
 
    The carry goes to limb i with s_i = c_{4i} + c_{4i+1} * 2**16 +
    c_{4i+2} * 2**32 + c_{4i+3} * 2**48.  One signed 128-bit sum per limb
@@ -413,15 +633,21 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
         xr[j] = a * wr[j] - b * wi[j];
         xi[j] = a * wi[j] + b * wr[j];
     }
-    const int leaf = VECTOR_LEAF;
     long h = m / 2;
-    for (; h >= (leaf ? 16 : 8); h /= 4)
-        for (long s = 0, q = h / 2; s < m; s += 4 * q)
-            forward_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q, xi + s + 2 * q,
-                               xi + s + 3 * q, tr + h - 1, ti + h - 1, tr + q - 1, ti + q - 1, q);
-    if (leaf) {
-        square_leaf(xr, xi, m, h, tr, ti);
+    if (VECTOR_LEAF) {
+        for (; h >= 16; h /= 4)
+            pair_pass(xr, xi, m, h / 2, tr, ti, 1);
+        if (m < 64)
+            square_leaf(xr, xi, m, h, tr, ti);
+        else
+            square_leaves(xr, xi, m, h, tr, ti);
+        for (long q = 2 * h; q < m; q *= 4)
+            pair_pass(xr, xi, m, q, tr, ti, 0);
     } else {
+        for (; h >= 8; h /= 4)
+            for (long s = 0, q = h / 2; s < m; s += 4 * q)
+                forward_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q,
+                                   xi + s + 2 * q, xi + s + 3 * q, tr + h - 1, ti + h - 1, tr + q - 1, ti + q - 1, q);
         if (h == 4)
             for (long s = 0; s < m; s += 8)
                 forward_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
@@ -429,11 +655,12 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
         if (h == 4)
             for (long s = 0; s < m; s += 8)
                 inverse_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+        for (long q = 2 * h; q < m; q *= 4)
+            for (long s = 0; s < m; s += 4 * q)
+                inverse_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q,
+                                   xi + s + 2 * q, xi + s + 3 * q, tr + 2 * q - 1, ti + 2 * q - 1, tr + q - 1,
+                                   ti + q - 1, q);
     }
-    for (long q = 2 * h; q < m; q *= 4)
-        for (long s = 0; s < m; s += 4 * q)
-            inverse_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q, xi + s + 2 * q,
-                               xi + s + 3 * q, tr + 2 * q - 1, ti + 2 * q - 1, tr + q - 1, ti + q - 1, q);
     /* Each coefficient a, rounded without libm, goes over its point as an
        int64: for |a| < 2**51, a + 1.5 * 2**52 keeps that exponent and its
        last place is 1, so the sum is a rounded and its bits less those of

@@ -18,8 +18,8 @@ every modulus of whole limbs it is ``_GmpChain``: the residue lives in
 runs a block of steps per call on them, squaring and folding with GMP's
 ``mpn`` functions from ``libgmp.so.10``.  For each n that ``_FACTORS``
 lists with a divisor of F_n, the kernel squares mod 2**b + 1 directly with
-its own weighted double-precision FFT, 1.7-11x faster per step than
-``mpn_sqr`` at n = 11..19.  Every step is checked modulo a prime or that
+its own weighted double-precision FFT, 1.1-11x faster per step than
+``mpn_sqr`` at n = 10..19.  Every step is checked modulo a prime or that
 divisor, and only an item that is returned or checked in full becomes an
 int.  The kernel is built once with the system C compiler into a per-user
 cache and loaded, with libgmp, through ``ctypes``.  When the library does
@@ -66,28 +66,30 @@ _CHECK_PRIME = (1 << 30) - 35
 # an FFT step gives no k, but with q | F it must satisfy x*x = y + c modulo
 # q.  Each q is a known prime factor of F_n (W. Keller's tables) or a
 # product of known prime factors, which divides F_n as well and checks more
-# bits: 39 at n = 11 (319489 * 974849), 64 at n = 12 (63766529 *
-# 190274191361) and 62 at n = 13, against 17 and 42 for the single factors
-# 114689 and 2710954639361.  Kernel time per step with mpn_sqr vs the FFT,
-# walked as above, best of 7, two runs in a calm spell of the host: 0.134 vs
-# 0.125 us at n = 10; 0.354 vs 0.20 at 11; 0.96 vs 0.42 at 12; 2.6 vs 0.70
-# at 13; 22.5 vs 2.95 at 15; 56 vs 6.8 at 16; 149 vs 16.5 at 17; 416 vs 38
-# at 18; 800 vs 80 at 19 (same machine, gcc 12 -O3, the x86-64-v4 clone
-# with the carry in vector passes and the short stages in one leaf pass,
-# buffers placed per _WORK_OFFSET; the x86-64-v3 clone alone takes 5.3 and
-# 11.2-11.4 us at n = 15 and 16).  F_10's factor 45592577 is not listed:
-# the FFT gains only 7% there, and listing it moves n = 10 to the other
-# backend.  F_14 has no known factor.  GMP's undocumented mpn_mul_fft
-# takes 24-32 and 50-84 us at n = 15 and 16, so the kernel has its own.
-# The 16-bit digits keep the worst rounding error (every digit 0xFFFF) at
-# 0.0049, 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well inside the
-# 1/4 each step checks; test_one_fft_step_matches_the_fold holds every
-# listed n to 1/16.  Percival (Math. Comp. 72, 2003) bounds this error from
-# the transform length and the digit size.  It reaches 0.19 at n = 20 (no
+# bits: 59 at n = 10 (45592577 * 6487031809), 39 at n = 11 (319489 *
+# 974849), 64 at n = 12 (63766529 * 190274191361) and 62 at n = 13, against
+# 26, 17 and 42 for the single factors 45592577, 114689 and 2710954639361.
+# Kernel time per step with mpn_sqr vs the FFT, walked as above, best of 7:
+# 0.134 vs 0.122 us at n = 10; 0.354 vs 0.186 at 11; 0.96 vs 0.365 at 12;
+# 2.6 vs 0.60 at 13; 22.7 vs 2.55 at 15; 56 vs 6.24 at 16; 149 vs 15.5 at
+# 17; 417 vs 38.8 at 18; 810 vs 78 at 19 (same machine, gcc 12 -O3, the
+# x86-64-v4 clone with the carry in vector passes, conjugate-pair radix-4
+# passes and eight leaves squared at once, buffers placed per _WORK_OFFSET;
+# the x86-64-v3 clone alone takes 5.3 and 11.2-11.4 us at n = 15 and 16).
+# At n = 10 the transform has M = 32 points, fewer than the 64 of eight
+# leaves, so the v4 clone squares its leaves one at a time there.  F_14 has
+# no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
+# at n = 15 and 16, so the kernel has its own.  The 16-bit digits keep the
+# worst rounding error (every digit 0xFFFF) at 0.00006 at n = 10 and 0.0049,
+# 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well inside the 1/4 each
+# step checks; test_one_fft_step_matches_the_fold holds every listed n to
+# 1/16.  Percival (Math. Comp. 72, 2003) bounds this error from the
+# transform length and the digit size.  It reaches 0.19 at n = 20 (no
 # factor of F_20 is known) and 0.31 at n = 21, so F_21's factor
 # 4485296422913 is not listed and n = 21 squares with mpn_sqr; the plan's
 # self-test would refuse it.
 _FACTORS = {
+    10: 295760497253281793,
     11: 311453532161,
     12: 12133124741372755969,
     13: 3603109844542291969,

@@ -755,7 +755,7 @@ def fft(gmp):
 
 
 def test_listed_factors_divide_their_fermat_numbers():
-    assert sorted(arith._FACTORS) == [11, 12, 13, 15, 16, 17, 18, 19]
+    assert sorted(arith._FACTORS) == [10, 11, 12, 13, 15, 16, 17, 18, 19]
     for n, q in arith._FACTORS.items():
         assert 1 < q < 1 << 64
         assert pow(2, 1 << n, q) == q - 1  # 2**(2**n) = -1, so q | F_n
@@ -771,10 +771,12 @@ def test_the_fft_serves_fft_min_n_to_fft_max_n(gmp, monkeypatch):
 
 
 def test_listing_a_factor_puts_its_modulus_on_the_fft(gmp, monkeypatch):
-    # F_10's factor 45592577 is known but not listed; listing it is all the FFT needs to serve n = 10.
-    monkeypatch.setitem(arith._FACTORS, 10, 45592577)
+    # Unlisted, F_10 squares with mpn_sqr; its single factor 45592577, listed, is all the FFT needs to serve n = 10.
     monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
+    monkeypatch.delitem(arith._FACTORS, 10)
     m, steps = FermatModulus(10), 64
+    assert m.backend == "gmp"
+    monkeypatch.setitem(arith._FACTORS, 10, 45592577)
     assert m.backend == "gmp-fft"
     for x, c in ((3, 0), (6, 2)):
         chain, reference = arith._chain(x, c, m), arith._IntChain(x, c, m)
