@@ -50,14 +50,18 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    -DVECTOR_CARRY= or -DVECTOR_LEAF= on the compile line holds in every
    clone.  Every load is unaligned-safe: Python places the buffers on page
    boundaries, or a fixed distance past one, for speed only. */
-#ifndef CLONED
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#define X86_64_GCC
+#endif
+#ifndef CLONED
+#ifdef X86_64_GCC
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #ifndef VECTOR_CARRY
 #define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
 #endif
 #ifndef VECTOR_LEAF
 #define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
+#define LEAF_IN_V4_CLONE
 #endif
 #else
 #define CLONED
@@ -85,14 +89,19 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    x86-64-v4, or in a build for such a level alone.  The old stages below
    h = 8 and the pair passes at q = 4 run loops of 4 or fewer points, which
    GCC vectorizes poorly.  fft_square alone, TSC cycles, best of 3,000 or
-   more, AVX-512 code, for three versions: the old stages; plain-C pair
+   more, AVX-512 code, for four versions: the old stages; plain-C pair
    passes and a leaf that squared one block at a time with lane shuffles;
-   and today's code: n = 11 384-392, 328 and 280-282; n = 15 6.2-6.5k, 5.7k
-   and 4.9-5.5k; n = 16 15.3k, 13.2k and 11.8-11.9k.  A step of the v4
-   clone, us, walks of 1024, best of 7 (2-CPU Xeon, gcc 12), the second
-   version against today's: n = 11 0.203 -> 0.186, 12 0.416 -> 0.363, 13
-   0.70 -> 0.60, 15 2.95 -> 2.54, 16 6.8 -> 6.2, 17 16.6 -> 15.5, 18 39.8 ->
-   38.6-39.0, 19 83 -> 78.6.  In v3 code the one-block leaf took 0.35
+   eight leaves transposed wholly in registers, with each stage's twiddles
+   one place off a cache line; and today's code: n = 11 384-392, 328,
+   280-282 and 284-286; n = 15 6.2-6.5k, 5.7k, 4.8k and 4.55k; n = 16
+   15.3k, 13.2k, 11.9k and 10.8k.  A step of the v4 clone, us, walks of
+   1024, best of 7 (2-CPU Xeon, gcc 12), the second version against the
+   third: n = 11 0.203 -> 0.186, 12 0.416 -> 0.363, 13 0.70 -> 0.60, 15
+   2.95 -> 2.54, 16 6.8 -> 6.2, 17 16.6 -> 15.5, 18 39.8 -> 38.6-39.0, 19
+   83 -> 78.6; and in other runs, best of 7 to 300, the third against
+   today's: n = 10 0.120 -> 0.121, 11 0.184 both, 12 0.362 -> 0.351, 13
+   0.596 -> 0.576, 15 2.53 -> 2.40, 16 6.15 -> 5.63, 17 15.3 -> 15.1, 18
+   36.6 -> 35.6, 19 74.5 -> 73.5.  In v3 code the one-block leaf took 0.35
    against 0.31 us at n = 11 and 11.9-12.0 against 11.3-11.4 at n = 16, and
    gained at most 4% at n = 13 and 15; in SSE2 code it took 2-12% longer at
    n = 11..16.  So those keep the old stages. */
@@ -286,8 +295,8 @@ LEAF void square_leaf(double *restrict xr, double *restrict xi, long m, long h, 
 {
     const lanes8 p4 = {4, 5, 6, 7, 0, 1, 2, 3}, p2 = {2, 3, 0, 1, 6, 7, 4, 5}, p1 = {1, 0, 3, 2, 5, 4, 7, 6};
     const v8 s4 = {1, 1, 1, 1, -1, -1, -1, -1}, s2 = {1, 1, -1, -1, 1, 1, -1, -1}, s1 = {1, -1, 1, -1, 1, -1, 1, -1};
-    const v8 w4r = {1, 1, 1, 1, tr[3], tr[4], tr[5], tr[6]}, w4i = {0, 0, 0, 0, ti[3], ti[4], ti[5], ti[6]};
-    const v8 w2r = {1, 1, tr[1], tr[2], 1, 1, tr[1], tr[2]}, w2i = {0, 0, ti[1], ti[2], 0, 0, ti[1], ti[2]};
+    const v8 w4r = {1, 1, 1, 1, tr[4], tr[5], tr[6], tr[7]}, w4i = {0, 0, 0, 0, ti[4], ti[5], ti[6], ti[7]};
+    const v8 w2r = {1, 1, tr[2], tr[3], 1, 1, tr[2], tr[3]}, w2i = {0, 0, ti[2], ti[3], 0, 0, ti[2], ti[3]};
     if (h == 4) {
         for (long s = 0; s < m; s += 8) {
             v8 r, i;
@@ -304,7 +313,7 @@ LEAF void square_leaf(double *restrict xr, double *restrict xi, long m, long h, 
         return;
     }
     v8 w8r, w8i;
-    leaf_load(&w8r, &w8i, tr + 7, ti + 7);
+    leaf_load(&w8r, &w8i, tr + 8, ti + 8);
     for (long s = 0; s < m; s += 16) {
         v8 r, i, yr, yi;
         leaf_load(&r, &i, xr + s, xi + s);
@@ -354,7 +363,7 @@ LEAF void leaf_times_conj(v8 *r, v8 *i, const v8 *wr, const v8 *wi)
 LEAF void pair_pass(double *restrict xr, double *restrict xi, long m, long q, const double *tr, const double *ti,
                     int forward)
 {
-    const double *wr = tr + 2 * q - 1, *wi = ti + 2 * q - 1, *vr = tr + q - 1, *vi = ti + q - 1;
+    const double *wr = tr + 2 * q, *wi = ti + 2 * q, *vr = tr + q, *vi = ti + q;
     for (long s = 0; s < m; s += 4 * q)
         for (long j = 0; j < q; j += 8) {
             double *r = xr + s + j, *i = xi + s + j;
@@ -393,8 +402,10 @@ LEAF void pair_pass(double *restrict xr, double *restrict xi, long m, long q, co
    that x[k] holds point k of every row, take each stage as butterflies
    between whole vectors.  leaf_swap exchanges lane l + d of a with lane l
    of b for every lane l without bit d, through masks whose lanes 0..7 pick
-   from a and 8..15 from b; three such rounds, d = 4, 2 and 1, transpose
-   the rows, and transpose them back. */
+   from a and 8..15 from b.  Three such rounds, d = 4, 2 and 1, in any
+   order, transpose the rows, and each round undoes itself.  Rows loaded
+   and stored as halves (leaf_load_rows, leaf_store_rows) take round 4, and
+   leaf_transpose the other two. */
 LEAF void leaf_swap(v8 *a, v8 *b, const lanes8 *lo, const lanes8 *hi)
 {
     v8 t = __builtin_shuffle(*a, *b, *lo);
@@ -404,17 +415,62 @@ LEAF void leaf_swap(v8 *a, v8 *b, const lanes8 *lo, const lanes8 *hi)
 
 LEAF void leaf_transpose(v8 *x)
 {
-    const lanes8 lo4 = {0, 1, 2, 3, 8, 9, 10, 11}, hi4 = {4, 5, 6, 7, 12, 13, 14, 15};
     const lanes8 lo2 = {0, 1, 8, 9, 4, 5, 12, 13}, hi2 = {2, 3, 10, 11, 6, 7, 14, 15};
     const lanes8 lo1 = {0, 8, 2, 10, 4, 12, 6, 14}, hi1 = {1, 9, 3, 11, 5, 13, 7, 15};
-    for (int k = 0; k < 4; k++)
-        leaf_swap(x + k, x + k + 4, &lo4, &hi4);
     for (int k = 0; k < 8; k++)
         if (!(k & 2))
             leaf_swap(x + k, x + k + 2, &lo2, &hi2);
     for (int k = 0; k < 8; k += 2)
         leaf_swap(x + k, x + k + 1, &lo1, &hi1);
 }
+
+/* Rows a and b as 256-bit halves: lo gets the low halves of a and b, and
+   hi their high halves, and the stores put each half back.  GCC 12 builds
+   these from vector-extension code (memcpy halves, concatenating
+   __builtin_shufflevector, or loads blended by __builtin_shuffle) with
+   vshuff64x2 in registers, which cost the leaf more than the round saves;
+   so in AVX-512 code they are intrinsics, vinsertf64x4 from memory and
+   vextractf64x4 to it.  Those sit in functions of target avx512f that
+   take every vector through a pointer, so no vector crosses a call by
+   value: the v4 clone inlines them, and the v3 and baseline clones hold
+   calls that never run, as VECTOR_LEAF is false wherever the ifunc picks
+   them.  Elsewhere the halves are plain memcpys: in SSE2 or AVX2 code, as
+   in the SSE2 leaf build, a v8 is four or two registers and they cost
+   nothing, and a leaf forced on by -DVECTOR_LEAF=1 in the clones keeps
+   AVX-512 out of the v3 and baseline clones. */
+#if defined(X86_64_GCC) && (defined(__AVX512F__) || defined(LEAF_IN_V4_CLONE))
+#include <immintrin.h>
+#define ROWS static inline __attribute__((target("avx512f")))
+ROWS void leaf_load_rows(v8 *lo, v8 *hi, const double *a, const double *b)
+{
+    *lo = _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(a)), _mm256_loadu_pd(b), 1);
+    *hi = _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(a + 4)), _mm256_loadu_pd(b + 4), 1);
+}
+
+ROWS void leaf_store_rows(double *a, double *b, const v8 *lo, const v8 *hi)
+{
+    _mm256_storeu_pd(a, _mm512_castpd512_pd256(*lo));
+    _mm256_storeu_pd(b, _mm512_extractf64x4_pd(*lo, 1));
+    _mm256_storeu_pd(a + 4, _mm512_castpd512_pd256(*hi));
+    _mm256_storeu_pd(b + 4, _mm512_extractf64x4_pd(*hi, 1));
+}
+#else
+LEAF void leaf_load_rows(v8 *lo, v8 *hi, const double *a, const double *b)
+{
+    memcpy(lo, a, 32);
+    memcpy((double *)lo + 4, b, 32);
+    memcpy(hi, a + 4, 32);
+    memcpy((double *)hi + 4, b + 4, 32);
+}
+
+LEAF void leaf_store_rows(double *a, double *b, const v8 *lo, const v8 *hi)
+{
+    memcpy(a, lo, 32);
+    memcpy(b, (const double *)lo + 4, 32);
+    memcpy(a + 4, hi, 32);
+    memcpy(b + 4, (const double *)hi + 4, 32);
+}
+#endif
 
 /* The butterflies between points x and y: x + y and x - y; the same with
    y * -i = (yi, -yr), a forward twiddle of -i that the stage before left on
@@ -501,20 +557,29 @@ LEAF void leaf_stages(v8 *r, v8 *i)
 }
 
 /* square_leaf's work on blocks of 64 points, m a multiple of 64: eight
-   blocks of 8 (h = 4) or four of 16 (h = 8), whose halves first take stage
-   8 as there. */
+   blocks of 8 (h = 4) or four of 16 (h = 8).  Rows k and k + 4 (k < 4)
+   load as halves into x[k] and x[k + 4], round 4 of the transpose, so
+   where h = 8 the halves of each block of 16, rows k and k + 1 (k even),
+   take stage 8 as in square_leaf between x[k] and x[k + 1] with points
+   0..3 of two rows in x[0..3] and points 4..7 in x[4..7]: twiddles (w0..w3,
+   w0..w3) and (w4..w7, w4..w7). */
 LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h, const double *tr,
                         const double *ti)
 {
+    const lanes8 lo4 = {0, 1, 2, 3, 0, 1, 2, 3}, hi4 = {4, 5, 6, 7, 4, 5, 6, 7};
     v8 w8r, w8i;
-    leaf_load(&w8r, &w8i, tr + 7, ti + 7);
+    leaf_load(&w8r, &w8i, tr + 8, ti + 8);
+    const v8 wr[2] = {__builtin_shuffle(w8r, lo4), __builtin_shuffle(w8r, hi4)};
+    const v8 wi[2] = {__builtin_shuffle(w8i, lo4), __builtin_shuffle(w8i, hi4)};
     for (long s = 0; s < m; s += 64) {
         v8 r[8], i[8];
-        for (int k = 0; k < 8; k++)
-            leaf_load(r + k, i + k, xr + s + 8 * k, xi + s + 8 * k);
+        for (int k = 0; k < 4; k++) {
+            leaf_load_rows(r + k, r + k + 4, xr + s + 8 * k, xr + s + 8 * k + 32);
+            leaf_load_rows(i + k, i + k + 4, xi + s + 8 * k, xi + s + 8 * k + 32);
+        }
         if (h == 8)
             for (int k = 0; k < 8; k += 2)
-                leaf_forward_halves(r + k, i + k, r + k + 1, i + k + 1, &w8r, &w8i);
+                leaf_forward_halves(r + k, i + k, r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
         leaf_transpose(r);
         leaf_transpose(i);
         leaf_stages(r, i);
@@ -522,9 +587,11 @@ LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h
         leaf_transpose(i);
         if (h == 8)
             for (int k = 0; k < 8; k += 2)
-                leaf_inverse_halves(r + k, i + k, r + k + 1, i + k + 1, &w8r, &w8i);
-        for (int k = 0; k < 8; k++)
-            leaf_store(xr + s + 8 * k, xi + s + 8 * k, r + k, i + k);
+                leaf_inverse_halves(r + k, i + k, r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
+        for (int k = 0; k < 4; k++) {
+            leaf_store_rows(xr + s + 8 * k, xr + s + 8 * k + 32, r + k, r + k + 4);
+            leaf_store_rows(xi + s + 8 * k, xi + s + 8 * k + 32, i + k, i + k + 4);
+        }
     }
 }
 
@@ -572,10 +639,11 @@ static inline int carry_in_passes(limb *restrict r, long size, const int64_t *re
    weight: point k is then c_k + i*c_{k+M}, the negacyclic convolution, so
    x*x = sum c_k * 2**(16k) (mod F).  The plan holds the weights theta**j
    (M real parts, then M imaginary) and, from 2M on, every stage's
-   twiddles: exp(-i*pi*j/h) for j < h at h - 1, M real parts then M
-   imaginary.  Writes the digits with their carries, D < 2**b, over the low
-   L limbs and the final carry e to *carry, so x*x = D - e (mod F); returns
-   the largest distance of a c_k from its rounded integer.
+   twiddles: exp(-i*pi*j/h) for j < h at h, after a pad at 0, M real parts
+   then M imaginary, so that each stage from h = 8 starts on a cache line.
+   Writes the digits with their carries, D < 2**b, over the low L limbs and
+   the final carry e to *carry, so x*x = D - e (mod F); returns the largest
+   distance of a c_k from its rounded integer.
 
    The forward stages run two at a time, h and h/2 in one pair pass, from
    h = M/2 down.  Where VECTOR_LEAF holds they run while h >= 16, as
@@ -590,10 +658,11 @@ static inline int carry_in_passes(limb *restrict r, long size, const int64_t *re
    does the rest 64 points at a time: eight blocks of 8 (h = 4), or four of
    16 (h = 8, where log2 M is even) whose halves first take stage 8 as in
    square_leaf, transposed so that each vector holds one point of eight
-   blocks.  Stages 4, 2 and 1 are then butterflies between whole vectors,
-   whose only twiddle multiplies are by sqrt(1/2) * (1 - i) and
-   -sqrt(1/2) * (1 + i), with -i taken as a swap; then come the pointwise
-   square, the inverse stages and the transpose back.  Below 64 points,
+   blocks, the transpose's first round done by loading rows as halves.
+   Stages 4, 2 and 1 are then butterflies between whole vectors, whose only
+   twiddle multiplies are by sqrt(1/2) * (1 - i) and -sqrt(1/2) * (1 + i),
+   with -i taken as a swap; then come the pointwise square, the inverse
+   stages and the transpose back, its last round in the stores.  Below 64 points,
    M = 32 at n = 10, square_leaf does that work one block at a time, with
    lane shuffles.  Otherwise the pair passes run while h >= 8, a radix-2
    stage runs at h = 4 where log2 M is odd, and square_fours does stages 2
@@ -647,19 +716,18 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
         for (; h >= 8; h /= 4)
             for (long s = 0, q = h / 2; s < m; s += 4 * q)
                 forward_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q,
-                                   xi + s + 2 * q, xi + s + 3 * q, tr + h - 1, ti + h - 1, tr + q - 1, ti + q - 1, q);
+                                   xi + s + 2 * q, xi + s + 3 * q, tr + h, ti + h, tr + q, ti + q, q);
         if (h == 4)
             for (long s = 0; s < m; s += 8)
-                forward_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+                forward_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 4, ti + 4, 4);
         square_fours(xr, xi, m);
         if (h == 4)
             for (long s = 0; s < m; s += 8)
-                inverse_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 3, ti + 3, 4);
+                inverse_block(xr + s, xi + s, xr + s + 4, xi + s + 4, tr + 4, ti + 4, 4);
         for (long q = 2 * h; q < m; q *= 4)
             for (long s = 0; s < m; s += 4 * q)
                 inverse_pair_block(xr + s, xr + s + q, xr + s + 2 * q, xr + s + 3 * q, xi + s, xi + s + q,
-                                   xi + s + 2 * q, xi + s + 3 * q, tr + 2 * q - 1, ti + 2 * q - 1, tr + q - 1,
-                                   ti + q - 1, q);
+                                   xi + s + 2 * q, xi + s + 3 * q, tr + 2 * q, ti + 2 * q, tr + q, ti + q, q);
     }
     /* Each coefficient a, rounded without libm, goes over its point as an
        int64: for |a| < 2**51, a + 1.5 * 2**52 keeps that exponent and its

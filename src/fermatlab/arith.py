@@ -69,13 +69,15 @@ _CHECK_PRIME = (1 << 30) - 35
 # bits: 59 at n = 10 (45592577 * 6487031809), 39 at n = 11 (319489 *
 # 974849), 64 at n = 12 (63766529 * 190274191361) and 62 at n = 13, against
 # 26, 17 and 42 for the single factors 45592577, 114689 and 2710954639361.
-# Kernel time per step with mpn_sqr vs the FFT, walked as above, best of 7:
-# 0.134 vs 0.122 us at n = 10; 0.354 vs 0.186 at 11; 0.96 vs 0.365 at 12;
-# 2.6 vs 0.60 at 13; 22.7 vs 2.55 at 15; 56 vs 6.24 at 16; 149 vs 15.5 at
-# 17; 417 vs 38.8 at 18; 810 vs 78 at 19 (same machine, gcc 12 -O3, the
-# x86-64-v4 clone with the carry in vector passes, conjugate-pair radix-4
-# passes and eight leaves squared at once, buffers placed per _WORK_OFFSET;
-# the x86-64-v3 clone alone takes 5.3 and 11.2-11.4 us at n = 15 and 16).
+# Kernel time per step with mpn_sqr vs the FFT, walked as above (256 steps
+# at n = 17, 64 above), best of 7 to 300: 0.133 vs 0.121 us at n = 10;
+# 0.353 vs 0.184 at 11; 0.96 vs 0.351 at 12; 2.6 vs 0.576 at 13; 22.5 vs
+# 2.40 at 15; 55.7 vs 5.63 at 16; 148 vs 15.1 at 17; 415 vs 35.6 at 18; 799
+# vs 73.5 at 19 (same machine, gcc 12 -O3, the x86-64-v4 clone with the
+# carry in vector passes, conjugate-pair radix-4 passes, eight leaves
+# squared at once from rows loaded as halves, and each stage's twiddles on
+# a cache line, buffers placed per _WORK_OFFSET; the x86-64-v3 clone alone
+# takes 5.2 and 11.0 us at n = 15 and 16).
 # At n = 10 the transform has M = 32 points, fewer than the 64 of eight
 # leaves, so the v4 clone squares its leaves one at a time there.  F_14 has
 # no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
@@ -470,8 +472,9 @@ def _fft_plan(n: int) -> _FftPlan | None:
     raised.
     The table is what ``_chain.c``'s ``fft_square`` reads for M = b / 32
     points: the weights exp(i*pi*j / 2M), j < M, then each stage's twiddles
-    exp(-i*pi*j / h), j < h, at h - 1 for h = 1, 2, .. M/2, each as M real
-    parts and M imaginary.  ``math`` computes them, so the kernel needs no
+    exp(-i*pi*j / h), j < h, at h for h = 1, 2, .. M/2 after a pad at 0,
+    each as M real parts and M imaginary; on a page, every stage from h = 8
+    starts on a cache line.  ``math`` computes them, so the kernel needs no
     libm, and the table is aligned once, here (see ``_aligned``).  The plan
     is used only after a self-test against the reference fold: one kernel
     step, checked mod q, from a random x, from 2**(b/2), whose square 2**b
@@ -490,7 +493,7 @@ def _fft_plan(n: int) -> _FftPlan | None:
     m = FermatModulus(n)
     points = m.b // 32
     weights = [math.pi * j / (2 * points) for j in range(points)]
-    twiddles = [math.pi * j / h for h in (1 << s for s in range(n - 5)) for j in range(h)] + [0.0]  # M - 1, and a pad
+    twiddles = [0.0] + [math.pi * j / h for h in (1 << s for s in range(n - 5)) for j in range(h)]  # a pad, and M - 1
     table = array("d", map(math.cos, weights))
     table.extend(map(math.sin, weights))
     table.extend(map(math.cos, twiddles))

@@ -920,6 +920,20 @@ def test_the_work_space_lands_half_a_page_past_the_plan(gmp, n):
 
 
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
+def test_every_fft_stage_s_twiddles_start_on_a_cache_line(fft, monkeypatch, n):
+    # Stage h's twiddles sit at h, so from h = 8 each 8-double load of a
+    # stage's real or imaginary parts stays on one cache line.
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    plan = arith._fft_plan(n)
+    assert plan is not None
+    table, points, start = plan.table, (1 << n) // 32, arith._address(plan.table)
+    for h in (1 << s for s in range(3, n - 5)):
+        assert [(start + 8 * (part * points + h)) % 64 for part in (2, 3)] == [0, 0], h
+        assert table[2 * points + h : 2 * points + 2 * h].tolist() == [math.cos(math.pi * j / h) for j in range(h)], h
+        assert table[3 * points + h : 3 * points + 2 * h].tolist() == [-math.sin(math.pi * j / h) for j in range(h)], h
+
+
+@pytest.mark.parametrize("n", sorted(arith._FACTORS))
 def test_unaligned_fft_buffers_step_as_aligned_ones(fft, monkeypatch, n):
     # Alignment is a speed property only: with the residue, the work space
     # and the plan table each 8 bytes past a cache line, every edge still
@@ -1066,7 +1080,7 @@ def force_carry(gmp):
 def corrupt_twiddle(gmp):
     # The first stage's twiddle j = 1 conjugated: coefficients far from integers.
     def conjugate(table, points):
-        at = 3 * points + points // 2  # the imaginary part of stage h = M/2's twiddle j = 1, at h - 1 + j
+        at = 3 * points + points // 2 + 1  # the imaginary part of stage h = M/2's twiddle j = 1, at h + j
         table[at] = -table[at]
 
     return corrupt_plan(conjugate)
