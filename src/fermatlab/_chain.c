@@ -31,6 +31,7 @@ struct chain {
     limb *r;       /* L + 1 limbs, the current item; the top limb is 1 only for 2**b */
     void *work;    /* mpn_sqr's 2L-limb square, or the FFT's 2L points (2L real parts, then 2L imaginary) and 2L carry limbs */
     const double *plan;  /* the FFT's 2L weights and its twiddles, or NULL to square with mpn_sqr */
+    const uint64_t *powers;  /* with the FFT, 2**(32j) mod q for j < 2L as mod_by_powers reads them, or NULL to take y mod d with mpn_mod_1 */
     long size;     /* L = b / 64 */
     long width;    /* trace bytes per item, b / 8 + 1 */
     limb c;        /* the constant subtracted each step */
@@ -63,6 +64,7 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 #define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
 #define LEAF_IN_V4_CLONE
 #endif
+#define IFMA_BY_CPU
 #else
 #define CLONED
 #endif
@@ -765,6 +767,79 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
     return distance;
 }
 
+/* y mod q for the FFT step's new residue y, in place of mpn_mod_1, which
+   costs 7% of an n = 16 step.  y's low L limbs are 2L chunks c_j of 32
+   bits, and its top limb counts 2**b = -1 mod q, so y = sum c_j * p_j - top
+   (mod q) with p_j = 2**(32j) mod q from the plan.  AVX-512 IFMA multiplies
+   52-bit lanes: vpmadd52luq adds the low 52 bits of a product to a 64-bit
+   lane and vpmadd52huq its high 52.  With p_j = lo_j + hi_j * 2**52, c_j *
+   lo_j adds below 2**52 to a lane of lo and below 2**32 to one of hi, and
+   c_j * hi_j (hi_j < 2**12, as q < 2**64) below 2**44 to hi.  powers holds
+   the 2L lo_j and, where q >= 2**52, then the 2L hi_j.  CHAINS chains of
+   accumulators hide the multiplies' latency: at n = 16 four took 0.53k TSC
+   cycles where one took 1.0k and mpn_mod_1 1.4k.  At n = 19, 2L = 16,384
+   chunks, a lane takes 512 products a chain, so the four chains' lanes of
+   lo sum below 2**63 and of hi below 2**56, in 64 bits.  All lanes of lo
+   together reach 2**66, so the lanes are summed as lo mod 2**52 (below
+   2**55) and hi + lo / 2**52 (below 2**59): s is below 2**111, and one
+   128-bit remainder ends it.  The code is AVX-512 IFMA: in
+   the cloned build it runs where __builtin_cpu_supports finds IFMA, and it
+   is built in where the compile line targets IFMA; the SSE2 leaf build
+   holds none of it. */
+#if defined(X86_64_GCC) && (defined(__AVX512IFMA__) || defined(IFMA_BY_CPU))
+#include <immintrin.h>
+#ifdef __AVX512IFMA__
+#define REDUCE_WITH_IFMA 1
+#else
+#define REDUCE_WITH_IFMA __builtin_cpu_supports("avx512ifma")
+#endif
+#define IFMA __attribute__((target("avx512f,avx512ifma")))
+#define CHAINS 4
+static inline __attribute__((always_inline)) IFMA void add_chunks(__m512i *lo, __m512i *hi, const limb *r, const uint64_t *lo_j,
+                                                                   const uint64_t *hi_j, long j)
+{
+    __m512i c = _mm512_cvtepu32_epi64(_mm256_loadu_si256((const __m256i *)(r + j / 2))), p = _mm512_loadu_si512(lo_j + j);
+    *lo = _mm512_madd52lo_epu64(*lo, c, p);
+    *hi = _mm512_madd52hi_epu64(*hi, c, p);
+    if (hi_j)
+        *hi = _mm512_madd52lo_epu64(*hi, c, _mm512_loadu_si512(hi_j + j));
+}
+
+static IFMA limb mod_by_powers(const limb *r, long size, limb q, const uint64_t *powers)
+{
+    const long chunks = 2 * size;  /* a multiple of 8 * CHAINS: L >= 16 wherever the FFT serves */
+    __m512i lo[CHAINS], hi[CHAINS];
+    for (int k = 0; k < CHAINS; k++)
+        lo[k] = hi[k] = _mm512_setzero_si512();
+    if (q >> 52)
+        for (long j = 0; j < chunks; j += 8 * CHAINS)
+            for (int k = 0; k < CHAINS; k++)
+                add_chunks(lo + k, hi + k, r, powers, powers + chunks, j + 8 * k);
+    else
+        for (long j = 0; j < chunks; j += 8 * CHAINS)
+            for (int k = 0; k < CHAINS; k++)
+                add_chunks(lo + k, hi + k, r, powers, NULL, j + 8 * k);
+    for (int k = 1; k < CHAINS; k++) {
+        lo[0] = _mm512_add_epi64(lo[0], lo[k]);
+        hi[0] = _mm512_add_epi64(hi[0], hi[k]);
+    }
+    uint64_t below = _mm512_reduce_add_epi64(_mm512_and_si512(lo[0], _mm512_set1_epi64((1LL << 52) - 1)));
+    uint64_t above = _mm512_reduce_add_epi64(_mm512_add_epi64(hi[0], _mm512_srli_epi64(lo[0], 52)));
+    /* A top limb above 1 fails the range check whatever this returns. */
+    unsigned __int128 s = below + ((unsigned __int128)above << 52) + (unsigned __int128)r[size] * (q - 1);
+    return (limb)(s % q);
+}
+#else
+#define REDUCE_WITH_IFMA 0
+#endif
+
+/* Whether FFT steps take y mod q with mod_by_powers here, so that Python
+   makes the plan's powers; mpn_mod_1 takes it otherwise. */
+int fermat_reduces_with_ifma(void)
+{
+    return REDUCE_WITH_IFMA;
+}
+
 /* Runs up to count steps and returns how many it ran: fewer only after a
    zero item.  Each new item's first width bytes go to trace, one item after
    another, when trace is not NULL.  A step that leaves a residue above 2**b
@@ -817,7 +892,12 @@ long fermat_chain_run(struct chain *ch, long count, unsigned char *trace)
             r[size] = g->add_1(r, r, size, 1);
             wrapped = 1;
         }
-        y_d = g->mod_1(r, size + 1, d);
+#ifdef IFMA
+        if (ch->powers && REDUCE_WITH_IFMA)
+            y_d = mod_by_powers(r, size, d, ch->powers);
+        else
+#endif
+            y_d = g->mod_1(r, size + 1, d);
         if (r[size] > 1 || (r[size] && !is_zero(r, size)))
             return ABOVE;
         unsigned __int128 lhs = (unsigned __int128)x_d * x_d % d;

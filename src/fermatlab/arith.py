@@ -18,10 +18,10 @@ every modulus of whole limbs it is ``_GmpChain``: the residue lives in
 runs a block of steps per call on them, squaring and folding with GMP's
 ``mpn`` functions from ``libgmp.so.10``.  For each n that ``_FACTORS``
 lists with a divisor of F_n, the kernel squares mod 2**b + 1 directly with
-its own weighted double-precision FFT, 1.1-11x faster per step than
-``mpn_sqr`` at n = 10..19.  Every step is checked modulo a prime or that
-divisor, and only an item that is returned or checked in full becomes an
-int.  The kernel is built once with the system C compiler into a per-user
+its own weighted double-precision FFT, 1.3-10x faster per step than
+``mpn_sqr`` at n = 10..19 in its x86-64-v4 clone.  Every step is checked
+modulo a prime or that divisor, and only an item that is returned or
+checked in full becomes an int.  The kernel is built once with the system C compiler into a per-user
 cache and loaded, with libgmp, through ``ctypes``.  When the library does
 not load or the kernel cannot be built, every modulus uses ``x * x``.
 """
@@ -69,15 +69,8 @@ _CHECK_PRIME = (1 << 30) - 35
 # bits: 59 at n = 10 (45592577 * 6487031809), 39 at n = 11 (319489 *
 # 974849), 64 at n = 12 (63766529 * 190274191361) and 62 at n = 13, against
 # 26, 17 and 42 for the single factors 45592577, 114689 and 2710954639361.
-# Kernel time per step with mpn_sqr vs the FFT, walked as above (256 steps
-# at n = 17, 64 above), best of 7 to 300: 0.133 vs 0.121 us at n = 10;
-# 0.353 vs 0.184 at 11; 0.96 vs 0.351 at 12; 2.6 vs 0.576 at 13; 22.5 vs
-# 2.40 at 15; 55.7 vs 5.63 at 16; 148 vs 15.1 at 17; 415 vs 35.6 at 18; 799
-# vs 73.5 at 19 (same machine, gcc 12 -O3, the x86-64-v4 clone with the
-# carry in vector passes, conjugate-pair radix-4 passes, eight leaves
-# squared at once from rows loaded as halves, and each stage's twiddles on
-# a cache line, buffers placed per _WORK_OFFSET; the x86-64-v3 clone alone
-# takes 5.2 and 11.0 us at n = 15 and 16).
+# In the x86-64-v4 clone the FFT step is the faster one at every listed n;
+# README's per-level table gives each n's step time against mpn_sqr's.
 # At n = 10 the transform has M = 32 points, fewer than the 64 of eight
 # leaves, so the v4 clone squares its leaves one at a time there.  F_14 has
 # no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
@@ -298,6 +291,9 @@ class _Kernel(NamedTuple):
 
     ``job_size`` is the bytes of a job; ``start``, ``cancel`` and ``join``
     are ``fermat_job_start``, ``fermat_job_cancel`` and ``fermat_job_join``.
+    ``ifma`` is whether its FFT steps take y mod q with AVX-512 IFMA from
+    the plan's powers, which this CPU and the build decide, rather than
+    with ``mpn_mod_1``.
     """
 
     run: object
@@ -308,6 +304,7 @@ class _Kernel(NamedTuple):
     start: object
     cancel: object
     join: object
+    ifma: bool
 
 
 @cache
@@ -348,6 +345,7 @@ def _load_kernel() -> _Kernel | None:
             ("r", ptr),
             ("work", ptr),
             ("plan", ptr),
+            ("powers", ptr),
             ("size", size),
             ("width", size),
             ("c", limb),
@@ -367,7 +365,9 @@ def _load_kernel() -> _Kernel | None:
     cancel.argtypes, cancel.restype = [ptr], None
     join.argtypes, join.restype = [ptr, size], size
     shared.fermat_job_size.argtypes, shared.fermat_job_size.restype = [], size
-    kernel = _Kernel(run, table, prototypes, Chain, shared.fermat_job_size(), start, cancel, join)
+    shared.fermat_reduces_with_ifma.argtypes, shared.fermat_reduces_with_ifma.restype = [], ctypes.c_int
+    job_size, ifma = shared.fermat_job_size(), bool(shared.fermat_reduces_with_ifma())
+    kernel = _Kernel(run, table, prototypes, Chain, job_size, start, cancel, join, ifma)
     # Eight steps of the recurrence mod F_6, the smallest whole-limb modulus,
     # against the int chain: a kernel built or linked wrongly is not used,
     # and ctypes makes its one-time set-up for these calls before any clock.
@@ -456,10 +456,11 @@ def _compile(source: str, directory: str, path: str):
 
 
 class _FftPlan(NamedTuple):
-    """The kernel's FFT plan mod F_n: its weights and twiddles, as doubles, and the check divisor q."""
+    """The kernel's FFT plan mod F_n: its weights and twiddles, as doubles, the check divisor q, and the powers of 2**32 mod q that the kernel takes y mod q with, or None where it takes ``mpn_mod_1``."""
 
     table: memoryview
     q: int
+    powers: memoryview | None
 
 
 @cache
@@ -475,11 +476,13 @@ def _fft_plan(n: int) -> _FftPlan | None:
     exp(-i*pi*j / h), j < h, at h for h = 1, 2, .. M/2 after a pad at 0,
     each as M real parts and M imaginary; on a page, every stage from h = 8
     starts on a cache line.  ``math`` computes them, so the kernel needs no
-    libm, and the table is aligned once, here (see ``_aligned``).  The plan
-    is used only after a self-test against the reference fold: one kernel
-    step, checked mod q, from a random x, from 2**(b/2), whose square 2**b
-    is the one residue with a top limb, and from 2**b - 1, every digit
-    0xFFFF, whose rounding error is the largest.
+    libm, and the table is aligned once, here (see ``_aligned``).  Where the
+    kernel takes a residue mod q with IFMA (``_Kernel.ifma``), the plan also
+    holds ``_powers(q, M)``, 16 KiB at n = 16.  The plan is used only after
+    a self-test against the reference fold: one kernel step, checked mod q,
+    from a random x, from 2**(b/2), whose square 2**b is the one residue
+    with a top limb, and from 2**b - 1, every digit 0xFFFF, whose rounding
+    error is the largest.  So a wrong power fails it too.
     """
     q = _FACTORS.get(n)
     if q is None:
@@ -498,10 +501,31 @@ def _fft_plan(n: int) -> _FftPlan | None:
     table.extend(map(math.sin, weights))
     table.extend(map(math.cos, twiddles))
     table.extend(-math.sin(angle) for angle in twiddles)
-    plan = _FftPlan(_aligned(len(table) * table.itemsize).cast("d"), q)
+    kernel = _load_kernel()
+    plan = _FftPlan(_aligned(len(table) * table.itemsize).cast("d"), q, _powers(q, points) if kernel.ifma else None)
     plan.table[:] = table
     inputs = (random.Random(n).getrandbits(m.b), 1 << m.b // 2, (1 << m.b) - 1)
-    return plan if all(_agrees_with_int(x, 0, m, 1, _load_kernel(), plan) for x in inputs) else None
+    return plan if all(_agrees_with_int(x, 0, m, 1, kernel, plan) for x in inputs) else None
+
+
+def _powers(q: int, chunks: int) -> memoryview:
+    """2**(32j) mod q for j < chunks, as ``_chain.c``'s ``mod_by_powers`` reads them: their low 52 bits, then, where q >= 2**52, their high bits.
+
+    A residue's 2L = b / 32 chunks of 32 bits are its digits in base 2**32,
+    so with these its remainder mod q is one sum of products.
+    """
+    from array import array
+
+    step, power, powers = (1 << 32) % q, 1, []
+    for _ in range(chunks):
+        powers.append(power)
+        power = power * step % q
+    words = array("Q", [power & (1 << 52) - 1 for power in powers])
+    if q >> 52:
+        words.extend(power >> 52 for power in powers)
+    aligned = _aligned(len(words) * words.itemsize).cast("Q")
+    aligned[:] = words
+    return aligned
 
 
 def _agrees_with_int(x: int, c: int, m: FermatModulus, steps: int, kernel: _Kernel, plan: _FftPlan | None) -> bool:
@@ -579,27 +603,31 @@ class _GmpChain:
     rounds a coefficient more than 1/4 from an integer fails.  Every step
     checks that the top limb is canonical and that x*x = k*F + y + c - w*F
     (mod d), w = 1 on a wrap, with x mod d carried from the step before.
-    The import and every export (y <= F - 1) are checked mod d too.  ctypes
-    checks no ABI, so a wrong import, square, fold, wrap or export raises
+    ``mpn_mod_1`` takes y mod d, except on an FFT step whose plan holds
+    powers (``_Kernel.ifma``): the kernel then sums y's 32-bit chunks times
+    2**(32j) mod q with AVX-512 IFMA and takes one remainder.  The import
+    and every export (y <= F - 1) are checked mod d too.  ctypes checks no
+    ABI, so a wrong import, square, fold, wrap or export raises
     ArithmeticError.
 
-    Python owns every buffer the kernel writes, and this object holds the
-    residue, the step's work space (mpn_sqr's 2L-limb square, 16 bytes a
-    limb, or the FFT's 2L complex points and its carry's 2L words, 48), the
-    plan, the kernel's chain struct and a job for the chain's whole life; a
-    trace buffer is held by its reader.  A chain dropped while its job runs
-    cancels the job and waits for it first, so no thread writes into a freed
-    buffer.
+    Python owns every buffer the kernel reads or writes, and this object
+    holds the residue, the step's work space (mpn_sqr's 2L-limb square, 16
+    bytes a limb, or the FFT's 2L complex points and its carry's 2L words,
+    48), the plan and the kernel's chain struct for the chain's whole life,
+    and a job until its join; a trace buffer is held by its reader.  A chain
+    dropped while its job runs cancels the job and waits for it first, so no
+    thread writes into a freed buffer.
     """
 
-    __slots__ = ("m", "kernel", "d", "width", "r", "work", "plan", "state", "state_at", "job")
+    __slots__ = ("m", "kernel", "d", "width", "r", "work", "plan", "state", "state_at", "job", "job_at", "joined")
 
     def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan: _FftPlan | None) -> None:
         import ctypes  # already loaded by _load_gmp; this is a lookup
 
         d = _CHECK_PRIME if plan is None else plan.q
         size = m.b // _LIMB_BITS
-        self.m, self.kernel, self.d, self.width, self.plan, self.job = m, kernel, d, m.b // 8 + 1, plan, None
+        self.m, self.kernel, self.d, self.width, self.plan = m, kernel, d, m.b // 8 + 1, plan
+        self.job = self.job_at = self.joined = None
         self.r = _to_limbs(x, size + 1)
         self.work = _aligned(_WORK_OFFSET + (16 if plan is None else 48) * size)[_WORK_OFFSET:]
         r_at = _address(self.r)
@@ -608,9 +636,9 @@ class _GmpChain:
             raise ArithmeticError(f"GMP imported a {x.bit_length()}-bit residue wrongly (mod {d} check)")
         f_d = (pow(2, m.b, d) + 1) % d
         work_at, plan_at = _address(self.work), None if plan is None else _address(plan.table)
-        self.state = kernel.chain_type(
-            ctypes.pointer(kernel.gmp), r_at, work_at, plan_at, size, self.width, c, d, f_d, (f_d - 2) % d, x_d
-        )
+        powers_at = None if plan is None or plan.powers is None else _address(plan.powers)
+        gmp, k_d = ctypes.pointer(kernel.gmp), (f_d - 2) % d
+        self.state = kernel.chain_type(gmp, r_at, work_at, plan_at, powers_at, size, self.width, c, d, f_d, k_d, x_d)
         self.state_at = ctypes.addressof(self.state)
 
     def run(self, count: int, trace: bytearray | None = None) -> int:
@@ -628,15 +656,15 @@ class _GmpChain:
         not a fault, nothing runs and False is returned.
         """
         self.job = _aligned(self.kernel.job_size)
-        job_at = _address(self.job)
-        if self.kernel.start(job_at, self.state_at, count, _block_steps(self.m)):
+        self.job_at = _address(self.job)
+        if self.kernel.start(self.job_at, self.state_at, count, _block_steps(self.m)):
             self.job = None
             return False
         return True
 
     def cancel(self) -> None:
         """Ask the started job to stop before its next block."""
-        self.kernel.cancel(_address(self.job))
+        self.kernel.cancel(self.job_at)
 
     def join(self) -> float | None:
         """Wait for the started job: the seconds its steps took on its own clock, or None when it was cancelled first.
@@ -644,23 +672,29 @@ class _GmpChain:
         Raises ArithmeticError as :meth:`run` does when a step failed.  The
         wait returns to Python every ``_JOIN_MS`` ms and at each signal, so
         a Ctrl-C is raised at once; the job is then cancelled and waited
-        for, which takes at most one block.  A later join returns at once.
+        for, which takes at most one block.  Once a join has read the job's
+        result, the chain forgets the job, and a later join returns the same
+        at once.
         """
-        job_at = _address(self.job)
-        try:
-            while (done := self.kernel.join(job_at, _JOIN_MS)) == _RUNNING:
-                pass
-        except BaseException:  # a signal's exception, raised between two waits
-            self.kernel.cancel(job_at)
-            self.kernel.join(job_at, -1)
-            raise
-        return None if self._checked(done) == _CANCELLED else self.job.cast("d")[0]
+        if self.job is not None:
+            try:
+                while (done := self.kernel.join(self.job_at, _JOIN_MS)) == _RUNNING:
+                    pass
+            except BaseException:  # a signal's exception, raised between two waits
+                self.kernel.cancel(self.job_at)
+                self.kernel.join(self.job_at, -1)
+                raise
+            self.joined, self.job = (done, self.job.cast("d")[0]), None
+        done, seconds = self.joined
+        return None if self._checked(done) == _CANCELLED else seconds
 
     def __del__(self) -> None:
+        # A job not yet joined may still run: stop it before its buffers go.
+        # The address was taken at start, so this imports nothing, which at
+        # interpreter exit would fail.
         if self.job is not None:
-            job_at = _address(self.job)
-            self.kernel.cancel(job_at)
-            self.kernel.join(job_at, -1)
+            self.kernel.cancel(self.job_at)
+            self.kernel.join(self.job_at, -1)
 
     def _checked(self, done: int) -> int:
         """``done``, a kernel call's or a job's result, unless it is a failed step's code: that raises ArithmeticError."""

@@ -336,7 +336,7 @@ def corrupt_wrap(gmp):
 
 
 def corrupt_remainder(gmp):
-    # Right for the import check, off by one for every remainder after it.
+    # Right for the import check, off by one for every mpn_mod_1 after it.
     calls = []
 
     def make(real):
@@ -982,15 +982,18 @@ def int_chain_digests(x, c, n, steps):
     return [hashlib.sha256(items[q * width : (q + 1) * width]).digest() for q in range(steps)]
 
 
-# Kernels built for one ISA level alone, each with the defines it adds: the
+# Kernels built for one ISA level alone, each with the flags it adds: the
 # level's own code, the AVX-512 leaf in SSE2 code, where the CPU needs no
-# AVX-512 to check its arithmetic, and the v4 code with the old stages.
+# AVX-512 to check its arithmetic, the v4 code with the old stages, and v4
+# with IFMA, which takes y mod q from the plan's powers.  A -m flag names a
+# CPU flag the test needs too.
 FFT_BUILDS = [
     pytest.param("x86-64", (), id="x86-64"),
     pytest.param("x86-64-v3", (), id="x86-64-v3"),
     pytest.param("x86-64-v4", (), id="x86-64-v4"),
     pytest.param("x86-64", ("-DVECTOR_LEAF=1",), id="x86-64,VECTOR_LEAF=1"),
     pytest.param("x86-64-v4", ("-DVECTOR_LEAF=0",), id="x86-64-v4,VECTOR_LEAF=0"),
+    pytest.param("x86-64-v4", ("-mavx512ifma",), id="x86-64-v4,avx512ifma"),
 ]
 
 
@@ -1003,7 +1006,8 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     flags = cpu_flags()
     if platform.machine() != "x86_64" or flags is None:
         pytest.skip("the ISA levels are x86-64's, read from /proc/cpuinfo")
-    missing = sorted(set(X86_64_LEVELS[level]) - flags)
+    needed = {*X86_64_LEVELS[level], *(flag.removeprefix("-m") for flag in defines if flag.startswith("-m"))}
+    missing = sorted(needed - flags)
     if missing:
         pytest.skip(f"this CPU lacks {level}'s {' '.join(missing)}")
     march = f"-march={level}"
@@ -1016,6 +1020,8 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     assert kernel is not None
     (built,) = (tmp_path / "fermatlab").iterdir()
     assert b"fft_square.arch_" not in built.read_bytes()  # no clones: this level's code alone
+    # Only the IFMA build reads the powers, which the plans hold where the loaded kernel reads them.
+    assert kernel.ifma == ("-mavx512ifma" in defines and arith._load_kernel().ifma)
     # Both walks start on the serial carry; from x86-64-v3 up, their later
     # items take the carry passes.  From n = 17 the int chain costs a tenth
     # of a second a walk and more, so the walks there are shorter.
@@ -1030,6 +1036,19 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
             wrong = [q + 1 for q, (a, b) in enumerate(zip(digests, int_chain_digests(x, c, n, steps))) if a != b]
             assert wrong == [], f"items {wrong} of ({x}, {c}) differ mod F_{n}"
             chain.export()
+
+
+@pytest.mark.parametrize("n", sorted(arith._FACTORS))
+def test_each_fft_step_takes_its_residue_mod_q_as_python_does(fft, monkeypatch, n):
+    # 2**(b/2) squares to 2**b, whose top limb counts -1 mod q; 2**b - 1 has every chunk 0xFFFFFFFF.
+    monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    m = FermatModulus(n)
+    for x in ((1 << m.b) - 1, 1 << m.b // 2, random.Random(n).getrandbits(m.b)):
+        chain = fft_chain(x, 0, m)
+        assert (chain.plan.powers is not None) == fft.ifma
+        for step in range(64):
+            assert chain.run(1) == 1
+            assert chain.state.x_d == arith._from_limbs(chain.r) % chain.d, f"step {step + 1} from a {x.bit_length()}-bit x"
 
 
 def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
@@ -1086,12 +1105,42 @@ def corrupt_twiddle(gmp):
     return corrupt_plan(conjugate)
 
 
+def corrupt_power(gmp):
+    # 2**32 mod q, the power of each residue's chunk 1, one off: y mod q is
+    # off by that chunk, so the first item above 2**32 fails its step.
+    if not gmp.ifma:
+        pytest.skip("this kernel takes y mod q with mpn_mod_1, and its plans hold no powers")
+    real = arith._fft_plan
+
+    def corrupted(n):
+        plan = real(n)
+        powers = array("Q", plan.powers)
+        powers[1] ^= 1
+        return plan._replace(powers=bytearray(powers))
+
+    return arith, "_fft_plan", corrupted
+
+
+def corrupt_state(gmp):
+    # x mod q, which the chain carries from its import check to its first
+    # step, off by one: that step's check fails whichever reduction, IFMA's
+    # or mpn_mod_1's, takes y mod q.
+    real = arith._GmpChain.__init__
+
+    def corrupted(self, *args):
+        real(self, *args)
+        self.state.x_d = (self.state.x_d + 1) % self.d
+
+    return arith._GmpChain, "__init__", corrupted
+
+
 FFT_MUTATIONS = [
     corrupt_fft_product,
     force_carry,
     corrupt_twiddle,
+    corrupt_power,
     corrupt_wrap,
-    corrupt_remainder,
+    corrupt_state,
     corrupt_export,
 ]
 FFT_WALKS = {

@@ -280,36 +280,23 @@ def failing(name):
     return fail
 
 
-# Every callback put in the kernel's table; the kernel may call one until its test ends.
-CALLBACKS = []
+def break_pepin(patch):
+    """Make the first step of Pépin's chains, those from 3, fail its check, through the MonkeyPatch ``patch``.
 
-
-def break_pepin(gmp, patch):
-    """Make every step of Pépin's chains, those from 3, fail its check, through the kernel's GMP table.
-
-    mpn_mod_1 of such a chain's residue is one too large after the import
-    check's, so each step's y mod q is wrong; the chain raises
-    ArithmeticError whether it runs on this thread or as a job.
+    Each such chain starts with x mod q one too large in its state, after
+    the import check, so its first step fails in the kernel, whichever of
+    mpn_mod_1 and the IFMA reduction takes the step's y mod q, and whether
+    the chain runs on this thread or as a job.
     """
-    residues, to_limbs = {}, arith._to_limbs  # each residue of a chain from 3, by address: the remainders taken of it
+    chain = arith._chain
 
-    def tracked(x, count):
-        limbs = to_limbs(x, count)
+    def broken(x, c, m):
+        made = chain(x, c, m)
         if x == 3:
-            residues[arith._address(limbs)] = 0
-        return limbs
+            made.state.x_d = (made.state.x_d + 1) % made.d
+        return made
 
-    mod_1 = gmp.prototypes["mod_1"](gmp.gmp.mod_1)
-
-    def corrupted(up, size, d):
-        if up not in residues:
-            return mod_1(up, size, d)
-        residues[up] += 1
-        return mod_1(up, size, d) + (residues[up] > 1)
-
-    CALLBACKS.append(gmp.prototypes["mod_1"](corrupted))
-    patch.setattr(arith, "_to_limbs", tracked)
-    patch.setattr(gmp.gmp, "mod_1", arith._function_address(CALLBACKS[-1]))
+    patch.setattr(arith, "_chain", broken)
 
 
 @pytest.mark.parametrize("threshold", [12, 13], ids=["beside", "serial"])
@@ -323,7 +310,7 @@ def test_a_failing_test_raises_as_in_the_serial_order_and_leaves_no_thread(gmp, 
     # Pépin fails in the kernel, on its job's thread beside the scan; the scan fails in Python.
     monkeypatch.setattr(primality, "CONCURRENT_MIN_N", threshold)
     if "pepin" in broken:
-        break_pepin(gmp, monkeypatch)
+        break_pepin(monkeypatch)
     if "scan" in broken:
         monkeypatch.setattr(primality, "paper_scan", failing("paper_scan"))
     message = "the FFT squared a residue mod F_12 wrongly" if raised == "pepin" else "paper_scan failed at n=12"
@@ -336,13 +323,16 @@ def test_a_failing_test_raises_as_in_the_serial_order_and_leaves_no_thread(gmp, 
 def test_a_failed_pepin_job_raises_under_optimized_python(gmp):
     # python -O strips assert statements; a job's failed step must still raise on the calling thread.
     code = (
-        "import sys, threading\n"
+        "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from fermatlab import arith, primality\n"
-        "kernel, main = arith._load_kernel(), threading.get_ident()\n"
-        "mod_1 = kernel.prototypes['mod_1'](kernel.gmp.mod_1)\n"
-        "held = kernel.prototypes['mod_1'](lambda up, n, d: mod_1(up, n, d) + (threading.get_ident() != main))\n"
-        "kernel.gmp.mod_1 = arith._function_address(held)\n"
+        "chain = arith._chain\n"
+        "def broken(x, c, m):\n"  # break_pepin's
+        "    made = chain(x, c, m)\n"
+        "    if x == 3:\n"
+        "        made.state.x_d = (made.state.x_d + 1) % made.d\n"
+        "    return made\n"
+        "arith._chain = broken\n"
         "assert primality.CONCURRENT_MIN_N <= 12\n"
         "try:\n"
         "    primality.cross_check(12)\n"
@@ -379,6 +369,23 @@ def test_a_chain_dropped_while_its_job_runs_waits_for_it(gmp):
     del chain
     assert time.perf_counter() - begin < 0.2
     assert thread_counts() == threads
+
+
+def test_a_joined_job_leaves_nothing_for_interpreter_exit(gmp):
+    # The chain forgets its job once joined, so collecting it at exit, when
+    # no module can be imported any more, cancels and waits for nothing.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fermatlab.arith import FermatModulus, start_chain_item\n"
+        "def anything():\n"
+        "    pass\n"
+        "job = start_chain_item(3, 0, 1023, FermatModulus(10))\n"
+        "job.join()\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stderr == ""
 
 
 def test_where_no_thread_starts_pepin_runs_before_the_scan(gmp, monkeypatch):
