@@ -73,9 +73,9 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 /* Whether fft_square carries in vector passes: where its code is AVX2 or
    wider, in the v4 and v3 clones, which the ifunc picks on a CPU that
    __builtin_cpu_supports calls x86-64-v3, or in a build for such a level
-   alone.  At n = 16 the carry takes 1.8k cycles against the serial loop's
-   4.8k in v4 code and 3.9k against 5.8k in v3 code, but 7.0k against 5.4k
-   in SSE2 code, where the serial loop stays. */
+   alone.  At n = 16 they take 1.8k cycles against the serial loop's 4.8k
+   in v4 code, but in SSE2 code they are slower, so the serial loop stays
+   there. */
 #ifndef VECTOR_CARRY
 #ifdef __AVX2__
 #define VECTOR_CARRY 1
@@ -85,28 +85,14 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 #endif
 
 /* Whether fft_square runs its pair passes as conjugate-pair vector code and
-   squares eight leaves at once in transposed registers (square_leaves), or
-   a leaf alone (square_leaf) below 64 points: in AVX-512 code, the v4
-   clone, which the ifunc picks on a CPU that __builtin_cpu_supports calls
-   x86-64-v4, or in a build for such a level alone.  The old stages below
-   h = 8 and the pair passes at q = 4 run loops of 4 or fewer points, which
-   GCC vectorizes poorly.  fft_square alone, TSC cycles, best of 3,000 or
-   more, AVX-512 code, for four versions: the old stages; plain-C pair
-   passes and a leaf that squared one block at a time with lane shuffles;
-   eight leaves transposed wholly in registers, with each stage's twiddles
-   one place off a cache line; and today's code: n = 11 384-392, 328,
-   280-282 and 284-286; n = 15 6.2-6.5k, 5.7k, 4.8k and 4.55k; n = 16
-   15.3k, 13.2k, 11.9k and 10.8k.  A step of the v4 clone, us, walks of
-   1024, best of 7 (2-CPU Xeon, gcc 12), the second version against the
-   third: n = 11 0.203 -> 0.186, 12 0.416 -> 0.363, 13 0.70 -> 0.60, 15
-   2.95 -> 2.54, 16 6.8 -> 6.2, 17 16.6 -> 15.5, 18 39.8 -> 38.6-39.0, 19
-   83 -> 78.6; and in other runs, best of 7 to 300, the third against
-   today's: n = 10 0.120 -> 0.121, 11 0.184 both, 12 0.362 -> 0.351, 13
-   0.596 -> 0.576, 15 2.53 -> 2.40, 16 6.15 -> 5.63, 17 15.3 -> 15.1, 18
-   36.6 -> 35.6, 19 74.5 -> 73.5.  In v3 code the one-block leaf took 0.35
-   against 0.31 us at n = 11 and 11.9-12.0 against 11.3-11.4 at n = 16, and
-   gained at most 4% at n = 13 and 15; in SSE2 code it took 2-12% longer at
-   n = 11..16.  So those keep the old stages. */
+   squares eight leaves at once in transposed registers (square_leaves): in
+   AVX-512 code, the v4 clone, which the ifunc picks on a CPU that
+   __builtin_cpu_supports calls x86-64-v4, or in a build for such a level
+   alone.  The old stages below h = 8 and the pair passes at q = 4 run loops
+   of 4 or fewer points, which GCC vectorizes poorly: at n = 16 fft_square
+   takes 10.8k TSC cycles in AVX-512 code, where the old stages took 15.3k.
+   Built for v3 or SSE2 the vector code runs 2.2-2.6x slower than those
+   levels' own stages, so they keep them. */
 #ifndef VECTOR_LEAF
 #ifdef __AVX512F__
 #define VECTOR_LEAF 1
@@ -218,13 +204,10 @@ static inline void square_fours(double *restrict re, double *restrict im, long m
     }
 }
 
-/* The leaf: a block of 8 points as two vectors of 8 doubles, real parts r
-   and imaginary i, whose stage h pairs lane l with lane l ^ h.  The helpers
-   take every vector through a pointer, so none is passed by value (no psABI
-   question in SSE2 or AVX2 code), and are always inlined, so the constants
-   stay in registers.  pair swaps each lane with its partner, and sign is +1
-   on the lane of x and -1 on that of y, so x + y and x - y come out as
-   sign * lane + partner; w (wr, wi) is 1 on x's lanes. */
+/* The vector code: points as vectors of 8 doubles, real parts r and
+   imaginary i.  The helpers take every vector through a pointer, so none is
+   passed by value (no psABI question in SSE2 or AVX2 code), and are always
+   inlined, so the constants stay in registers. */
 typedef double v8 __attribute__((vector_size(64)));
 typedef int64_t lanes8 __attribute__((vector_size(64)));
 #define LEAF static inline __attribute__((always_inline))
@@ -239,27 +222,6 @@ LEAF void leaf_store(double *xr, double *xi, const v8 *r, const v8 *i)
 {
     memcpy(xr, r, sizeof *r);
     memcpy(xi, i, sizeof *i);
-}
-
-LEAF void leaf_forward(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign, const v8 *wr, const v8 *wi)
-{
-    v8 ur = *sign * *r + __builtin_shuffle(*r, *pair), ui = *sign * *i + __builtin_shuffle(*i, *pair);
-    *r = ur * *wr - ui * *wi;
-    *i = ur * *wi + ui * *wr;
-}
-
-LEAF void leaf_inverse(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign, const v8 *wr, const v8 *wi)
-{
-    v8 ur = *r * *wr + *i * *wi, ui = *i * *wr - *r * *wi;
-    *r = *sign * ur + __builtin_shuffle(ur, *pair);
-    *i = *sign * ui + __builtin_shuffle(ui, *pair);
-}
-
-/* Stage 1, whose one twiddle is 1, forward and back. */
-LEAF void leaf_ones(v8 *r, v8 *i, const lanes8 *pair, const v8 *sign)
-{
-    *r = *sign * *r + __builtin_shuffle(*r, *pair);
-    *i = *sign * *i + __builtin_shuffle(*i, *pair);
 }
 
 LEAF void leaf_square(v8 *r, v8 *i)
@@ -287,58 +249,6 @@ LEAF void leaf_inverse_halves(v8 *xr, v8 *xi, v8 *yr, v8 *yi, const v8 *wr, cons
     *yi = *xi - bi;
     *xr += br;
     *xi += bi;
-}
-
-/* The forward stages from h down to 1 (h = 4 or 8), the pointwise square
-   and the inverse stages back up to h, over every block of 2h points.  The
-   twiddles of stages 4 and 2 are exp(-i*pi*j/h) on y's lanes. */
-LEAF void square_leaf(double *restrict xr, double *restrict xi, long m, long h, const double *tr,
-                     const double *ti)
-{
-    const lanes8 p4 = {4, 5, 6, 7, 0, 1, 2, 3}, p2 = {2, 3, 0, 1, 6, 7, 4, 5}, p1 = {1, 0, 3, 2, 5, 4, 7, 6};
-    const v8 s4 = {1, 1, 1, 1, -1, -1, -1, -1}, s2 = {1, 1, -1, -1, 1, 1, -1, -1}, s1 = {1, -1, 1, -1, 1, -1, 1, -1};
-    const v8 w4r = {1, 1, 1, 1, tr[4], tr[5], tr[6], tr[7]}, w4i = {0, 0, 0, 0, ti[4], ti[5], ti[6], ti[7]};
-    const v8 w2r = {1, 1, tr[2], tr[3], 1, 1, tr[2], tr[3]}, w2i = {0, 0, ti[2], ti[3], 0, 0, ti[2], ti[3]};
-    if (h == 4) {
-        for (long s = 0; s < m; s += 8) {
-            v8 r, i;
-            leaf_load(&r, &i, xr + s, xi + s);
-            leaf_forward(&r, &i, &p4, &s4, &w4r, &w4i);
-            leaf_forward(&r, &i, &p2, &s2, &w2r, &w2i);
-            leaf_ones(&r, &i, &p1, &s1);
-            leaf_square(&r, &i);
-            leaf_ones(&r, &i, &p1, &s1);
-            leaf_inverse(&r, &i, &p2, &s2, &w2r, &w2i);
-            leaf_inverse(&r, &i, &p4, &s4, &w4r, &w4i);
-            leaf_store(xr + s, xi + s, &r, &i);
-        }
-        return;
-    }
-    v8 w8r, w8i;
-    leaf_load(&w8r, &w8i, tr + 8, ti + 8);
-    for (long s = 0; s < m; s += 16) {
-        v8 r, i, yr, yi;
-        leaf_load(&r, &i, xr + s, xi + s);
-        leaf_load(&yr, &yi, xr + s + 8, xi + s + 8);
-        leaf_forward_halves(&r, &i, &yr, &yi, &w8r, &w8i);
-        leaf_forward(&r, &i, &p4, &s4, &w4r, &w4i);
-        leaf_forward(&yr, &yi, &p4, &s4, &w4r, &w4i);
-        leaf_forward(&r, &i, &p2, &s2, &w2r, &w2i);
-        leaf_forward(&yr, &yi, &p2, &s2, &w2r, &w2i);
-        leaf_ones(&r, &i, &p1, &s1);
-        leaf_ones(&yr, &yi, &p1, &s1);
-        leaf_square(&r, &i);
-        leaf_square(&yr, &yi);
-        leaf_ones(&r, &i, &p1, &s1);
-        leaf_ones(&yr, &yi, &p1, &s1);
-        leaf_inverse(&r, &i, &p2, &s2, &w2r, &w2i);
-        leaf_inverse(&yr, &yi, &p2, &s2, &w2r, &w2i);
-        leaf_inverse(&r, &i, &p4, &s4, &w4r, &w4i);
-        leaf_inverse(&yr, &yi, &p4, &s4, &w4r, &w4i);
-        leaf_inverse_halves(&r, &i, &yr, &yi, &w8r, &w8i);
-        leaf_store(xr + s, xi + s, &r, &i);
-        leaf_store(xr + s + 8, xi + s + 8, &yr, &yi);
-    }
 }
 
 /* Multiplies (r, i) by w, and by w', its conjugate. */
@@ -558,14 +468,18 @@ LEAF void leaf_stages(v8 *r, v8 *i)
         leaf_add_sub(r + j, i + j, r + j + 4, i + j + 4);
 }
 
-/* square_leaf's work on blocks of 64 points, m a multiple of 64: eight
-   blocks of 8 (h = 4) or four of 16 (h = 8).  Rows k and k + 4 (k < 4)
-   load as halves into x[k] and x[k + 4], round 4 of the transpose, so
-   where h = 8 the halves of each block of 16, rows k and k + 1 (k even),
-   take stage 8 as in square_leaf between x[k] and x[k + 1] with points
-   0..3 of two rows in x[0..3] and points 4..7 in x[4..7]: twiddles (w0..w3,
-   w0..w3) and (w4..w7, w4..w7). */
-LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h, const double *tr,
+/* Stages h down to 1 of every block of 2h points, the pointwise square and
+   the inverse stages, 64 points at a time: eight blocks of 8 (h = 4) or
+   four of 16 (h = 8).  Rows k and k + 4 (k < 4) load as halves into x[k]
+   and x[k + 4], round 4 of the transpose, so where h = 8 the halves of
+   each block of 16, rows k and k + 1 (k even), take stage 8 between x[k]
+   and x[k + 1] with points 0..3 of two rows in x[0..3] and points 4..7 in
+   x[4..7]: twiddles (w0..w3, w0..w3) and (w4..w7, w4..w7).  Rows 4..7
+   start upper points past row 0: 32, or 0 where m = 32, so that the four
+   blocks of 8 there fill the eight lanes twice.  Each lane's arithmetic is
+   its own, so equal lanes give equal bits, and each row is stored twice
+   with the same values. */
+LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h, long upper, const double *tr,
                         const double *ti)
 {
     const lanes8 lo4 = {0, 1, 2, 3, 0, 1, 2, 3}, hi4 = {4, 5, 6, 7, 4, 5, 6, 7};
@@ -576,8 +490,8 @@ LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h
     for (long s = 0; s < m; s += 64) {
         v8 r[8], i[8];
         for (int k = 0; k < 4; k++) {
-            leaf_load_rows(r + k, r + k + 4, xr + s + 8 * k, xr + s + 8 * k + 32);
-            leaf_load_rows(i + k, i + k + 4, xi + s + 8 * k, xi + s + 8 * k + 32);
+            leaf_load_rows(r + k, r + k + 4, xr + s + 8 * k, xr + s + 8 * k + upper);
+            leaf_load_rows(i + k, i + k + 4, xi + s + 8 * k, xi + s + 8 * k + upper);
         }
         if (h == 8)
             for (int k = 0; k < 8; k += 2)
@@ -591,8 +505,8 @@ LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h
             for (int k = 0; k < 8; k += 2)
                 leaf_inverse_halves(r + k, i + k, r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
         for (int k = 0; k < 4; k++) {
-            leaf_store_rows(xr + s + 8 * k, xr + s + 8 * k + 32, r + k, r + k + 4);
-            leaf_store_rows(xi + s + 8 * k, xi + s + 8 * k + 32, i + k, i + k + 4);
+            leaf_store_rows(xr + s + 8 * k, xr + s + 8 * k + upper, r + k, r + k + 4);
+            leaf_store_rows(xi + s + 8 * k, xi + s + 8 * k + upper, i + k, i + k + 4);
         }
     }
 }
@@ -658,18 +572,17 @@ static inline int carry_in_passes(limb *restrict r, long size, const int64_t *re
    where inverse_pair_block multiplies by w**-3, which undoes the rotation,
    so the convolution, and every residue, is the same.  square_leaves then
    does the rest 64 points at a time: eight blocks of 8 (h = 4), or four of
-   16 (h = 8, where log2 M is even) whose halves first take stage 8 as in
-   square_leaf, transposed so that each vector holds one point of eight
-   blocks, the transpose's first round done by loading rows as halves.
-   Stages 4, 2 and 1 are then butterflies between whole vectors, whose only
-   twiddle multiplies are by sqrt(1/2) * (1 - i) and -sqrt(1/2) * (1 + i),
-   with -i taken as a swap; then come the pointwise square, the inverse
-   stages and the transpose back, its last round in the stores.  Below 64 points,
-   M = 32 at n = 10, square_leaf does that work one block at a time, with
-   lane shuffles.  Otherwise the pair passes run while h >= 8, a radix-2
-   stage runs at h = 4 where log2 M is odd, and square_fours does stages 2
-   and 1, the square and their inverses.  Either way the inverse pair
-   passes then run from q = 2h up.
+   16 (h = 8, where log2 M is even) whose halves first take stage 8,
+   transposed so that each vector holds one point of eight blocks, the
+   transpose's first round done by loading rows as halves.  Stages 4, 2 and
+   1 are then butterflies between whole vectors, whose only twiddle
+   multiplies are by sqrt(1/2) * (1 - i) and -sqrt(1/2) * (1 + i), with -i
+   taken as a swap; then come the pointwise square, the inverse stages and
+   the transpose back, its last round in the stores.  At M = 32, n = 10,
+   its four blocks of 8 fill both halves of each vector.  Otherwise the
+   pair passes run while h >= 8, a radix-2 stage runs at h = 4 where log2 M
+   is odd, and square_fours does stages 2 and 1, the square and their
+   inverses.  Either way the inverse pair passes then run from q = 2h up.
 
    The carry goes to limb i with s_i = c_{4i} + c_{4i+1} * 2**16 +
    c_{4i+2} * 2**32 + c_{4i+3} * 2**48.  One signed 128-bit sum per limb
@@ -708,10 +621,10 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
     if (VECTOR_LEAF) {
         for (; h >= 16; h /= 4)
             pair_pass(xr, xi, m, h / 2, tr, ti, 1);
-        if (m < 64)
-            square_leaf(xr, xi, m, h, tr, ti);
+        if (m < 64)  /* two calls, so that each folds its row offset */
+            square_leaves(xr, xi, m, h, 0, tr, ti);
         else
-            square_leaves(xr, xi, m, h, tr, ti);
+            square_leaves(xr, xi, m, h, 32, tr, ti);
         for (long q = 2 * h; q < m; q *= 4)
             pair_pass(xr, xi, m, q, tr, ti, 0);
     } else {
@@ -776,16 +689,15 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
    lo_j adds below 2**52 to a lane of lo and below 2**32 to one of hi, and
    c_j * hi_j (hi_j < 2**12, as q < 2**64) below 2**44 to hi.  powers holds
    the 2L lo_j and, where q >= 2**52, then the 2L hi_j.  CHAINS chains of
-   accumulators hide the multiplies' latency: at n = 16 four took 0.53k TSC
-   cycles where one took 1.0k and mpn_mod_1 1.4k.  At n = 19, 2L = 16,384
-   chunks, a lane takes 512 products a chain, so the four chains' lanes of
-   lo sum below 2**63 and of hi below 2**56, in 64 bits.  All lanes of lo
-   together reach 2**66, so the lanes are summed as lo mod 2**52 (below
-   2**55) and hi + lo / 2**52 (below 2**59): s is below 2**111, and one
-   128-bit remainder ends it.  The code is AVX-512 IFMA: in
-   the cloned build it runs where __builtin_cpu_supports finds IFMA, and it
-   is built in where the compile line targets IFMA; the SSE2 leaf build
-   holds none of it. */
+   accumulators hide the multiplies' latency; at n = 16 four take half the
+   time of one.  At n = 19, 2L = 16,384 chunks, a lane takes 512 products a
+   chain, so the four chains' lanes of lo sum below 2**63 and of hi below
+   2**56, in 64 bits.  All lanes of lo together reach 2**66, so the lanes
+   are summed as lo mod 2**52 (below 2**55) and hi + lo / 2**52 (below
+   2**59): s is below 2**111, and one 128-bit remainder ends it.  The code
+   is AVX-512 IFMA: in the cloned build it runs where
+   __builtin_cpu_supports finds IFMA, and it is built in where the compile
+   line targets IFMA; the SSE2 leaf build holds none of it. */
 #if defined(X86_64_GCC) && (defined(__AVX512IFMA__) || defined(IFMA_BY_CPU))
 #include <immintrin.h>
 #ifdef __AVX512IFMA__

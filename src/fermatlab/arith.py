@@ -36,14 +36,9 @@ from typing import Iterator, NamedTuple
 from .budget import check_pow2_bits
 
 # GMP chains need 64-bit limbs, and the kernel serves every modulus whose b is
-# a whole number of them, n >= 6, where it already wins.  Time per step of the
-# int chain (x * x and the fold) against the kernel (one call for the walk),
-# us, in a walk of 1024 steps of x -> x*x - 2, best of 7, range of three runs:
-# 0.31-0.57 vs 0.047-0.077 at n = 6; 0.32-0.52 vs 0.052-0.084 at 7;
-# 0.38-0.64 vs 0.063-0.10 at 8; 0.59-0.91 vs 0.10-0.15 at 9; 1.0-1.8 vs
-# 0.19-0.28 at 10; 2.6-4.7 vs 0.50-0.72 at 11; 9.1-15 vs 1.3-2.2 at 12; 29-46
-# vs 3.6-5.7 at 13; 87-137 vs 10-18 at 14 (mpn_sqr) (2-CPU Xeon, CPython
-# 3.11.7, GMP 6.2.1, gcc 12 -O2).  The int chain below is also the reference.
+# a whole number of them, n >= 6, where it already wins: a step of the int
+# chain (x * x and the fold) takes about six times the kernel's at n = 6 and
+# at n = 10.  The int chain below is also the reference.
 _LIMB_BITS = 64
 GMP_SONAME = "libgmp.so.10"
 # The compiler that builds the kernel, and its flags; without one, every modulus uses x * x.
@@ -62,25 +57,19 @@ _MPN = ("sqr", "mod_1", "sub_n", "add_1", "sub_1")
 # A ~30-bit prime: every mpn_sqr step must satisfy x*x = k*F + y + c - w*F modulo it.
 _CHECK_PRIME = (1 << 30) - 35
 # A divisor q < 2**64 of F_n for each n whose kernel chains square with the
-# kernel's FFT, which returns x*x mod 2**b + 1 without the 2L-limb product:
-# an FFT step gives no k, but with q | F it must satisfy x*x = y + c modulo
-# q.  Each q is a known prime factor of F_n (W. Keller's tables) or a
-# product of known prime factors, which divides F_n as well and checks more
-# bits: 59 at n = 10 (45592577 * 6487031809), 39 at n = 11 (319489 *
-# 974849), 64 at n = 12 (63766529 * 190274191361) and 62 at n = 13, against
-# 26, 17 and 42 for the single factors 45592577, 114689 and 2710954639361.
-# In the x86-64-v4 clone the FFT step is the faster one at every listed n;
-# README's per-level table gives each n's step time against mpn_sqr's.
-# At n = 10 the transform has M = 32 points, fewer than the 64 of eight
-# leaves, so the v4 clone squares its leaves one at a time there.  F_14 has
-# no known factor.  GMP's undocumented mpn_mul_fft takes 24-32 and 50-84 us
-# at n = 15 and 16, so the kernel has its own.  The 16-bit digits keep the
-# worst rounding error (every digit 0xFFFF) at 0.00006 at n = 10 and 0.0049,
-# 0.0098, 0.012, 0.047 and 0.0625 for n = 15..19, well inside the 1/4 each
-# step checks; test_one_fft_step_matches_the_fold holds every listed n to
-# 1/16.  Percival (Math. Comp. 72, 2003) bounds this error from the
-# transform length and the digit size.  It reaches 0.19 at n = 20 (no
-# factor of F_20 is known) and 0.31 at n = 21, so F_21's factor
+# kernel's FFT, which returns x*x mod 2**b + 1 without the 2L-limb product: an
+# FFT step gives no k, but with q | F it must satisfy x*x = y + c modulo q.
+# Each q is a known prime factor of F_n (W. Keller's tables) or a product of
+# known prime factors, which divides F_n as well and checks more bits: 59 at
+# n = 10 (45592577 * 6487031809), against 26 for the single factor.  In the
+# x86-64-v4 clone the FFT step is the faster one at every listed n; README's
+# per-level table gives each n's step time against mpn_sqr's.  F_14 has no
+# known factor.  GMP's undocumented mpn_mul_fft takes 50-84 us at n = 16, so
+# the kernel has its own.  The 16-bit digits keep the worst rounding error
+# (every digit 0xFFFF) at 0.0625 or less up to n = 19, well inside the 1/4 each
+# step checks; test_one_fft_step_matches_the_fold holds every listed n to 1/16.
+# Percival (Math. Comp. 72, 2003) bounds this error from the transform length
+# and the digit size.  It reaches 0.31 at n = 21, so F_21's factor
 # 4485296422913 is not listed and n = 21 squares with mpn_sqr; the plan's
 # self-test would refuse it.
 _FACTORS = {
@@ -97,11 +86,8 @@ _FACTORS = {
 # Where a kernel chain's work space starts, bytes past a page boundary; the
 # plan and the residue start on one (``_aligned``).  The FFT reads the plan
 # and writes the work space at the same index, and a store whose address
-# matches a load's mod 4096 holds that load back.  At n = 16 a step took
-# 7.6-8.2 us where (work - plan) mod 4096 was below 512 bytes and 7.1-7.2
-# elsewhere; at n = 17..19 one at 0 took 4-7% longer than one at 2048, and
-# n = 11..15 moved less than the host's noise (walks of 2**22 squared bits,
-# best of 3 or 5, plans at page offsets 0, 1024 and 2176).
+# matches a load's mod 4096 holds that load back: at n = 16 an offset of 0
+# took a step about 9% longer than 2048.
 _WORK_OFFSET = 2048
 # What fermat_chain_run returns for a failed step, _chain.c's ABOVE, WRONG and
 # INEXACT, and what a job's join returns for a cancelled or a running job.

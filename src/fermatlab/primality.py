@@ -232,14 +232,9 @@ def trial_factor_search(n: int, k_max: int) -> FactorWitness | None:
 
 # From this n on, cross_check runs Pépin as a job on a kernel thread beside the
 # scan when F_n's chains run in the kernel; on the int chain the two tests
-# would only take turns for the GIL.  Wall time of cross_check(n) one after
-# the other vs at once, ms, means of 300 alternating runs, the range over six
-# series: 0.052-0.089 vs 0.065-0.110 at n = 7; 0.074-0.124 vs 0.078-0.126 at
-# 8, where the pair lost 4 series, tied 1 and won 1; 0.185-0.256 vs
-# 0.161-0.227 at 9, won in all 6; 0.62-0.83 vs 0.46-0.61 at 10; 2.1-2.9 vs
-# 1.5-1.8 at 11; 7.9-11.0 vs 5.0-6.7 at 12 (2-CPU Xeon, CPython 3.11.7,
-# n = 11 and 12 on the kernel's FFT).  A job's start and join cost about
-# 30 us, where a Python thread's cost about 80.
+# would only take turns for the GIL.  A job's start and join cost about 30 us,
+# which the pair won back in every series from n = 9 on, and lost in most at
+# n = 8.
 CONCURRENT_MIN_N = 9
 
 

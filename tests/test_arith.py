@@ -986,7 +986,9 @@ def int_chain_digests(x, c, n, steps):
 # level's own code, the AVX-512 leaf in SSE2 code, where the CPU needs no
 # AVX-512 to check its arithmetic, the v4 code with the old stages, and v4
 # with IFMA, which takes y mod q from the plan's powers.  A -m flag names a
-# CPU flag the test needs too.
+# CPU flag the test needs too.  Each leaf build takes M = 32 at n = 10 on
+# aliased rows: square_leaves loads and stores its upper four rows at the
+# address of the lower four.
 FFT_BUILDS = [
     pytest.param("x86-64", (), id="x86-64"),
     pytest.param("x86-64-v3", (), id="x86-64-v3"),
@@ -1002,7 +1004,9 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     # The loaded kernel runs only the clone that this CPU picks; a kernel
     # built for one level alone (-DCLONED=) runs that level's code.  Every
     # listed n walks, so each leaf meets the int chain: 8 points where
-    # log2 M is odd (n even), 16 where it is even, and M = 64 at n = 11.
+    # log2 M is odd (n even), 16 where it is even, M = 32 at n = 10 and
+    # M = 64 at n = 11.  Up to n = 16 two more walks start from 2**b - 1,
+    # whose first step rounds worst, and from a random x of b bits.
     flags = cpu_flags()
     if platform.machine() != "x86_64" or flags is None:
         pytest.skip("the ISA levels are x86-64's, read from /proc/cpuinfo")
@@ -1027,7 +1031,10 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     # of a second a walk and more, so the walks there are shorter.
     for n in sorted(arith._FACTORS):
         m, steps, width = FermatModulus(n), 256 if n <= 16 else 64, (1 << n) // 8 + 1
-        for x, c in ((3, 0), (6, 2)):
+        starts = ((3, 0), (6, 2))
+        if n <= 16:
+            starts += (((1 << m.b) - 1, 0), (random.Random(n).getrandbits(m.b), 2))
+        for x, c in starts:
             chain = arith._GmpChain(x, c, m, kernel, arith._fft_plan(n))
             assert chain.plan is not None
             items = bytearray(steps * width)
