@@ -32,12 +32,10 @@ struct chain {
     void *work;    /* mpn_sqr's 2L-limb square, or the FFT's 2L points (2L real parts, then 2L imaginary) and 2L carry limbs */
     const double *plan;  /* the FFT's 2L weights and its twiddles, or NULL to square with mpn_sqr */
     const uint64_t *powers;  /* with the FFT, 2**(32j) mod q for j < 2L as mod_by_powers reads them, or NULL to take y mod d with mpn_mod_1 */
-    long size;     /* L = b / 64 */
-    long width;    /* trace bytes per item, b / 8 + 1 */
+    long size;     /* L = b / 64; an item's trace bytes are 8L + 1 */
     limb c;        /* the constant subtracted each step */
     limb d;        /* the check divisor: a prime p, or with the FFT a divisor q of F, which may be composite */
     limb f_d;      /* F mod d */
-    limb top_k_d;  /* (F - 2) mod d: (2**b)**2 = (F - 2)*F + 1 */
     limb x_d;      /* the current item mod d */
     double error;  /* the largest distance from an integer that an FFT step of this chain rounded */
 };
@@ -47,24 +45,19 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 /* The FFT's clones for x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and
    the baseline, picked once at load time through an ifunc, where GCC and
    glibc provide one; any other target builds the one plain version, as does
-   -DCLONED= (with a -march of its own, one ISA level alone).  A
-   -DVECTOR_CARRY= or -DVECTOR_LEAF= on the compile line holds in every
-   clone.  Every load is unaligned-safe: Python places the buffers on page
-   boundaries, or a fixed distance past one, for speed only. */
+   -DCLONED= (with a -march of its own, one ISA level alone).  BY_CPU marks
+   the cloned build, whose code paths the CPU picks; a build of one level
+   alone takes them from its compile line, where -DVECTOR_LEAF= may also
+   force the leaf on or off.  Every load is unaligned-safe: Python places
+   the buffers on page boundaries, or a fixed distance past one, for speed
+   only. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define X86_64_GCC
 #endif
 #ifndef CLONED
 #ifdef X86_64_GCC
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#ifndef VECTOR_CARRY
-#define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
-#endif
-#ifndef VECTOR_LEAF
-#define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
-#define LEAF_IN_V4_CLONE
-#endif
-#define IFMA_BY_CPU
+#define BY_CPU
 #else
 #define CLONED
 #endif
@@ -76,12 +69,12 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    alone.  At n = 16 they take 1.8k cycles against the serial loop's 4.8k
    in v4 code, but in SSE2 code they are slower, so the serial loop stays
    there. */
-#ifndef VECTOR_CARRY
-#ifdef __AVX2__
+#ifdef BY_CPU
+#define VECTOR_CARRY __builtin_cpu_supports("x86-64-v3")
+#elif defined(__AVX2__)
 #define VECTOR_CARRY 1
 #else
 #define VECTOR_CARRY 0
-#endif
 #endif
 
 /* Whether fft_square runs its pair passes as conjugate-pair vector code and
@@ -93,7 +86,9 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    takes 10.8k TSC cycles in AVX-512 code, where the old stages took 15.3k.
    Built for v3 or SSE2 the vector code runs 2.2-2.6x slower than those
    levels' own stages, so they keep them. */
-#ifndef VECTOR_LEAF
+#ifdef BY_CPU
+#define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
+#elif !defined(VECTOR_LEAF)
 #ifdef __AVX512F__
 #define VECTOR_LEAF 1
 #else
@@ -231,26 +226,6 @@ LEAF void leaf_square(v8 *r, v8 *i)
     *r = sr;
 }
 
-/* Stage 8 between the two halves x and y of a block of 16 points, forward
-   (x + y, (x - y) * w) and back (x + y * w', x - y * w'). */
-LEAF void leaf_forward_halves(v8 *xr, v8 *xi, v8 *yr, v8 *yi, const v8 *wr, const v8 *wi)
-{
-    v8 dr = *xr - *yr, di = *xi - *yi;
-    *xr += *yr;
-    *xi += *yi;
-    *yr = dr * *wr - di * *wi;
-    *yi = dr * *wi + di * *wr;
-}
-
-LEAF void leaf_inverse_halves(v8 *xr, v8 *xi, v8 *yr, v8 *yi, const v8 *wr, const v8 *wi)
-{
-    v8 br = *yr * *wr + *yi * *wi, bi = *yi * *wr - *yr * *wi;
-    *yr = *xr - br;
-    *yi = *xi - bi;
-    *xr += br;
-    *xi += bi;
-}
-
 /* Multiplies (r, i) by w, and by w', its conjugate. */
 LEAF void leaf_times(v8 *r, v8 *i, const v8 *wr, const v8 *wi)
 {
@@ -348,9 +323,8 @@ LEAF void leaf_transpose(v8 *x)
    calls that never run, as VECTOR_LEAF is false wherever the ifunc picks
    them.  Elsewhere the halves are plain memcpys: in SSE2 or AVX2 code, as
    in the SSE2 leaf build, a v8 is four or two registers and they cost
-   nothing, and a leaf forced on by -DVECTOR_LEAF=1 in the clones keeps
-   AVX-512 out of the v3 and baseline clones. */
-#if defined(X86_64_GCC) && (defined(__AVX512F__) || defined(LEAF_IN_V4_CLONE))
+   nothing. */
+#if defined(X86_64_GCC) && (defined(__AVX512F__) || defined(BY_CPU))
 #include <immintrin.h>
 #define ROWS static inline __attribute__((target("avx512f")))
 ROWS void leaf_load_rows(v8 *lo, v8 *hi, const double *a, const double *b)
@@ -494,16 +468,20 @@ LEAF void square_leaves(double *restrict xr, double *restrict xi, long m, long h
             leaf_load_rows(i + k, i + k + 4, xi + s + 8 * k, xi + s + 8 * k + upper);
         }
         if (h == 8)
-            for (int k = 0; k < 8; k += 2)
-                leaf_forward_halves(r + k, i + k, r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
+            for (int k = 0; k < 8; k += 2) {
+                leaf_add_sub(r + k, i + k, r + k + 1, i + k + 1);
+                leaf_times(r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
+            }
         leaf_transpose(r);
         leaf_transpose(i);
         leaf_stages(r, i);
         leaf_transpose(r);
         leaf_transpose(i);
         if (h == 8)
-            for (int k = 0; k < 8; k += 2)
-                leaf_inverse_halves(r + k, i + k, r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
+            for (int k = 0; k < 8; k += 2) {
+                leaf_times_conj(r + k + 1, i + k + 1, wr + k / 4, wi + k / 4);
+                leaf_add_sub(r + k, i + k, r + k + 1, i + k + 1);
+            }
         for (int k = 0; k < 4; k++) {
             leaf_store_rows(xr + s + 8 * k, xr + s + 8 * k + upper, r + k, r + k + 4);
             leaf_store_rows(xi + s + 8 * k, xi + s + 8 * k + upper, i + k, i + k + 4);
@@ -698,7 +676,7 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
    is AVX-512 IFMA: in the cloned build it runs where
    __builtin_cpu_supports finds IFMA, and it is built in where the compile
    line targets IFMA; the SSE2 leaf build holds none of it. */
-#if defined(X86_64_GCC) && (defined(__AVX512IFMA__) || defined(IFMA_BY_CPU))
+#if defined(X86_64_GCC) && (defined(__AVX512IFMA__) || defined(BY_CPU))
 #include <immintrin.h>
 #ifdef __AVX512IFMA__
 #define REDUCE_WITH_IFMA 1
@@ -723,14 +701,10 @@ static IFMA limb mod_by_powers(const limb *r, long size, limb q, const uint64_t 
     __m512i lo[CHAINS], hi[CHAINS];
     for (int k = 0; k < CHAINS; k++)
         lo[k] = hi[k] = _mm512_setzero_si512();
-    if (q >> 52)
-        for (long j = 0; j < chunks; j += 8 * CHAINS)
-            for (int k = 0; k < CHAINS; k++)
-                add_chunks(lo + k, hi + k, r, powers, powers + chunks, j + 8 * k);
-    else
-        for (long j = 0; j < chunks; j += 8 * CHAINS)
-            for (int k = 0; k < CHAINS; k++)
-                add_chunks(lo + k, hi + k, r, powers, NULL, j + 8 * k);
+    const uint64_t *high = q >> 52 ? powers + chunks : NULL;
+    for (long j = 0; j < chunks; j += 8 * CHAINS)
+        for (int k = 0; k < CHAINS; k++)
+            add_chunks(lo + k, hi + k, r, powers, high, j + 8 * k);
     for (int k = 1; k < CHAINS; k++) {
         lo[0] = _mm512_add_epi64(lo[0], lo[k]);
         hi[0] = _mm512_add_epi64(hi[0], hi[k]);
@@ -753,7 +727,7 @@ int fermat_reduces_with_ifma(void)
 }
 
 /* Runs up to count steps and returns how many it ran: fewer only after a
-   zero item.  Each new item's first width bytes go to trace, one item after
+   zero item.  Each new item's first 8L + 1 bytes go to trace, one item after
    another, when trace is not NULL.  A step that leaves a residue above 2**b
    returns ABOVE, one that fails x*x = k*F + y + c - w*F (mod d), with w = 1
    when subtracting c wrapped, returns WRONG, and an FFT step that rounds a
@@ -762,7 +736,7 @@ long fermat_chain_run(struct chain *ch, long count, unsigned char *trace)
 {
     const struct gmp *g = ch->gmp;
     limb *r = ch->r, d = ch->d, x_d = ch->x_d;
-    long size = ch->size, done = 0;
+    long size = ch->size, width = 8 * size + 1, done = 0;
 
     while (done < count) {
         limb k_d, y_d;
@@ -771,7 +745,7 @@ long fermat_chain_run(struct chain *ch, long count, unsigned char *trace)
         if (r[size]) {  /* x = 2**b = -1, so x*x = (F - 2)*F + 1 */
             r[size] = 0;
             r[0] = 1;
-            k_d = ch->top_k_d;
+            k_d = ch->f_d >= 2 ? ch->f_d - 2 : ch->f_d + (d - 2);  /* (F - 2) mod d; f_d + d overflows where d > 2**63 */
         } else if (ch->plan) {  /* x*x = D - e mod F: k is unknown, and k*F = 0 mod d = q */
             long long e;
             double error = fft_square(r, size, ch->work, ch->plan, &e);
@@ -818,7 +792,7 @@ long fermat_chain_run(struct chain *ch, long count, unsigned char *trace)
             return WRONG;
         x_d = ch->x_d = y_d;
         if (trace)
-            memcpy(trace + done * ch->width, r, (size_t)ch->width);
+            memcpy(trace + done * width, r, (size_t)width);
         done++;
         if (!y_d && !r[size] && is_zero(r, size))
             break;

@@ -333,11 +333,9 @@ def _load_kernel() -> _Kernel | None:
             ("plan", ptr),
             ("powers", ptr),
             ("size", size),
-            ("width", size),
             ("c", limb),
             ("d", limb),
             ("f_d", limb),
-            ("top_k_d", limb),
             ("x_d", limb),
             ("error", ctypes.c_double),
         ]
@@ -605,14 +603,14 @@ class _GmpChain:
     thread writes into a freed buffer.
     """
 
-    __slots__ = ("m", "kernel", "d", "width", "r", "work", "plan", "state", "state_at", "job", "job_at", "joined")
+    __slots__ = ("m", "kernel", "d", "r", "work", "plan", "state", "state_at", "job", "job_at", "joined")
 
     def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan: _FftPlan | None) -> None:
         import ctypes  # already loaded by _load_gmp; this is a lookup
 
         d = _CHECK_PRIME if plan is None else plan.q
         size = m.b // _LIMB_BITS
-        self.m, self.kernel, self.d, self.width, self.plan = m, kernel, d, m.b // 8 + 1, plan
+        self.m, self.kernel, self.d, self.plan = m, kernel, d, plan
         self.job = self.job_at = self.joined = None
         self.r = _to_limbs(x, size + 1)
         self.work = _aligned(_WORK_OFFSET + (16 if plan is None else 48) * size)[_WORK_OFFSET:]
@@ -623,8 +621,7 @@ class _GmpChain:
         f_d = (pow(2, m.b, d) + 1) % d
         work_at, plan_at = _address(self.work), None if plan is None else _address(plan.table)
         powers_at = None if plan is None or plan.powers is None else _address(plan.powers)
-        gmp, k_d = ctypes.pointer(kernel.gmp), (f_d - 2) % d
-        self.state = kernel.chain_type(gmp, r_at, work_at, plan_at, powers_at, size, self.width, c, d, f_d, k_d, x_d)
+        self.state = kernel.chain_type(ctypes.pointer(kernel.gmp), r_at, work_at, plan_at, powers_at, size, c, d, f_d, x_d)
         self.state_at = ctypes.addressof(self.state)
 
     def run(self, count: int, trace: bytearray | None = None) -> int:

@@ -635,7 +635,7 @@ def test_chain_readers_check_their_operands(gmp):
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_square_mod_is_one_int_step_below_gmp_min_n(gmp, monkeypatch, n):
+def test_item_one_is_one_int_step_below_whole_limbs(gmp, monkeypatch, n):
     # Below n = 6, where b is less than one 64-bit limb, item 1 is x * x and a fold, and no kernel call.
     calls = spy_kernel(monkeypatch)
     m = FermatModulus(n)
@@ -677,7 +677,7 @@ def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
         return address(buffer)
 
     def checked(state, count, trace):
-        width = kernel.chain_type.from_address(state).width
+        width = 8 * kernel.chain_type.from_address(state).size + 1
         asked.append((count * width, None if trace is None else sizes[trace], width))
         return kernel.run(state, count, trace)
 
@@ -761,7 +761,7 @@ def test_listed_factors_divide_their_fermat_numbers():
         assert pow(2, 1 << n, q) == q - 1  # 2**(2**n) = -1, so q | F_n
 
 
-def test_the_fft_serves_fft_min_n_to_fft_max_n(gmp, monkeypatch):
+def test_the_fft_skips_n14_and_stops_after_n19(gmp, monkeypatch):
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 21))
     assert [FermatModulus(n).backend for n in (14, 15, 19, 20, 21)] == ["gmp", "gmp-fft", "gmp-fft", "gmp", "gmp"]
     # F_21 has a factor, but there the square of 2**b - 1 rounds 0.31 from an
@@ -818,10 +818,11 @@ def test_an_fft_that_drops_the_top_limb_squares_with_mpn_sqr(fft, monkeypatch):
 
 @pytest.mark.parametrize("n", [15, 16, 17])
 @pytest.mark.parametrize("edge", ["0", "1", "2", "F-1", "F-2", "2**(b/2)", "random"])
-def test_fft_square_edges(fft, monkeypatch, n, edge):
+def test_fft_square_edges(gmp, monkeypatch, n, edge):
     # 2**(b/2) squares to F - 1 = 2**b, the one residue with a top limb, which squares to 1 without the FFT.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << 17))  # F_17 is beyond the default budget
     m = FermatModulus(n)
+    assert m.backend == "gmp-fft"
     values = {"F-1": m.value - 1, "F-2": m.value - 2, "2**(b/2)": 1 << m.b // 2}
     x = int(edge) if edge.isdigit() else values.get(edge) or random.Random(n).getrandbits(m.b)
     assert_steps_match_plain(m, x)
@@ -850,7 +851,7 @@ FFT_EDGES = {
 
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
 @pytest.mark.parametrize("edge", FFT_EDGES)
-def test_one_fft_step_matches_the_fold(fft, monkeypatch, n, edge):
+def test_one_fft_step_matches_the_fold(gmp, monkeypatch, n, edge):
     # Every listed n must keep the worst round-off within 1/16, a quarter of the 1/4 each step checks.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
     m = FermatModulus(n)
@@ -880,7 +881,7 @@ def carry_ripples(x, b):
 
 
 @pytest.mark.parametrize("n", [n for n in sorted(arith._FACTORS) if n <= 17])
-def test_fft_walks_match_the_int_chain_item_by_item(fft, monkeypatch, n):
+def test_fft_walks_match_the_int_chain_item_by_item(gmp, monkeypatch, n):
     # The first items of both walks are short, with limbs of 0, so the carry
     # passes flag them and the serial loop carries; the later ones take the
     # passes (test_the_fft_walks_take_both_carries).
@@ -920,10 +921,11 @@ def test_the_work_space_lands_half_a_page_past_the_plan(gmp, n):
 
 
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
-def test_every_fft_stage_s_twiddles_start_on_a_cache_line(fft, monkeypatch, n):
+def test_every_fft_stage_s_twiddles_start_on_a_cache_line(gmp, monkeypatch, n):
     # Stage h's twiddles sit at h, so from h = 8 each 8-double load of a
     # stage's real or imaginary parts stays on one cache line.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    assert FermatModulus(n).backend == "gmp-fft"
     plan = arith._fft_plan(n)
     assert plan is not None
     table, points, start = plan.table, (1 << n) // 32, arith._address(plan.table)
@@ -934,14 +936,15 @@ def test_every_fft_stage_s_twiddles_start_on_a_cache_line(fft, monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
-def test_unaligned_fft_buffers_step_as_aligned_ones(fft, monkeypatch, n):
+def test_unaligned_fft_buffers_step_as_aligned_ones(gmp, monkeypatch, n):
     # Alignment is a speed property only: with the residue, the work space
     # and the plan table each 8 bytes past a cache line, every edge still
     # steps to the fold's square.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
+    m = FermatModulus(n)
+    assert m.backend == "gmp-fft"
     aligned = arith._aligned
     monkeypatch.setattr(arith, "_aligned", lambda size: aligned(size + 8)[8:])
-    m = FermatModulus(n)
     plan = arith._fft_plan.__wrapped__(n)
     assert plan is not None and arith._address(plan.table) % 64 == 8
     for edge, make in FFT_EDGES.items():
@@ -1000,7 +1003,7 @@ FFT_BUILDS = [
 
 
 @pytest.mark.parametrize("level, defines", FFT_BUILDS)
-def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch, tmp_path, level, defines):
+def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(gmp, monkeypatch, tmp_path, level, defines):
     # The loaded kernel runs only the clone that this CPU picks; a kernel
     # built for one level alone (-DCLONED=) runs that level's code.  Every
     # listed n walks, so each leaf meets the int chain: 8 points where
@@ -1031,6 +1034,7 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
     # of a second a walk and more, so the walks there are shorter.
     for n in sorted(arith._FACTORS):
         m, steps, width = FermatModulus(n), 256 if n <= 16 else 64, (1 << n) // 8 + 1
+        assert m.backend == "gmp-fft"  # the loaded kernel's plan, which this build's chains read
         starts = ((3, 0), (6, 2))
         if n <= 16:
             starts += (((1 << m.b) - 1, 0), (random.Random(n).getrandbits(m.b), 2))
@@ -1046,19 +1050,21 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(fft, monkeypatch
 
 
 @pytest.mark.parametrize("n", sorted(arith._FACTORS))
-def test_each_fft_step_takes_its_residue_mod_q_as_python_does(fft, monkeypatch, n):
+def test_each_fft_step_takes_its_residue_mod_q_as_python_does(gmp, monkeypatch, n):
     # 2**(b/2) squares to 2**b, whose top limb counts -1 mod q; 2**b - 1 has every chunk 0xFFFFFFFF.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
     m = FermatModulus(n)
+    assert m.backend == "gmp-fft"
     for x in ((1 << m.b) - 1, 1 << m.b // 2, random.Random(n).getrandbits(m.b)):
         chain = fft_chain(x, 0, m)
-        assert (chain.plan.powers is not None) == fft.ifma
+        assert (chain.plan.powers is not None) == gmp.ifma
         for step in range(64):
             assert chain.run(1) == 1
             assert chain.state.x_d == arith._from_limbs(chain.r) % chain.d, f"step {step + 1} from a {x.bit_length()}-bit x"
 
 
-def test_fft_rounding_stays_within_a_sixteenth_at_n16(fft):
+def test_fft_rounding_stays_within_a_sixteenth_at_n16(gmp):
+    assert FermatModulus(16).backend == "gmp-fft"
     chain = fft_chain(random.Random(16).getrandbits(1 << 16), 2, FermatModulus(16))
     assert chain.run(1000) == 1000
     chain.export()
