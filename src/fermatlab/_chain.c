@@ -46,16 +46,14 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
    the baseline, picked once at load time through an ifunc, where GCC and
    glibc provide one; any other target builds the one plain version, as does
    -DCLONED= (with a -march of its own, one ISA level alone).  BY_CPU marks
-   the cloned build, whose code paths the CPU picks; a build of one level
-   alone takes them from its compile line, where -DVECTOR_LEAF= may also
-   force the leaf on or off.  Every load is unaligned-safe: Python places
-   the buffers on page boundaries, or a fixed distance past one, for speed
-   only. */
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
-#define X86_64_GCC
-#endif
+   the cloned build, whose code paths the CPU picks.  A build of one level
+   alone runs that level's stages and carry, never the AVX-512 rows or the
+   IFMA reduction; -DVECTOR_LEAF=1 puts the leaf in, in that level's code,
+   to check its arithmetic on a CPU without AVX-512.  Every load is
+   unaligned-safe: Python places the buffers on page boundaries, or a fixed
+   distance past one, for speed only. */
 #ifndef CLONED
-#ifdef X86_64_GCC
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
 #define CLONED __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #define BY_CPU
 #else
@@ -80,20 +78,17 @@ enum { ABOVE = -1, WRONG = -2, INEXACT = -3, CANCELLED = -4, RUNNING = -5 };
 /* Whether fft_square runs its pair passes as conjugate-pair vector code and
    squares eight leaves at once in transposed registers (square_leaves): in
    AVX-512 code, the v4 clone, which the ifunc picks on a CPU that
-   __builtin_cpu_supports calls x86-64-v4, or in a build for such a level
-   alone.  The old stages below h = 8 and the pair passes at q = 4 run loops
-   of 4 or fewer points, which GCC vectorizes poorly: at n = 16 fft_square
-   takes 10.8k TSC cycles in AVX-512 code, where the old stages took 15.3k.
-   Built for v3 or SSE2 the vector code runs 2.2-2.6x slower than those
-   levels' own stages, so they keep them. */
+   __builtin_cpu_supports calls x86-64-v4.  The old stages below h = 8 and
+   the pair passes at q = 4 run loops of 4 or fewer points, which GCC
+   vectorizes poorly: at n = 16 fft_square takes 10.8k TSC cycles in
+   AVX-512 code, where the old stages took 15.3k.  Built for v3 or SSE2 the
+   vector code runs 2.2-2.6x slower than those levels' own stages, so they
+   keep them, and a build of one level alone runs it only with
+   -DVECTOR_LEAF=1. */
 #ifdef BY_CPU
 #define VECTOR_LEAF __builtin_cpu_supports("x86-64-v4")
 #elif !defined(VECTOR_LEAF)
-#ifdef __AVX512F__
-#define VECTOR_LEAF 1
-#else
 #define VECTOR_LEAF 0
-#endif
 #endif
 
 static int is_zero(const limb *r, long n)
@@ -316,7 +311,7 @@ LEAF void leaf_transpose(v8 *x)
    these from vector-extension code (memcpy halves, concatenating
    __builtin_shufflevector, or loads blended by __builtin_shuffle) with
    vshuff64x2 in registers, which cost the leaf more than the round saves;
-   so in AVX-512 code they are intrinsics, vinsertf64x4 from memory and
+   so in the cloned build they are intrinsics, vinsertf64x4 from memory and
    vextractf64x4 to it.  Those sit in functions of target avx512f that
    take every vector through a pointer, so no vector crosses a call by
    value: the v4 clone inlines them, and the v3 and baseline clones hold
@@ -324,7 +319,7 @@ LEAF void leaf_transpose(v8 *x)
    them.  Elsewhere the halves are plain memcpys: in SSE2 or AVX2 code, as
    in the SSE2 leaf build, a v8 is four or two registers and they cost
    nothing. */
-#if defined(X86_64_GCC) && (defined(__AVX512F__) || defined(BY_CPU))
+#ifdef BY_CPU
 #include <immintrin.h>
 #define ROWS static inline __attribute__((target("avx512f")))
 ROWS void leaf_load_rows(v8 *lo, v8 *hi, const double *a, const double *b)
@@ -673,16 +668,11 @@ CLONED static double fft_square(limb *r, long size, double *re, const double *pl
    2**56, in 64 bits.  All lanes of lo together reach 2**66, so the lanes
    are summed as lo mod 2**52 (below 2**55) and hi + lo / 2**52 (below
    2**59): s is below 2**111, and one 128-bit remainder ends it.  The code
-   is AVX-512 IFMA: in the cloned build it runs where
-   __builtin_cpu_supports finds IFMA, and it is built in where the compile
-   line targets IFMA; the SSE2 leaf build holds none of it. */
-#if defined(X86_64_GCC) && (defined(__AVX512IFMA__) || defined(BY_CPU))
-#include <immintrin.h>
-#ifdef __AVX512IFMA__
-#define REDUCE_WITH_IFMA 1
-#else
+   is AVX-512 IFMA, in the cloned build alone, where it runs if
+   __builtin_cpu_supports finds IFMA; a build of one level alone holds
+   none of it. */
+#ifdef BY_CPU
 #define REDUCE_WITH_IFMA __builtin_cpu_supports("avx512ifma")
-#endif
 #define IFMA __attribute__((target("avx512f,avx512ifma")))
 #define CHAINS 4
 static inline __attribute__((always_inline)) IFMA void add_chunks(__m512i *lo, __m512i *hi, const limb *r, const uint64_t *lo_j,

@@ -598,12 +598,12 @@ class _GmpChain:
     holds the residue, the step's work space (mpn_sqr's 2L-limb square, 16
     bytes a limb, or the FFT's 2L complex points and its carry's 2L words,
     48), the plan and the kernel's chain struct for the chain's whole life,
-    and a job until its join; a trace buffer is held by its reader.  A chain
+    and its last job; a trace buffer is held by its reader.  A chain
     dropped while its job runs cancels the job and waits for it first, so no
     thread writes into a freed buffer.
     """
 
-    __slots__ = ("m", "kernel", "d", "r", "work", "plan", "state", "state_at", "job", "job_at", "joined")
+    __slots__ = ("m", "kernel", "d", "r", "work", "plan", "state", "state_at", "job", "job_at")
 
     def __init__(self, x: int, c: int, m: FermatModulus, kernel: _Kernel, plan: _FftPlan | None) -> None:
         import ctypes  # already loaded by _load_gmp; this is a lookup
@@ -611,7 +611,7 @@ class _GmpChain:
         d = _CHECK_PRIME if plan is None else plan.q
         size = m.b // _LIMB_BITS
         self.m, self.kernel, self.d, self.plan = m, kernel, d, plan
-        self.job = self.job_at = self.joined = None
+        self.job = self.job_at = None
         self.r = _to_limbs(x, size + 1)
         self.work = _aligned(_WORK_OFFSET + (16 if plan is None else 48) * size)[_WORK_OFFSET:]
         r_at = _address(self.r)
@@ -655,26 +655,23 @@ class _GmpChain:
         Raises ArithmeticError as :meth:`run` does when a step failed.  The
         wait returns to Python every ``_JOIN_MS`` ms and at each signal, so
         a Ctrl-C is raised at once; the job is then cancelled and waited
-        for, which takes at most one block.  Once a join has read the job's
-        result, the chain forgets the job, and a later join returns the same
-        at once.
+        for, which takes at most one block.  Once a join has returned, the
+        kernel keeps the job's result, and a later join returns it at once.
         """
-        if self.job is not None:
-            try:
-                while (done := self.kernel.join(self.job_at, _JOIN_MS)) == _RUNNING:
-                    pass
-            except BaseException:  # a signal's exception, raised between two waits
-                self.kernel.cancel(self.job_at)
-                self.kernel.join(self.job_at, -1)
-                raise
-            self.joined, self.job = (done, self.job.cast("d")[0]), None
-        done, seconds = self.joined
-        return None if self._checked(done) == _CANCELLED else seconds
+        try:
+            while (done := self.kernel.join(self.job_at, _JOIN_MS)) == _RUNNING:
+                pass
+        except BaseException:  # a signal's exception, raised between two waits
+            self.kernel.cancel(self.job_at)
+            self.kernel.join(self.job_at, -1)
+            raise
+        return None if self._checked(done) == _CANCELLED else self.job.cast("d")[0]
 
     def __del__(self) -> None:
-        # A job not yet joined may still run: stop it before its buffers go.
-        # The address was taken at start, so this imports nothing, which at
-        # interpreter exit would fail.
+        # A job not yet joined may still run: stop it before its buffers go;
+        # on a joined job both calls return at once.  The address was taken
+        # at start, so this imports nothing, which at interpreter exit would
+        # fail.
         if self.job is not None:
             self.kernel.cancel(self.job_at)
             self.kernel.join(self.job_at, -1)

@@ -253,8 +253,10 @@ def cross_check(n: int) -> TestReport:
     job = None
     if n >= CONCURRENT_MIN_N:
         m = FermatModulus(n)
-        backend = m.backend  # loads the kernel and makes the plan before the clock
-        import hashlib  # noqa: F401  (trace_hash's, imported before the pair's clock as timed imports it before the scan's)
+        # Loads the kernel and makes the plan before the clock.  Loading the
+        # kernel imports trace_hash's hashlib, as timed does before the scan's
+        # clock; where no kernel loads, no job starts and timed imports it.
+        backend = m.backend
 
         start = time.perf_counter()
         job = start_chain_item(3, 0, pepin_squarings(n), m)

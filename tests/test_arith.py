@@ -957,13 +957,14 @@ def test_unaligned_fft_buffers_step_as_aligned_ones(gmp, monkeypatch, n):
 
 
 # The flags /proc/cpuinfo lists for each x86-64 ISA level the kernel can be
-# built for alone; v3 includes v2's, and v4 includes v3's.
-X86_64_LEVELS = {"x86-64": ()}
-X86_64_LEVELS["x86-64-v3"] = (
-    *("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3"),
-    *("avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"),
-)
-X86_64_LEVELS["x86-64-v4"] = (*X86_64_LEVELS["x86-64-v3"], "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl")
+# built for alone; v3 includes v2's.
+X86_64_LEVELS = {
+    "x86-64": (),
+    "x86-64-v3": (
+        *("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3"),
+        *("avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"),
+    ),
+}
 
 
 def cpu_flags():
@@ -985,20 +986,17 @@ def int_chain_digests(x, c, n, steps):
     return [hashlib.sha256(items[q * width : (q + 1) * width]).digest() for q in range(steps)]
 
 
-# Kernels built for one ISA level alone, each with the flags it adds: the
-# level's own code, the AVX-512 leaf in SSE2 code, where the CPU needs no
-# AVX-512 to check its arithmetic, the v4 code with the old stages, and v4
-# with IFMA, which takes y mod q from the plan's powers.  A -m flag names a
-# CPU flag the test needs too.  Each leaf build takes M = 32 at n = 10 on
-# aliased rows: square_leaves loads and stores its upper four rows at the
-# address of the lower four.
+# Kernels built for one ISA level alone, each with the defines it adds:
+# the baseline's and v3's own code, which the v3 and baseline clones run,
+# and the AVX-512 leaf in SSE2 code, where the CPU needs no AVX-512 to
+# check its arithmetic; the leaf takes M = 32 at n = 10 on aliased rows:
+# square_leaves loads and stores its upper four rows at the address of the
+# lower four.  The v4 code runs in the loaded kernel alone, whose v4 clone
+# the CPU picks, with the reduction its plans name.
 FFT_BUILDS = [
     pytest.param("x86-64", (), id="x86-64"),
     pytest.param("x86-64-v3", (), id="x86-64-v3"),
-    pytest.param("x86-64-v4", (), id="x86-64-v4"),
     pytest.param("x86-64", ("-DVECTOR_LEAF=1",), id="x86-64,VECTOR_LEAF=1"),
-    pytest.param("x86-64-v4", ("-DVECTOR_LEAF=0",), id="x86-64-v4,VECTOR_LEAF=0"),
-    pytest.param("x86-64-v4", ("-mavx512ifma",), id="x86-64-v4,avx512ifma"),
 ]
 
 
@@ -1013,8 +1011,7 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(gmp, monkeypatch
     flags = cpu_flags()
     if platform.machine() != "x86_64" or flags is None:
         pytest.skip("the ISA levels are x86-64's, read from /proc/cpuinfo")
-    needed = {*X86_64_LEVELS[level], *(flag.removeprefix("-m") for flag in defines if flag.startswith("-m"))}
-    missing = sorted(needed - flags)
+    missing = sorted(set(X86_64_LEVELS[level]) - flags)
     if missing:
         pytest.skip(f"this CPU lacks {level}'s {' '.join(missing)}")
     march = f"-march={level}"
@@ -1027,8 +1024,8 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(gmp, monkeypatch
     assert kernel is not None
     (built,) = (tmp_path / "fermatlab").iterdir()
     assert b"fft_square.arch_" not in built.read_bytes()  # no clones: this level's code alone
-    # Only the IFMA build reads the powers, which the plans hold where the loaded kernel reads them.
-    assert kernel.ifma == ("-mavx512ifma" in defines and arith._load_kernel().ifma)
+    # No build of one level alone holds the IFMA reduction: its steps take y mod q with mpn_mod_1 whatever the plans hold.
+    assert not kernel.ifma
     # Both walks start on the serial carry; from x86-64-v3 up, their later
     # items take the carry passes.  From n = 17 the int chain costs a tenth
     # of a second a walk and more, so the walks there are shorter.
@@ -1049,15 +1046,24 @@ def test_each_fft_code_path_this_cpu_runs_matches_the_int_chain(gmp, monkeypatch
             chain.export()
 
 
-@pytest.mark.parametrize("n", sorted(arith._FACTORS))
-def test_each_fft_step_takes_its_residue_mod_q_as_python_does(gmp, monkeypatch, n):
+# The plan as _fft_plan makes it, and the same plan without powers, on which
+# the loaded kernel takes y mod q with mpn_mod_1, as on a CPU without IFMA.
+@pytest.mark.parametrize(
+    "n, reduction",
+    [pytest.param(n, "plan", id=str(n)) for n in sorted(arith._FACTORS)]
+    + [pytest.param(n, "mpn_mod_1", id=f"{n}-mpn_mod_1") for n in sorted(arith._FACTORS)],
+)
+def test_each_fft_step_takes_its_residue_mod_q_as_python_does(gmp, monkeypatch, n, reduction):
     # 2**(b/2) squares to 2**b, whose top limb counts -1 mod q; 2**b - 1 has every chunk 0xFFFFFFFF.
     monkeypatch.setenv("FERMATLAB_MAX_BITS", str(1 << max(arith._FACTORS)))
     m = FermatModulus(n)
     assert m.backend == "gmp-fft"
+    plan = arith._fft_plan(n)
+    if reduction == "mpn_mod_1":
+        plan = plan._replace(powers=None)
     for x in ((1 << m.b) - 1, 1 << m.b // 2, random.Random(n).getrandbits(m.b)):
-        chain = fft_chain(x, 0, m)
-        assert (chain.plan.powers is not None) == gmp.ifma
+        chain = arith._GmpChain(x, 0, m, gmp, plan)
+        assert (chain.plan.powers is not None) == (gmp.ifma and reduction == "plan")
         for step in range(64):
             assert chain.run(1) == 1
             assert chain.state.x_d == arith._from_limbs(chain.r) % chain.d, f"step {step + 1} from a {x.bit_length()}-bit x"

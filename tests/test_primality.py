@@ -372,8 +372,8 @@ def test_a_chain_dropped_while_its_job_runs_waits_for_it(gmp):
 
 
 def test_a_joined_job_leaves_nothing_for_interpreter_exit(gmp):
-    # The chain forgets its job once joined, so collecting it at exit, when
-    # no module can be imported any more, cancels and waits for nothing.
+    # A joined job's cancel and join return at once, so collecting its chain
+    # at exit, when no module can be imported any more, waits for nothing.
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
