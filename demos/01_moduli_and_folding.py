@@ -22,7 +22,6 @@ from fermatlab import (
     cross_check,
     fermat_value,
     reduce_mod_fermat,
-    square_chain,
 )
 
 print("The tower of moduli grows doubly exponentially:")
@@ -45,10 +44,9 @@ print(f"  (17^9 + 5) mod F_2   = {reduce_mod_fermat(big, m)}  (check: {big % 17}
 
 print()
 print("Every test squares with one chain, x, x^2 - c, ... mod F_n, each step a multiply")
-print("followed by the fold; square_chain yields every item, chain_item returns item k,")
-print("and item 1 is one square:")
+print("followed by the fold; chain_item returns item k, and item 1 is one square:")
 m4 = FermatModulus(4)
-powers = list(zip(range(6), square_chain(3, 0, m4)))
+powers = [(k, chain_item(3, 0, k, m4)) for k in range(6)]
 print(f"  3^2 mod F_4 = {powers[1][1]}")
 print(f"  3^(2^k) mod F_4 for k = 0..5: {powers}")
 r = chain_item(3, 0, 10, m4)

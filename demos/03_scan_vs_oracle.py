@@ -16,12 +16,10 @@ except ImportError:
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from itertools import islice
-
 from fermatlab import FermatModulus, cross_check, h_min, paper_scan, residues
 
 print("Residue stream mod F_3 = 257 (watch it hit zero at q = 5):")
-values = [r for _, r in islice(residues(FermatModulus(3)), 7)]
+values = [r for _, r in residues(FermatModulus(3), 7)]
 print(f"  q = 1..7: {values}")
 
 print()

@@ -12,7 +12,6 @@ from .arith import (
     chain_item,
     fermat_value,
     reduce_mod_fermat,
-    square_chain,
 )
 from .budget import DEFAULT_MAX_BITS, ENV_MAX_BITS, BudgetExceededError, max_bits
 from .primality import (
@@ -77,7 +76,6 @@ __all__ = [
     "reduce_mod_fermat",
     "residues",
     "s_value",
-    "square_chain",
     "trace_pow2",
     "trial_factor_search",
     "verify_two_order",

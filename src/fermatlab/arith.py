@@ -3,10 +3,11 @@
 Residues are plain Python ints in [0, 2**b + 1).  Reduction never divides:
 it folds b-bit halves using 2**b = -1 (mod 2**b + 1), which is the whole
 point of working with this modulus shape.  Every test runs one squaring
-chain x, x*x - c, ... mod the modulus, one chain object read in one of three
-ways: :func:`square_chain` yields every item, :func:`chain_item` returns
-item k alone and :func:`trace_hash` returns the sha256 of the items'
-fixed-width bytes up to the first zero, the scan's trace.  On the kernel,
+chain x, x*x - c, ... mod the modulus, one chain object read in one of two
+ways: :func:`chain_item` returns item k alone, and :func:`trace_blocks`
+yields the items' fixed-width bytes a block at a time, which
+:func:`trace_hash` hashes up to the first zero, the scan's trace, and
+``sequences.residues`` decodes.  On the kernel,
 :func:`start_chain_item` runs chain_item's steps on a thread of the
 kernel's own, beside the caller.
 
@@ -150,7 +151,7 @@ def reduce_mod_fermat(x: int, m: FermatModulus) -> int:
 
 
 def chain_item(x: int, c: int, k: int, m: FermatModulus) -> int:
-    """Item k of ``square_chain(x, c, m)``, after k squarings.
+    """Item k of the chain x, x*x - c, ... mod m, after k squarings.
 
     Only item k is converted to an int.  On the GMP chain the items before
     it stay limbs, each checked as it is computed, and the k steps are
@@ -184,50 +185,45 @@ def _block_steps(m: FermatModulus) -> int:
     return max(1, _BLOCK_BITS // m.b)
 
 
-def square_chain(x: int, c: int, m: FermatModulus) -> Iterator[int]:
-    """Yield x, x*x - c, (x*x - c)**2 - c, ... mod m as canonical ints.
+def trace_blocks(x: int, c: int, m: FermatModulus, count: int) -> Iterator[tuple[bytes | memoryview, bool]]:
+    """Yield items 0 .. count - 1 of x, x*x - c, ... mod m a block at a time: the items' bytes, and whether the last is 0.
 
-    ``x`` must be a canonical residue and ``c`` a small nonnegative constant
-    (0 for Pépin, 2 for the recurrence), checked when the first item is
-    asked for.  The arithmetic is the one ``m.backend`` names.  Each later
-    item is one step and one export; the GMP chain raises ArithmeticError
-    on any step or item that fails its check.
-    """
-    chain = _chain(x, c, m)
-    yield x
-    while True:
-        chain.run(1)
-        yield chain.export()
-
-
-def trace_hash(x: int, c: int, m: FermatModulus, count: int) -> tuple[str, int, bool]:
-    """The trace of items 0 .. count - 1 of ``square_chain(x, c, m)``, read up to the first zero item.
-
-    Returns ``"sha256:<hex>"`` over the items read, how many were read and
-    whether the last one is 0.  Each item is hashed as b/8 + 1 little-endian
-    bytes, which hold 2**b, so the encoding is canonical and a trace can be
-    compared across machines and backends.  The chain writes each block's
-    items, at most ``_BLOCK_BYTES`` of them (one item where one is larger),
-    into one buffer that is hashed before the next block, and the last item
-    read and every zero candidate are exported, which the GMP chain checks
-    in full.  hashlib is imported on the first call.
+    Each item is b/8 + 1 little-endian bytes, which hold 2**b, so a trace is
+    comparable across machines and backends.  The first block is x; each
+    later one is one ``run``, at most ``_BLOCK_BYTES`` of items (one where
+    one is larger), in one buffer that the next block overwrites, so a caller
+    that keeps a block copies it.  x and c are checked as ``_chain`` checks
+    them, on the first ``next``.  The last item and every zero candidate are
+    exported, which the GMP chain checks in full.
     """
     if count < 1:
         raise ValueError(f"expected a positive item count, got {count}")
-    chain = _chain(x, c, m)
+    chain, width = _chain(x, c, m), m.b // 8 + 1
+    yield x.to_bytes(width, "little"), not x
+    left, per_block = count - 1, max(1, _BLOCK_BYTES // width)
+    buffer = bytearray(min(per_block, left) * width)
+    view = memoryview(buffer)
+    while left:
+        done = chain.run(min(per_block, left), buffer)
+        left -= done
+        yield view[: done * width], (not left or chain.maybe_zero()) and chain.export() == 0
+
+
+def trace_hash(x: int, c: int, m: FermatModulus, count: int) -> tuple[str, int, bool]:
+    """The trace of items 0 .. count - 1 of ``trace_blocks(x, c, m, count)``, read up to the first zero item.
+
+    Returns ``"sha256:<hex>"`` over the items' bytes, one ``update`` per
+    block, how many items were read and whether the last one is 0.  hashlib
+    is imported on the first call.
+    """
     import hashlib
 
-    width = m.b // 8 + 1
-    trace = hashlib.sha256(x.to_bytes(width, "little"))
-    read, zero = 1, not x
-    per_block = max(1, _BLOCK_BYTES // width)
-    buffer = bytearray(min(per_block, count - 1) * width)
-    view = memoryview(buffer)
-    while not zero and read < count:
-        done = chain.run(min(per_block, count - read), buffer)
-        read += done
-        trace.update(view[: done * width])
-        zero = (read == count or chain.maybe_zero()) and chain.export() == 0
+    trace, read, width = hashlib.sha256(), 0, m.b // 8 + 1
+    for block, zero in trace_blocks(x, c, m, count):
+        trace.update(block)
+        read += len(block) // width
+        if zero:
+            break
     return f"sha256:{trace.hexdigest()}", read, zero
 
 
@@ -598,7 +594,7 @@ class _GmpChain:
     holds the residue, the step's work space (mpn_sqr's 2L-limb square, 16
     bytes a limb, or the FFT's 2L complex points and its carry's 2L words,
     48), the plan and the kernel's chain struct for the chain's whole life,
-    and its last job; a trace buffer is held by its reader.  A chain
+    and its last job; a trace buffer is held by :func:`trace_blocks`.  A chain
     dropped while its job runs cancels the job and waits for it first, so no
     thread writes into a freed buffer.
     """

@@ -193,12 +193,10 @@ def h_min(n: int) -> int | None:
     """
     if n < 2:
         raise NotApplicableError(f"the minimum-index machinery needs n >= 2, got n={n}")
-    limit = (1 << n) + 1
-    for q, r in residues(FermatModulus(n)):
+    for q, r in residues(FermatModulus(n), (1 << n) + 1):
         if r == 2:
             return q
-        if q >= limit:
-            return None
+    return None
 
 
 def verify_two_order(n: int) -> bool:

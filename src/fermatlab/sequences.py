@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .arith import FermatModulus, chain_item, reduce_mod_fermat, square_chain, trace_hash
+from .arith import FermatModulus, chain_item, reduce_mod_fermat, trace_blocks, trace_hash
 from .budget import check_pow2_bits
 
 
@@ -19,9 +19,12 @@ def a_exact(q: int) -> int:
     return x
 
 
-def residues(m: FermatModulus) -> Iterator[tuple[int, int]]:
-    """Yield (q, q-th term mod m) for q = 1, 2, ...; each step past q = 1 is one squaring."""
-    return enumerate(square_chain(reduce_mod_fermat(6, m), 2, m), 1)
+def residues(m: FermatModulus, count: int) -> Iterator[tuple[int, int]]:
+    """Yield (q, q-th term mod m) for q = 1 .. count, decoded from ``arith.trace_blocks``; each step past q = 1 is one squaring."""
+    width = m.b // 8 + 1
+    blocks = trace_blocks(reduce_mod_fermat(6, m), 2, m, count)
+    items = (int.from_bytes(block[at : at + width], "little") for block, _ in blocks for at in range(0, len(block), width))
+    return enumerate(items, 1)
 
 
 def residue_trace(m: FermatModulus, count: int) -> tuple[str, int, bool]:

@@ -10,16 +10,16 @@ import subprocess
 import sys
 from array import array
 from functools import cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import backend_of, force_backend
 from fermatlab import arith
-from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, square_chain
+from fermatlab.arith import FermatModulus, chain_item, fermat_value, reduce_mod_fermat, trace_blocks
 from fermatlab.budget import BudgetExceededError
-from fermatlab.primality import paper_scan, pepin_test
+from fermatlab.primality import h_min, paper_scan, pepin_test
 from fermatlab.sequences import a_mod_fermat, residues
 from fermatlab.zsqrt2 import sqrt2_mod_fermat
 
@@ -28,7 +28,12 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def power_of_two(x, k, m):
     """x**(2**k) mod m, as item k of the squaring chain."""
-    return next(islice(square_chain(x, 0, m), k, None))
+    return chain_item(x, 0, k, m)
+
+
+def chain_bytes(x, c, m, count):
+    """Items 0 .. count - 1 of the chain x, x*x - c, ... mod m, as ``trace_blocks`` writes them, joined."""
+    return b"".join(bytes(block) for block, _ in trace_blocks(x, c, m, count))
 
 
 def test_fermat_value_fixtures():
@@ -203,7 +208,7 @@ KERNELS = ("gmp-fft", "gmp", "int")
 
 
 def assert_steps_match_plain(m, r):
-    """One square, eight chain items, chain_item at ITEMS and the trace hash, c = 0 and 2, on every kernel m can take, against a plain % loop.
+    """One square, eight chain items' bytes, chain_item at ITEMS and the trace hash, c = 0 and 2, on every kernel m can take, against a plain % loop.
 
     "gmp-fft" is skipped where m has no FFT plan; "gmp" and "int" always run.
     """
@@ -217,7 +222,7 @@ def assert_steps_match_plain(m, r):
             assert m.backend == backend
             assert power_of_two(r, 1, m) == plain[0][1]
             for c, items in plain.items():
-                assert list(islice(square_chain(r, c, m), len(items))) == items
+                assert chain_bytes(r, c, m, len(items)) == b"".join(y.to_bytes(width, "little") for y in items)
                 assert [chain_item(r, c, k, m) for k in ITEMS] == [items[k] for k in ITEMS]
                 upto_zero = items[: items.index(0) + 1] if 0 in items else items
                 digest = hashlib.sha256(b"".join(y.to_bytes(width, "little") for y in upto_zero)).hexdigest()
@@ -411,7 +416,7 @@ def test_gmp_range_check_catches_a_residue_off_by_f(gmp, monkeypatch, walk):
 def test_gmp_corrupted_import_raises_before_the_first_item(gmp, monkeypatch):
     monkeypatch.setattr(*corrupt_import(gmp))
     with pytest.raises(ArithmeticError, match="imported"):
-        next(square_chain(6, 2, FermatModulus(6)))
+        next(trace_blocks(6, 2, FermatModulus(6), 2))
 
 
 def test_gmp_corrupted_export_raises(gmp, monkeypatch):
@@ -478,8 +483,8 @@ def test_walks_reach_no_mpz_function(gmp, monkeypatch):
     monkeypatch.setattr(arith, "_load_gmp", lambda: recorded)
     monkeypatch.setattr(arith, "_load_kernel", cache(arith._load_kernel.__wrapped__))  # its table is filled from recorded
     a_mod_fermat(40, 13)  # stops 39 steps into an endless chain
-    assert len(list(islice(square_chain(6, 2, FermatModulus(15)), 5))) == 5  # abandoned at item 4
-    assert len(list(islice(square_chain(6, 2, FermatModulus(6)), 5))) == 5
+    assert len(list(islice(residues(FermatModulus(15), 40), 5))) == 5  # abandoned after 5 of its 40 items
+    assert len(list(islice(residues(FermatModulus(6), 40), 5))) == 5
     monkeypatch.setattr(*corrupt_export(gmp))
     with pytest.raises(ArithmeticError):
         a_mod_fermat(8, 6)
@@ -520,7 +525,7 @@ def assert_falls_back_to_int(monkeypatch):
     assert arith._load_gmp() is None and arith._load_kernel() is None
     m = FermatModulus(12)
     assert m.backend == FermatModulus(6).backend == "int"
-    assert [r for _, r in islice(residues(m), 40)] == plain_walk(12, 40)
+    assert [r for _, r in residues(m, 40)] == plain_walk(12, 40)
     m = FermatModulus(8)
     assert chain_item(3, 0, 255, m) == pow(3, 1 << 255, m.value)
 
@@ -632,6 +637,8 @@ def test_chain_readers_check_their_operands(gmp):
         arith.trace_hash(fermat_value(4), 2, FermatModulus(4), 3)
     with pytest.raises(ValueError, match="positive item count"):
         arith.trace_hash(6, 2, FermatModulus(4), 0)
+    with pytest.raises(ValueError, match="positive item count"):
+        next(residues(FermatModulus(4), 0))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -647,25 +654,32 @@ def test_item_one_is_one_int_step_below_whole_limbs(gmp, monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 6, 11])
 def test_trace_hash_does_not_depend_on_the_block_size(monkeypatch, n):
-    # n = 3 is on the int chain, n = 6 and 11 on the kernel where it loads; each is read one and two items a block.
-    expected = paper_scan(n).residue_trace_hash
+    # n = 3 is on the int chain, n = 6 and 11 on the kernel where it loads; each
+    # is read one and two items a block, by the scan, residues and h_min.
+    m = FermatModulus(n)
+    expected = paper_scan(n).residue_trace_hash, list(residues(m, 1 << n)), h_min(n)
     for items in (1, 2):
-        monkeypatch.setattr(arith, "_BLOCK_BYTES", items * ((1 << n) // 8 + 1))
-        assert paper_scan(n).residue_trace_hash == expected
+        monkeypatch.setattr(arith, "_BLOCK_BYTES", items * (m.b // 8 + 1))
+        assert (paper_scan(n).residue_trace_hash, list(residues(m, 1 << n)), h_min(n)) == expected
 
 
 @pytest.mark.parametrize(("n", "backend"), [(4, "int"), (8, "gmp"), (15, "gmp-fft")])
 def test_trace_hash_reads_a_zero_that_ends_a_block(monkeypatch, n, backend):
     # From a square root of 2, item 1 of x -> x*x - 2 is 0.  With one-item blocks it is
     # a block's last item, so the chain does not stop early there; the zero is found
-    # by the zero-candidate check alone.
+    # by the zero-candidate check alone.  trace_blocks reads on past it: 0, F - 2, 2.
     m, x = FermatModulus(n), sqrt2_mod_fermat(n)
     assert m.backend == backend or arith._load_kernel() is None
     width = m.b // 8 + 1
     digest = hashlib.sha256(x.to_bytes(width, "little") + bytes(width)).hexdigest()
-    for items in (1, 2, 8):
-        monkeypatch.setattr(arith, "_BLOCK_BYTES", items * width)
+    items = [y.to_bytes(width, "little") for y in (x, 0, m.value - 2, 2)]
+    for per_block in (1, 2, 8):
+        monkeypatch.setattr(arith, "_BLOCK_BYTES", per_block * width)
         assert arith.trace_hash(x, 2, m, 8) == (f"sha256:{digest}", 2, True)
+        blocks = [(bytes(block), zero) for block, zero in trace_blocks(x, 2, m, 4)]
+        assert b"".join(block for block, _ in blocks) == b"".join(items)
+        ends = accumulate(len(block) // width for block, _ in blocks)  # the items read through each block
+        assert [zero for _, zero in blocks] == [end == 2 for end in ends]
 
 
 def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
@@ -689,6 +703,8 @@ def test_no_block_asks_for_more_items_than_its_buffer_holds(gmp, monkeypatch):
         for n in (6, 8, 11):
             paper_scan(n)
         arith.trace_hash(6, 2, FermatModulus(16), 20)
+        list(residues(FermatModulus(16), 20))
+        h_min(6)
         assert asked and all(size is not None and wanted <= size <= max(block_bytes, width) for wanted, size, width in asked)
 
 
@@ -700,7 +716,7 @@ def test_chains_leave_no_reference_cycles(gmp):
         for n in (6, 11, 16):
             m = FermatModulus(n)
             paper_scan(n) if n < 16 else chain_item(6, 2, 8, m)
-            assert len(list(islice(residues(m), 40))) == 40
+            assert len(list(residues(m, 40))) == 40
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -797,7 +813,7 @@ def assert_falls_back_to_mpn_sqr(monkeypatch):
     monkeypatch.setattr(arith, "_fft_plan", arith._fft_plan.__wrapped__)  # the plan, unmemoised
     m = FermatModulus(15)
     assert m.backend == "gmp"
-    assert [r for _, r in islice(residues(m), 40)] == plain_walk(15, 40)
+    assert [r for _, r in residues(m, 40)] == plain_walk(15, 40)
 
 
 def test_a_failed_self_test_squares_with_mpn_sqr(fft, monkeypatch):
@@ -1080,10 +1096,10 @@ def test_fft_rounding_stays_within_a_sixteenth_at_n16(gmp):
 @pytest.mark.parametrize("x, c", [(6, 2), (3, 0)], ids=["walk", "pepin"])
 def test_fft_and_mpn_sqr_chains_agree(fft, monkeypatch, x, c):
     m = FermatModulus(15)
-    fft_items = list(islice(square_chain(x, c, m), 512))
+    fft_items = chain_bytes(x, c, m, 512)
     force_backend("gmp", monkeypatch)
     assert m.backend == "gmp"
-    assert list(islice(square_chain(x, c, m), 512)) == fft_items
+    assert chain_bytes(x, c, m, 512) == fft_items
 
 
 def corrupt_plan(change):
@@ -1165,7 +1181,7 @@ FFT_MUTATIONS = [
 FFT_WALKS = {
     "a_mod_fermat": lambda: a_mod_fermat(17, 15),
     "pepin_test": lambda: pepin_test(15),
-    "square_chain": lambda: list(islice(square_chain(6, 2, FermatModulus(15)), 8)),
+    "trace_blocks": lambda: list(trace_blocks(6, 2, FermatModulus(15), 8)),
 }
 # Pépin has no constant to subtract, but the FFT's final carry is folded in with the same sub_1.
 CORRUPTED_FFT_WALKS = [

@@ -14,5 +14,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo):
-    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, cwd=ROOT)
+    # Under the interpreter's debug checks, with every warning an error, as the tier-1 tests run in CI.
+    command = [sys.executable, "-X", "dev", "-W", "error", str(demo)]
+    done = subprocess.run(command, capture_output=True, text=True, cwd=ROOT)
     assert done.returncode == 0, done.stderr

@@ -156,6 +156,18 @@ def test_h_min_fixtures():
     assert h_min(4) == 13
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_h_min_on_the_kernel_matches_a_plain_loop(gmp, n):
+    assert FermatModulus(n).backend.startswith("gmp")
+    value, x, expected = fermat_value(n), 6, None
+    for q in range(1, (1 << n) + 2):
+        if x == 2:
+            expected = q
+            break
+        x = (x * x - 2) % value
+    assert h_min(n) == expected
+
+
 def test_h_min_floor():
     with pytest.raises(NotApplicableError):
         h_min(1)

@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import pytest
 
@@ -34,8 +33,8 @@ def test_a_exact_is_even_and_strictly_increasing():
 
 def test_a_next_mod_examples():
     # One recurrence step each: square, subtract 2, wrap below zero.
-    assert next(islice(residues(FermatModulus(2)), 1, None)) == (2, 0)  # 34 = 2 * 17
-    stream = dict(islice(residues(FermatModulus(3)), 6))
+    assert list(residues(FermatModulus(2), 2))[1] == (2, 0)  # 34 = 2 * 17
+    stream = dict(residues(FermatModulus(3), 6))
     # Exact-remainder oracle: 197**2 - 2 = 38807 = 151 * 257, so the step hits zero.
     assert (197 * 197 - 2) % 257 == 0
     assert stream[4] == 197 and stream[5] == 0
@@ -61,16 +60,24 @@ def test_a_mod_fermat_matches_exact_remainder():
 
 
 def test_cursor_walks_the_residue_stream():
-    assert list(islice(residues(FermatModulus(3)), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
+    assert list(residues(FermatModulus(3), 5)) == [(1, 6), (2, 34), (3, 126), (4, 197), (5, 0)]
 
 
 def test_a_next_mod_counts_one_squaring(counted_steps):
-    # Each recurrence step is one chain step: the walk to term q takes q - 1 of them.
+    # Each recurrence step is one chain step: the walk to term q takes q - 1 of
+    # them, and a bounded read of residues runs none past its last term, though
+    # a block could hold more.
     steps = counted_steps
     for q in (1, 2, 5, 9):
         steps.clear()
         a_mod_fermat(q, 4)
         assert len(steps) == q - 1
+    for n in (3, 12):
+        m = FermatModulus(n)
+        m.backend  # made first: the FFT plan's self-test at n = 12 runs steps of its own
+        steps.clear()
+        assert len(list(residues(m, 40))) == 40
+        assert len(steps) == 39
 
 
 def test_s_value_rejects_an_odd_term(monkeypatch):
