@@ -20,7 +20,6 @@ from .primality import (
     ScanResult,
     TestReport,
     Verdict,
-    VerdictKind,
     cross_check,
     h_min,
     paper_scan,
@@ -29,14 +28,13 @@ from .primality import (
     trial_factor_search,
     verify_two_order,
 )
-from .sequences import OverlapReport, a_exact, a_mod_fermat, overlap_check, residues, s_value
+from .sequences import a_exact, a_mod_fermat, overlap_check, residues, s_value
 from .zsqrt2 import (
     U,
     V,
     ZSqrt2,
     congruent_mod,
     frobenius_check,
-    pow_mod_p,
     reduce_mod,
     trace_pow2,
 )
@@ -50,13 +48,11 @@ __all__ = [
     "FactorWitness",
     "FermatModulus",
     "NotApplicableError",
-    "OverlapReport",
     "ScanResult",
     "TestReport",
     "U",
     "V",
     "Verdict",
-    "VerdictKind",
     "ZSqrt2",
     "a_exact",
     "a_mod_fermat",
@@ -71,7 +67,6 @@ __all__ = [
     "paper_scan",
     "pepin_squarings",
     "pepin_test",
-    "pow_mod_p",
     "reduce_mod",
     "reduce_mod_fermat",
     "residues",

@@ -165,8 +165,7 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
     overlap_hi = min(n_max, exponent_cap - 1)
     if overlap_hi >= 1:
-        report = overlap_check(overlap_hi)
-        check(report.ok, f"interleaving F_n < A_n < F_(n+1) for n = 1..{overlap_hi}")
+        check(not overlap_check(overlap_hi), f"interleaving F_n < A_n < F_(n+1) for n = 1..{overlap_hi}")
 
     check(
         all(verify_two_order(n) for n in range(n_max + 1)),

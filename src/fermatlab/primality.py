@@ -29,27 +29,22 @@ class NotApplicableError(ValueError):
     """The requested index is below the procedure's applicability floor."""
 
 
-class VerdictKind(enum.Enum):
+class Verdict(enum.Enum):
+    """Outcome of one primality procedure, valued by its record label.
+
+    ``DIVISOR_WITNESS_FOUND`` deliberately does not claim primality, and its
+    witness index is the scan's ``found_q``; ``COMPOSITE_CERTIFIED`` is the
+    contrapositive of the proven direction (no witness in the window).
+    """
+
     PRIME_BY_PEPIN = "PrimeByPepin"
     COMPOSITE_BY_PEPIN = "CompositeByPepin"
     COMPOSITE_CERTIFIED = "CompositeCertified"
     DIVISOR_WITNESS_FOUND = "DivisorWitnessFound"
 
-
-class Verdict(NamedTuple):
-    """Outcome of one primality procedure.
-
-    ``DivisorWitnessFound`` carries the witness index q and deliberately does
-    not claim primality; ``CompositeCertified`` is the contrapositive of the
-    proven direction (no witness in the window).
-    """
-
-    kind: VerdictKind
-    q: int | None = None
-
     @property
     def label(self) -> str:
-        return self.kind.value
+        return self.value
 
 
 class ScanResult(NamedTuple):
@@ -70,8 +65,8 @@ class ScanResult(NamedTuple):
     def verdict(self) -> Verdict:
         """The paper's verdict: a witness when a zero was found, else certified composite."""
         if self.found_q is None:
-            return Verdict(VerdictKind.COMPOSITE_CERTIFIED)
-        return Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=self.found_q)
+            return Verdict.COMPOSITE_CERTIFIED
+        return Verdict.DIVISOR_WITNESS_FOUND
 
 
 class FactorWitness(NamedTuple):
@@ -124,9 +119,7 @@ class TestReport(NamedTuple):
         Each procedure has exactly two outcomes, so one equivalence covers
         both directions; a disagreement would be a headline finding.
         """
-        return (self.pepin.kind is VerdictKind.PRIME_BY_PEPIN) == (
-            self.paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND
-        )
+        return (self.pepin is Verdict.PRIME_BY_PEPIN) == (self.paper is Verdict.DIVISOR_WITNESS_FOUND)
 
 
 def pepin_squarings(n: int) -> int:
@@ -149,8 +142,8 @@ def pepin_test(n: int) -> Verdict:
 def _pepin_verdict(power: int, m: FermatModulus) -> Verdict:
     """Pépin's verdict on F_n from the power 3**((F_n - 1)/2) mod F_n."""
     if power == m.value - 1:
-        return Verdict(VerdictKind.PRIME_BY_PEPIN)
-    return Verdict(VerdictKind.COMPOSITE_BY_PEPIN)
+        return Verdict.PRIME_BY_PEPIN
+    return Verdict.COMPOSITE_BY_PEPIN
 
 
 def paper_scan(n: int, full_window: bool = False) -> ScanResult:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .arith import FermatModulus, chain_item, reduce_mod_fermat, trace_blocks, trace_hash
 from .budget import check_pow2_bits
@@ -48,19 +48,8 @@ def s_value(q: int) -> int:
     return x >> 1
 
 
-class OverlapReport(NamedTuple):
-    """Indices where the strict sandwich F_n < A_n < F_{n+1} failed (expected none)."""
-
-    n_max: int
-    violations: list[int]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def overlap_check(n_max: int) -> OverlapReport:
-    """Exact-integer check that each term sits strictly between consecutive moduli."""
+def overlap_check(n_max: int) -> list[int]:
+    """The n in 1 .. n_max where the strict sandwich F_n < A_n < F_{n+1} fails, by exact integers (expected none)."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     violations = []
@@ -71,4 +60,4 @@ def overlap_check(n_max: int) -> OverlapReport:
         if not lower < term < upper:
             violations.append(n)
         lower = upper
-    return OverlapReport(n_max, violations)
+    return violations

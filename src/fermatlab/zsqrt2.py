@@ -40,18 +40,27 @@ class ZSqrt2(NamedTuple):
     def __rmul__(self, other: object) -> "ZSqrt2":
         return NotImplemented  # an int on the left would repeat the tuple
 
-    def __pow__(self, k: int) -> "ZSqrt2":
-        # Components grow like 2.55*k bits for the unit U, hence the budget.
+    def __pow__(self, k: int, p: int | None = None) -> "ZSqrt2":
+        """self**k exactly, or as ``pow(self, k, p)`` with components reduced mod p after every product.
+
+        A reduced power matches the exact one componentwise mod p but stays
+        below p, so only the exact power, whose components grow like 2.55*k
+        bits for the unit U, is held to the budget.
+        """
         if k < 0:
             raise ValueError(f"expected a nonnegative exponent, got {k}")
-        if k > max_bits():
+        if p is None and k > max_bits():
             raise BudgetExceededError(f"exponent {k} exceeds the exact-size budget {max_bits()}")
-        result = ONE
-        square = self
+
+        def reduce(x: ZSqrt2) -> ZSqrt2:
+            return x if p is None else reduce_mod(x, p)
+
+        result = ONE  # reduced mod any p >= 2, which reduce_mod checks on the next line, even for k = 0
+        square = reduce(self)
         while k:
             if k & 1:
-                result = result * square
-            square = square * square
+                result = reduce(result * square)
+            square = reduce(square * square)
             k >>= 1
         return result
 
@@ -82,24 +91,6 @@ def congruent_mod(x: ZSqrt2, y: ZSqrt2, p: int) -> bool:
     return (x.a - y.a) % p == 0 and (x.b - y.b) % p == 0
 
 
-def pow_mod_p(x: ZSqrt2, k: int, p: int) -> ZSqrt2:
-    """x**k with components reduced mod p at every step.
-
-    Matches the exact power componentwise mod p but stays small, so checks
-    against moduli as large as 65537 and beyond remain cheap.
-    """
-    if k < 0:
-        raise ValueError(f"expected a nonnegative exponent, got {k}")
-    result = reduce_mod(ONE, p)
-    square = reduce_mod(x, p)
-    while k:
-        if k & 1:
-            result = reduce_mod(result * square, p)
-        square = reduce_mod(square * square, p)
-        k >>= 1
-    return result
-
-
 def trace_pow2(k: int) -> int:
     """u**(2**k) + v**(2**k) as a plain integer.
 
@@ -125,7 +116,7 @@ def frobenius_check(p: int) -> bool:
     which is false for the two smallest tower indices.  The literal truth
     value is reported either way.
     """
-    return pow_mod_p(U, p, p) == reduce_mod(U, p)
+    return pow(U, p, p) == reduce_mod(U, p)
 
 
 def sqrt2_mod_fermat(n: int) -> int:

@@ -69,15 +69,27 @@ def counted_steps(monkeypatch):
 
     Each call of a chain's ``run``, on the int chain or in the kernel,
     appends each step it ran, as the number of steps it was asked for.  A
-    kernel job's steps, which no ``run`` makes, are not counted.
+    kernel job's steps, which no ``run`` makes, are not counted, nor are the
+    steps run inside ``arith._agrees_with_int``: the kernel's first walk and
+    each FFT plan's self-test, which a count may start but no caller asked
+    for.
     """
-    steps = []
-    arith._load_kernel()  # loaded first: its load walks chains of its own
+    steps, checking = [], threading.local()
+
+    def agrees_with_int(*args, check=arith._agrees_with_int):
+        checking.now = True
+        try:
+            return check(*args)
+        finally:
+            checking.now = False
+
+    monkeypatch.setattr(arith, "_agrees_with_int", agrees_with_int)
     for chain in (arith._IntChain, arith._GmpChain):
 
         def counted(self, count, trace=None, run=chain.run):
             done = run(self, count, trace)
-            steps.extend([count] * done)
+            if not getattr(checking, "now", False):
+                steps.extend([count] * done)
             return done
 
         monkeypatch.setattr(chain, "run", counted)

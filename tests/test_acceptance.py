@@ -14,7 +14,7 @@ from fermatlab.arith import FermatModulus, fermat_value, reduce_mod_fermat
 from fermatlab.cli import main
 from fermatlab.primality import (
     NotApplicableError,
-    VerdictKind,
+    Verdict,
     cross_check,
     h_min,
     paper_scan,
@@ -46,9 +46,9 @@ def test_criterion_1_constant_fixtures():
 def test_criterion_2_pepin_oracle():
     start = time.perf_counter()
     for n in (1, 2, 3, 4):
-        assert pepin_test(n).kind is VerdictKind.PRIME_BY_PEPIN, f"n={n}"
+        assert pepin_test(n) is Verdict.PRIME_BY_PEPIN, f"n={n}"
     for n in range(5, 13):
-        assert pepin_test(n).kind is VerdictKind.COMPOSITE_BY_PEPIN, f"n={n}"
+        assert pepin_test(n) is Verdict.COMPOSITE_BY_PEPIN, f"n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report(2, f"verdicts for n=1..12 in {elapsed:.2f}s")
@@ -93,8 +93,7 @@ def test_criterion_5_quadratic_ring_identities():
 
 
 def test_criterion_6_interleaving():
-    report = overlap_check(12)
-    assert report.violations == []
+    assert overlap_check(12) == []
     _report(6, "strict sandwich between consecutive moduli for n=1..12")
 
 
@@ -127,7 +126,7 @@ def test_criterion_8_instrumentation_exactness():
 
 
 def test_criterion_9_literal_statement_boundary(capsys):
-    assert pepin_test(1).kind is VerdictKind.PRIME_BY_PEPIN
+    assert pepin_test(1) is Verdict.PRIME_BY_PEPIN
     for q in (1, 2):
         assert a_exact(q) % 5 != 0
     with pytest.raises(NotApplicableError):

@@ -13,7 +13,7 @@ import pytest
 
 from fermatlab import arith, cli, report
 from fermatlab.cli import main
-from fermatlab.primality import TestReport, Verdict, VerdictKind, paper_scan
+from fermatlab.primality import TestReport, Verdict, paper_scan
 from fermatlab.report import FIELDS, ReportRecord
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -179,7 +179,7 @@ def test_cross_check_inconsistency_exit_code(capsys, monkeypatch):
     # The scan finds its witness at q = 2, so a composite oracle verdict really disagrees with it.
     broken = TestReport(
         n=2,
-        pepin=Verdict(VerdictKind.COMPOSITE_BY_PEPIN),
+        pepin=Verdict.COMPOSITE_BY_PEPIN,
         scan=paper_scan(2),
         elapsed_ms=0.0,
         elapsed_ms_pepin=0.0,

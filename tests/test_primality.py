@@ -18,7 +18,6 @@ from fermatlab.primality import (
     ScanResult,
     TestReport,
     Verdict,
-    VerdictKind,
     cross_check,
     h_min,
     paper_scan,
@@ -35,12 +34,12 @@ from fermatlab.zsqrt2 import ZSqrt2
 
 def test_pepin_prime_verdicts():
     for n in (1, 2, 3, 4):
-        assert pepin_test(n).kind is VerdictKind.PRIME_BY_PEPIN
+        assert pepin_test(n) is Verdict.PRIME_BY_PEPIN
 
 
 def test_pepin_composite_verdicts():
     for n in (5, 6, 9, 12):
-        assert pepin_test(n).kind is VerdictKind.COMPOSITE_BY_PEPIN
+        assert pepin_test(n) is Verdict.COMPOSITE_BY_PEPIN
 
 
 def test_pepin_rejects_index_zero():
@@ -75,7 +74,7 @@ def test_counters_match_kernel_calls(counted_steps, n):
 def test_gmp_walks_count_the_same_squarings(gmp, counted_steps, n):
     assert FermatModulus(n).backend == "gmp"
     steps = counted_steps
-    assert pepin_test(n).kind is VerdictKind.COMPOSITE_BY_PEPIN
+    assert pepin_test(n) is Verdict.COMPOSITE_BY_PEPIN
     assert len(steps) == pepin_squarings(n) == (1 << n) - 1
     steps.clear()
     assert a_mod_fermat(9, n) == a_exact(9) % fermat_value(n)
@@ -238,17 +237,17 @@ def test_factor_rejects_a_screened_non_divisor(monkeypatch):
 
 def test_cross_check_prime_case():
     report = cross_check(2)
-    assert report.pepin.kind is VerdictKind.PRIME_BY_PEPIN
-    assert report.paper.kind is VerdictKind.DIVISOR_WITNESS_FOUND
-    assert report.paper.q == 2
+    assert report.pepin is Verdict.PRIME_BY_PEPIN
+    assert report.paper is Verdict.DIVISOR_WITNESS_FOUND
+    assert report.scan.found_q == 2
     assert report.consistent
 
 
 def test_cross_check_composite_cases():
     for n in (5, 9):
         report = cross_check(n)
-        assert report.pepin.kind is VerdictKind.COMPOSITE_BY_PEPIN
-        assert report.paper.kind is VerdictKind.COMPOSITE_CERTIFIED
+        assert report.pepin is Verdict.COMPOSITE_BY_PEPIN
+        assert report.paper is Verdict.COMPOSITE_CERTIFIED
         assert report.consistent
 
 
@@ -406,7 +405,7 @@ def test_where_no_thread_starts_pepin_runs_before_the_scan(gmp, monkeypatch):
     assert primality.CONCURRENT_MIN_N <= 12
     assert start_chain_item(3, 0, 7, FermatModulus(12)) is None
     report = cross_check(12)
-    assert report.consistent and report.pepin.kind is VerdictKind.COMPOSITE_BY_PEPIN
+    assert report.consistent and report.pepin is Verdict.COMPOSITE_BY_PEPIN
     assert report.elapsed_ms == report.elapsed_ms_pepin + report.elapsed_ms_scan
 
 
@@ -463,14 +462,14 @@ def test_certificate_soundness_across_range():
 def test_report_derives_its_verdict_counts_and_agreement():
     witness, certified = paper_scan(2), paper_scan(5)
     for pepin, scan, agree in (
-        (VerdictKind.PRIME_BY_PEPIN, witness, True),
-        (VerdictKind.PRIME_BY_PEPIN, certified, False),
-        (VerdictKind.COMPOSITE_BY_PEPIN, witness, False),
-        (VerdictKind.COMPOSITE_BY_PEPIN, certified, True),
+        (Verdict.PRIME_BY_PEPIN, witness, True),
+        (Verdict.PRIME_BY_PEPIN, certified, False),
+        (Verdict.COMPOSITE_BY_PEPIN, witness, False),
+        (Verdict.COMPOSITE_BY_PEPIN, certified, True),
     ):
         report = TestReport(
             n=scan.n,
-            pepin=Verdict(pepin),
+            pepin=pepin,
             scan=scan,
             elapsed_ms=0.0,
             elapsed_ms_pepin=0.0,
@@ -493,14 +492,18 @@ def test_cross_check_floor():
 # -------------------------------------------------------------------- Verdict
 
 def test_verdict_labels():
-    assert Verdict(VerdictKind.PRIME_BY_PEPIN).label == "PrimeByPepin"
-    assert Verdict(VerdictKind.COMPOSITE_CERTIFIED).label == "CompositeCertified"
-    assert Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5).q == 5
+    # A record's label, as the golden rows hold it, names its member.
+    for label in ("PrimeByPepin", "CompositeByPepin", "CompositeCertified", "DivisorWitnessFound"):
+        assert Verdict(label).label == label
+    assert Verdict("PrimeByPepin") is Verdict.PRIME_BY_PEPIN
+    assert Verdict.COMPOSITE_CERTIFIED.label == "CompositeCertified"
+    with pytest.raises(ValueError):
+        Verdict("Prime")
 
 
 def test_scan_verdict_mapping():
-    assert paper_scan(3).verdict == Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5)
-    assert paper_scan(5).verdict == Verdict(VerdictKind.COMPOSITE_CERTIFIED)
+    assert paper_scan(3).verdict is Verdict.DIVISOR_WITNESS_FOUND
+    assert paper_scan(5).verdict is Verdict.COMPOSITE_CERTIFIED
 
 
 def _scan_result():
@@ -510,7 +513,7 @@ def _scan_result():
 def _test_report():
     return TestReport(
         n=3,
-        pepin=Verdict(VerdictKind.PRIME_BY_PEPIN),
+        pepin=Verdict.PRIME_BY_PEPIN,
         scan=_scan_result(),
         elapsed_ms=1.0,
         elapsed_ms_pepin=0.5,
@@ -522,7 +525,7 @@ def _test_report():
 @pytest.mark.parametrize(
     "make, field",
     [
-        pytest.param(lambda: Verdict(VerdictKind.DIVISOR_WITNESS_FOUND, q=5), "q", id="Verdict"),
+        pytest.param(lambda: Verdict("DivisorWitnessFound"), "label", id="Verdict"),
         pytest.param(_scan_result, "found_q", id="ScanResult"),
         pytest.param(lambda: FactorWitness(k=5, factor=641, cofactor=6700417), "factor", id="FactorWitness"),
         pytest.param(_test_report, "scan", id="TestReport"),
@@ -534,7 +537,8 @@ def test_value_types_are_immutable(make, field):
     value, twin = make(), make()
     with pytest.raises(AttributeError):
         setattr(value, field, None)
-    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value == twin and hash(value) == hash(twin)
+    assert (value is twin) is isinstance(value, Verdict)  # equal by value; an enum member is also one object
 
 
 # ------------------------------------------------------- boundary regression
@@ -542,7 +546,7 @@ def test_value_types_are_immutable(make, field):
 def test_smallest_index_boundary_is_real():
     # The divisibility statement fails literally at n = 1: 5 is prime by the
     # oracle, yet neither of the two candidate terms is divisible by 5.
-    assert pepin_test(1).kind is VerdictKind.PRIME_BY_PEPIN
+    assert pepin_test(1) is Verdict.PRIME_BY_PEPIN
     for q in (1, 2):
         assert a_exact(q) % 5 != 0
     with pytest.raises(NotApplicableError):

@@ -13,7 +13,6 @@ from fermatlab.zsqrt2 import (
     ZSqrt2,
     congruent_mod,
     frobenius_check,
-    pow_mod_p,
     reduce_mod,
     sqrt2_mod_fermat,
     trace_pow2,
@@ -100,19 +99,28 @@ def test_congruence_is_an_equivalence_compatible_with_mul(x, y, z, p):
         assert congruent_mod(x * z, y * z, p)
 
 
-def test_pow_mod_p_examples():
-    assert pow_mod_p(U, 5, 5) == ZSqrt2(3, 3)
-    assert pow_mod_p(U, 1, 7) == reduce_mod(U, 7)
-    assert pow_mod_p(U, 4, 17) == ZSqrt2(16, 0)
+def test_modular_pow_examples():
+    assert pow(U, 5, 5) == ZSqrt2(3, 3)
+    assert pow(U, 1, 7) == reduce_mod(U, 7)
+    assert pow(U, 4, 17) == ZSqrt2(16, 0)
+    # Reduced components stay below p, so no budget applies; the exact power's
+    # does.  2 is a square mod 97, so u's order there divides 96, and
+    # 10**6 = 64 (mod 96).
+    assert pow(U, 10**6, 97) == reduce_mod(U**64, 97)
+    with pytest.raises(BudgetExceededError):
+        U ** 10**6
+    for k, p in ((5, 1), (-1, 7)):
+        with pytest.raises(ValueError):
+            pow(U, k, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17, 101])
-def test_pow_mod_p_matches_exact_power(p):
+def test_modular_pow_matches_exact_power(p):
     rng = random.Random(p)
     for _ in range(20):
         x = ZSqrt2(rng.randint(-8, 8), rng.randint(-8, 8))
         k = rng.randrange(64)
-        assert pow_mod_p(x, k, p) == reduce_mod(x**k, p)
+        assert pow(x, k, p) == reduce_mod(x**k, p)
 
 
 def test_trace_fixtures():
